@@ -58,8 +58,8 @@ class PipelineConfig:
     phase_threshold: float = 0.1
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ConfigError("gamma must be >= 0")
+        if not self.gamma > 0.0:
+            raise ConfigError(f"gamma must be > 0 (the inversion divides by it), got {self.gamma}")
         if self.background_mode not in ("none", "wing_subtract"):
             raise ConfigError(f"unknown background_mode {self.background_mode!r}")
         if self.gamma_mode not in ("per_bin", "pooled"):
@@ -149,32 +149,37 @@ class PipelineConfig:
         f = section(obj, "fit", {"fix_corr_time_ns", "phase_threshold"})
 
         defaults = cls()
-        model = TpwfModel(
-            amplitude=float(m.get("amplitude", defaults.model.amplitude)),
-            corr_time=float(m.get("corr_time_ns", defaults.model.corr_time / _NS)) * _NS,
-            tau_offset=float(m.get("tau_offset_ns", defaults.model.tau_offset / _NS)) * _NS,
-            phase=float(m.get("phase_rad", defaults.model.phase)),
-        )
-        fix_tc = f.get("fix_corr_time_ns", None)
-        return cls(
-            seed=int(obj.get("seed", defaults.seed)),
-            model=model,
-            gamma=float(obj.get("gamma", defaults.gamma)),
-            pair_rate=float(s.get("pair_rate_hz", defaults.pair_rate)),
-            singles_rate_a=float(s.get("singles_rate_a_hz", defaults.singles_rate_a)),
-            singles_rate_b=float(s.get("singles_rate_b_hz", defaults.singles_rate_b)),
-            duration=float(s.get("duration_s", defaults.duration)),
-            jitter_sigma=float(s.get("jitter_sigma_ps", defaults.jitter_sigma / _PS)) * _PS,
-            dead_time=float(s.get("dead_time_ns", defaults.dead_time / _NS)) * _NS,
-            tau_window=float(s.get("tau_window_ns", defaults.tau_window / _NS)) * _NS,
-            bin_width=float(c.get("bin_width_ns", defaults.bin_width / _NS)) * _NS,
-            tau_max=float(c.get("tau_max_ns", defaults.tau_max / _NS)) * _NS,
-            background_mode=str(r.get("background_mode", defaults.background_mode)),
-            gamma_mode=str(r.get("gamma_mode", defaults.gamma_mode)),
-            wing_fraction=float(r.get("wing_fraction", defaults.wing_fraction)),
-            fix_corr_time=None if fix_tc is None else float(fix_tc) * _NS,
-            phase_threshold=float(f.get("phase_threshold", defaults.phase_threshold)),
-        )
+        # A value that int()/float() cannot coerce, or that a constructor
+        # rejects by range (a negative seed), is a configuration error.
+        try:
+            model = TpwfModel(
+                amplitude=float(m.get("amplitude", defaults.model.amplitude)),
+                corr_time=float(m.get("corr_time_ns", defaults.model.corr_time / _NS)) * _NS,
+                tau_offset=float(m.get("tau_offset_ns", defaults.model.tau_offset / _NS)) * _NS,
+                phase=float(m.get("phase_rad", defaults.model.phase)),
+            )
+            fix_tc = f.get("fix_corr_time_ns", None)
+            return cls(
+                seed=int(obj.get("seed", defaults.seed)),
+                model=model,
+                gamma=float(obj.get("gamma", defaults.gamma)),
+                pair_rate=float(s.get("pair_rate_hz", defaults.pair_rate)),
+                singles_rate_a=float(s.get("singles_rate_a_hz", defaults.singles_rate_a)),
+                singles_rate_b=float(s.get("singles_rate_b_hz", defaults.singles_rate_b)),
+                duration=float(s.get("duration_s", defaults.duration)),
+                jitter_sigma=float(s.get("jitter_sigma_ps", defaults.jitter_sigma / _PS)) * _PS,
+                dead_time=float(s.get("dead_time_ns", defaults.dead_time / _NS)) * _NS,
+                tau_window=float(s.get("tau_window_ns", defaults.tau_window / _NS)) * _NS,
+                bin_width=float(c.get("bin_width_ns", defaults.bin_width / _NS)) * _NS,
+                tau_max=float(c.get("tau_max_ns", defaults.tau_max / _NS)) * _NS,
+                background_mode=str(r.get("background_mode", defaults.background_mode)),
+                gamma_mode=str(r.get("gamma_mode", defaults.gamma_mode)),
+                wing_fraction=float(r.get("wing_fraction", defaults.wing_fraction)),
+                fix_corr_time=None if fix_tc is None else float(fix_tc) * _NS,
+                phase_threshold=float(f.get("phase_threshold", defaults.phase_threshold)),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
 
 
 def _load_config(args) -> PipelineConfig:
@@ -246,8 +251,19 @@ def _hist_name(index: int) -> str:
     return f"hist_phi{index}.json"
 
 
+_MANIFEST_ENTRY_KEYS = ("index", "theta_rad", "phi_rad", "tags_a", "tags_b", "duration_s")
+
+
 def run_correlate(run_dir: str, config: PipelineConfig, manifest: dict) -> list:
     """Correlate every setting recorded in a manifest."""
+    entries = manifest.get("settings") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise DataError("manifest has no 'settings' list")
+    for entry in entries:
+        missing = [k for k in _MANIFEST_ENTRY_KEYS if not isinstance(entry, dict) or k not in entry]
+        if missing:
+            raise DataError(f"manifest setting entry lacks {missing}")
+
     def one(entry):
         setting = AnalyzerSetting(theta=entry["theta_rad"], phi=entry["phi_rad"])
         stream_a = bio.read_timetag_stream(
@@ -267,7 +283,6 @@ def run_correlate(run_dir: str, config: PipelineConfig, manifest: dict) -> list:
         bio.write_json(path, bio.histogram_to_dict(hist))
         return path
 
-    entries = manifest["settings"]
     with ThreadPoolExecutor(max_workers=max(len(entries), 1)) as pool:
         return list(pool.map(one, entries))
 

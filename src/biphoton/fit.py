@@ -46,9 +46,9 @@ class FitResult:
     chi2: float
     ndof: int
     converged: bool
+    residuals: np.ndarray = field(repr=False)
     message: str = ""
     n_points: int = 0
-    residuals: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.chi2 < 0.0:
@@ -137,28 +137,24 @@ class _PowerData:
         re = recon.re_psi
         im = recon.im_psi
         self.valid = recon.valid & np.isfinite(re) & np.isfinite(im)
-        self.var_re = recon.sigma_re**2
-        self.var_im = recon.sigma_im**2
-        self.cov = recon.cov_re_im if recon.cov_re_im is not None else np.zeros_like(re)
-        self.q = re**2 + im**2 - (self.var_re + self.var_im)
+        var_re = recon.sigma_re**2
+        var_im = recon.sigma_im**2
+        cov = recon.cov_re_im
+        self.q = re**2 + im**2 - (var_re + var_im)
         # Unit direction of the measured psi; where the modulus vanishes
         # the directional variance term vanishes with it, so any unit
         # vector works.
         p = np.hypot(re, im)
         safe = np.where(p > 0.0, p, 1.0)
-        self.cos_t = np.where(p > 0.0, re / safe, math.sqrt(0.5))
-        self.sin_t = np.where(p > 0.0, im / safe, math.sqrt(0.5))
-        self.var_floor = 2.0 * (self.var_re**2 + self.var_im**2 + 2.0 * self.cov**2)
+        cos_t = np.where(p > 0.0, re / safe, math.sqrt(0.5))
+        sin_t = np.where(p > 0.0, im / safe, math.sqrt(0.5))
+        self.directional = cos_t**2 * var_re + 2.0 * cos_t * sin_t * cov + sin_t**2 * var_im
+        self.var_floor = 2.0 * (var_re**2 + var_im**2 + 2.0 * cov**2)
 
-    def variance_at(self, power):
-        """Var(q) with the mean vector set to the given |psi|^2 along the
-        measured direction."""
-        directional = (
-            self.cos_t**2 * self.var_re
-            + 2.0 * self.cos_t * self.sin_t * self.cov
-            + self.sin_t**2 * self.var_im
-        )
-        return 4.0 * np.clip(power, 0.0, None) * directional + self.var_floor
+    def variance_at(self, power, points=slice(None)):
+        """Var(q) at the selected points, with the mean vector set to the
+        given |psi|^2 along the measured direction."""
+        return 4.0 * np.clip(power, 0.0, None) * self.directional[points] + self.var_floor[points]
 
 
 def fit_double_exponential(
@@ -186,15 +182,6 @@ def fit_double_exponential(
     tau = recon.tau[usable]
     y = data.q[usable]
     var0 = var0[usable]
-    directional = (
-        data.cos_t**2 * data.var_re
-        + 2.0 * data.cos_t * data.sin_t * data.cov
-        + data.sin_t**2 * data.var_im
-    )[usable]
-    var_floor = data.var_floor[usable]
-
-    def variance_at(power):
-        return 4.0 * np.clip(power, 0.0, None) * directional + var_floor
 
     q_pos = np.clip(y, 0.0, None)
     peak = float(q_pos.max())
@@ -244,7 +231,7 @@ def fit_double_exponential(
         p, cov, chi2, converged, message, r = _levenberg(make_residual_jac(w), p, scales)
         if i == n_passes - 1:
             break
-        var_model = variance_at(envelope(p))
+        var_model = data.variance_at(envelope(p), usable)
         if not (np.all(np.isfinite(var_model)) and np.all(var_model > 0.0)):
             break
         w = 1.0 / np.sqrt(var_model)
@@ -311,7 +298,7 @@ def fit_constant_phase(
 
     re = recon.re_psi[usable]
     im = recon.im_psi[usable]
-    cov = (recon.cov_re_im if recon.cov_re_im is not None else np.zeros_like(recon.re_psi))[usable]
+    cov = recon.cov_re_im[usable]
     p2 = re**2 + im**2
     var_phi = (
         im**2 * recon.sigma_re[usable] ** 2

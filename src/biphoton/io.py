@@ -28,7 +28,7 @@ import tempfile
 import numpy as np
 
 from .correlate import CoincidenceHistogram, TimeTagStream
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .fit import FitResult
 from .model import AnalyzerSetting
 from .reconstruct import ReconstructedTpwf
@@ -279,7 +279,7 @@ def recon_to_dict(recon: ReconstructedTpwf) -> dict:
         "sigma_re": list(recon.sigma_re),
         "sigma_im": list(recon.sigma_im),
         "sigma_gamma": list(recon.sigma_gamma),
-        "cov_re_im": None if recon.cov_re_im is None else list(recon.cov_re_im),
+        "cov_re_im": list(recon.cov_re_im),
         "valid": [bool(v) for v in recon.valid],
         "background": recon.background,
         "background_mode": recon.background_mode,
@@ -294,7 +294,6 @@ def recon_from_dict(obj) -> ReconstructedTpwf:
     try:
         if obj.get("format") != RECON_FORMAT:
             raise DataError(f"not a reconstruction document: {obj.get('format')!r}")
-        cov = obj.get("cov_re_im")
         return ReconstructedTpwf(
             tau=np.asarray(obj["tau_s"], dtype=float),
             re_psi=np.asarray(obj["re_psi"], dtype=float),
@@ -304,7 +303,7 @@ def recon_from_dict(obj) -> ReconstructedTpwf:
             sigma_im=np.asarray(obj["sigma_im"], dtype=float),
             sigma_gamma=np.asarray(obj["sigma_gamma"], dtype=float),
             valid=np.asarray(obj["valid"], dtype=bool),
-            cov_re_im=None if cov is None else np.asarray(cov, dtype=float),
+            cov_re_im=np.asarray(obj["cov_re_im"], dtype=float),
             background=float(obj.get("background", 0.0)),
             background_mode=str(obj.get("background_mode", "none")),
             gamma_mode=str(obj.get("gamma_mode", "per_bin")),
@@ -312,7 +311,7 @@ def recon_from_dict(obj) -> ReconstructedTpwf:
             pooled_sigma_gamma=obj.get("pooled_sigma_gamma"),
             meta=dict(obj.get("meta", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"malformed reconstruction document: {exc}") from exc
 
 
@@ -329,5 +328,5 @@ def fit_to_dict(result: FitResult, label: str) -> dict:
         "converged": result.converged,
         "message": result.message,
         "n_points": result.n_points,
-        "residuals": None if result.residuals is None else list(result.residuals),
+        "residuals": list(result.residuals),
     }

@@ -19,6 +19,10 @@ in both numerators; only gamma is biased (at signal-free delays the root
 returns gamma^2 + background), which the optional wing-subtraction mode
 corrects.  Both numerators are computed in a form where the common shift
 cancels exactly, not just to rounding.
+
+Poisson errors are propagated to first order through the closed-form
+derivatives of the inversion (_jacobian); _sigma_arrays is the one place
+that turns rate variances into sigmas and the re/im covariance.
 """
 
 from __future__ import annotations
@@ -48,11 +52,21 @@ SQRT3 = math.sqrt(3.0)
 #: anything closer to zero is clamped (pure rounding residue).
 RADICAND_REL_TOL = 1e-9
 
-#: Relative step of the central differences used for error propagation.
-JACOBIAN_REL_STEP = 1e-6
+#: reconstruct_values fails when more than this share of bins is invalid.
+MAX_INVALID_FRACTION = 0.5
+
+#: Gradients of the two numerators w.r.t. (y0, y1, y2); both are linear.
+_NUM_GRAD = np.array([[-2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], [0.0, 1.0 / SQRT3, -1.0 / SQRT3]])
 
 
-def _invert_arrays(y0, y1, y2, root="larger", rel_tol=RADICAND_REL_TOL):
+def _numerators(y0, y1, y2):
+    """(2*gamma*Re psi, 2*gamma*Im psi), in forms in which a common
+    additive shift of (y0, y1, y2) cancels exactly in floating point, not
+    only algebraically."""
+    return (y1 + y2 - 2.0 * y0) / 3.0, (y1 - y2) / SQRT3
+
+
+def _invert_arrays(y0, y1, y2, root="larger"):
     """Vectorized closed-form inversion.
 
     Returns (re_psi, im_psi, gamma, valid).  Invalid bins (radicand below
@@ -65,13 +79,10 @@ def _invert_arrays(y0, y1, y2, root="larger", rel_tol=RADICAND_REL_TOL):
     y2 = np.asarray(y2, dtype=float)
 
     ybar = (y0 + y1 + y2) / 3.0
-    # Forms in which a common additive shift of (y0, y1, y2) cancels
-    # exactly in floating point, not only algebraically.
-    num_re = (y1 + y2 - 2.0 * y0) / 3.0
-    num_im = (y1 - y2) / SQRT3
+    num_re, num_im = _numerators(y0, y1, y2)
 
     radicand = 3.0 * ybar**2 - (2.0 / 3.0) * (y0**2 + y1**2 + y2**2)
-    valid = radicand >= -rel_tol * ybar**2
+    valid = radicand >= -RADICAND_REL_TOL * ybar**2
     root_term = np.sqrt(np.clip(radicand, 0.0, None))
     if root == "larger":
         gamma_sq = 0.5 * (ybar + root_term)
@@ -97,45 +108,55 @@ def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
         raise ConfigError("rates must be non-negative")
     re, im, gamma, valid = _invert_arrays(y0, y1, y2, root=root)
     if not bool(valid):
-        ybar = (y0 + y1 + y2) / 3.0
-        radicand = 3.0 * ybar**2 - (2.0 / 3.0) * (y0**2 + y1**2 + y2**2)
-        if radicand < -RADICAND_REL_TOL * ybar**2:
-            raise InvalidBinError(
-                f"negative radicand {radicand:.3e} beyond tolerance for "
-                f"(y0, y1, y2) = ({y0}, {y1}, {y2})"
-            )
-        raise InvalidBinError("reference amplitude is zero; cannot divide")
+        raise InvalidBinError(
+            f"(y0, y1, y2) = ({y0}, {y1}, {y2}) cannot be inverted: negative "
+            "radicand beyond tolerance or zero reference amplitude"
+        )
     return float(re), float(im), float(gamma)
 
 
 def _jacobian(y0, y1, y2, root="larger"):
-    """Central-difference Jacobian of (re, im, gamma) w.r.t. (y0, y1, y2).
+    """Closed-form Jacobian of (re, im, gamma) w.r.t. (y0, y1, y2).
 
     Vectorized over bins: returns J with shape (3, 3) + y.shape, J[i, k]
-    the derivative of output i w.r.t. input k.  The nested radicals make
-    symbolic derivatives error-prone; the numeric path is validated
-    against a bootstrap oracle in the tests.
+    the derivative of output i w.r.t. input k, NaN on invalid bins.  With
+    s = 2*gamma^2 - ybar, which is +sqrt(R) for the larger root and
+    -sqrt(R) for the smaller one, and dR/dy_k = 2*ybar - (4/3)*y_k,
+
+        d(gamma^2)/dy_k = (1/3 + (dR/dy_k) / (2*s)) / 2,
+
+    and re, im = numerator / (2*gamma) follow by the quotient rule.  The
+    derivatives diverge as s -> 0, where the two roots meet.
     """
-    y = [np.asarray(v, dtype=float) for v in (y0, y1, y2)]
+    re, im, gamma, _ = _invert_arrays(y0, y1, y2, root=root)
+    y = np.array([y0, y1, y2], dtype=float)
     ybar = (y[0] + y[1] + y[2]) / 3.0
-    h = JACOBIAN_REL_STEP * np.where(ybar > 0.0, ybar, 1.0)
+    grad = _NUM_GRAD.reshape(_NUM_GRAD.shape + (1,) * ybar.ndim)
     J = np.empty((3, 3) + ybar.shape, dtype=float)
-    for k in range(3):
-        plus = [v.copy() for v in y]
-        minus = [v.copy() for v in y]
-        plus[k] = plus[k] + h
-        minus[k] = minus[k] - h
-        rp, ip, gp, vp = _invert_arrays(*plus, root=root)
-        rm, im_, gm, vm = _invert_arrays(*minus, root=root)
-        inv_2h = 1.0 / (2.0 * h)
-        bad = ~(vp & vm)
-        for i, (p, m) in enumerate(((rp, rm), (ip, im_), (gp, gm))):
-            d = (p - m) * inv_2h
-            J[i, k] = np.where(bad, np.nan, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 2.0 * gamma**2 - ybar
+        J[2] = (1.0 / 3.0 + (2.0 * ybar - (4.0 / 3.0) * y) / (2.0 * s)) / (4.0 * gamma)
+        J[0] = (grad[0] - 2.0 * re * J[2]) / (2.0 * gamma)
+        J[1] = (grad[1] - 2.0 * im * J[2]) / (2.0 * gamma)
     return J
 
 
-def propagate_errors(y, counts, root: str = "larger"):
+def _sigma_arrays(J, var_y):
+    """First-order propagation of independent rate variances var_y[k]
+    through J (as returned by _jacobian).  Returns (sigma_re, sigma_im,
+    sigma_gamma, cov_re_im)."""
+
+    def propagate(a, b):
+        # A rate that an output does not depend on adds nothing to its
+        # error, even when that rate's variance is infinite (zero counts).
+        with np.errstate(invalid="ignore"):
+            return sum(np.where(a[k] * b[k] == 0.0, 0.0, a[k] * b[k] * var_y[k]) for k in range(3))
+
+    var = [propagate(J[i], J[i]) for i in range(3)]
+    return np.sqrt(var[0]), np.sqrt(var[1]), np.sqrt(var[2]), propagate(J[0], J[1])
+
+
+def propagate_errors(y, counts):
     """First-order Poisson error propagation for one bin.
 
     y and counts are the three rates and their underlying coincidence
@@ -151,11 +172,10 @@ def propagate_errors(y, counts, root: str = "larger"):
         raise ConfigError("counts must be non-negative")
     if np.any(counts == 0):
         return math.inf, math.inf, math.inf
-    sigma_y = y / np.sqrt(counts.astype(float))
-    J = _jacobian(y[0], y[1], y[2], root=root).reshape(3, 3)
-    var = (J**2) @ (sigma_y**2)
-    sig = np.sqrt(var)
-    return float(sig[0]), float(sig[1]), float(sig[2])
+    y = y[:, np.newaxis]
+    var_y = y**2 / counts[:, np.newaxis]
+    sig = _sigma_arrays(_jacobian(*y), var_y)[:3]
+    return tuple(float(v[0]) for v in sig)
 
 
 @dataclass(frozen=True)
@@ -209,7 +229,7 @@ class ReconstructedTpwf:
     sigma_im: np.ndarray
     sigma_gamma: np.ndarray
     valid: np.ndarray
-    cov_re_im: np.ndarray | None = None
+    cov_re_im: np.ndarray
     background: float = 0.0
     background_mode: str = "none"
     gamma_mode: str = "per_bin"
@@ -219,7 +239,9 @@ class ReconstructedTpwf:
 
     def __post_init__(self):
         n = len(self.tau)
-        for name in ("re_psi", "im_psi", "gamma", "sigma_re", "sigma_im", "sigma_gamma", "valid"):
+        for name in (
+            "re_psi", "im_psi", "gamma", "sigma_re", "sigma_im", "sigma_gamma", "valid", "cov_re_im"
+        ):
             if len(getattr(self, name)) != n:
                 raise ConfigError(f"field {name} does not match the bin count")
         self.valid = np.asarray(self.valid, dtype=bool)
@@ -288,8 +310,6 @@ def reconstruct_values(
     background_mode: str = "none",
     gamma_mode: str = "per_bin",
     wing_level: float | None = None,
-    root: str = "larger",
-    max_invalid_fraction: float = 0.5,
 ) -> ReconstructedTpwf:
     """Reconstruct from normalized rate arrays (the histogram-free core).
 
@@ -311,44 +331,42 @@ def reconstruct_values(
 
     have_counts = counts0 is not None and counts1 is not None and counts2 is not None
     if have_counts:
-        counts = [np.asarray(c) for c in (counts0, counts1, counts2)]
-        sigma_y = [
-            np.where(c > 0, v / np.sqrt(np.maximum(c, 1).astype(float)), np.inf)
-            for v, c in zip(ys, counts)
-        ]
+        var_y = np.array(
+            [
+                np.where(np.asarray(c) > 0, v**2 / np.maximum(c, 1), np.inf)
+                for v, c in zip(ys, (counts0, counts1, counts2))
+            ]
+        )
     else:
-        sigma_y = [np.zeros_like(v) for v in ys]
+        var_y = np.zeros((3,) + tau.shape)
 
     background = 0.0
     if background_mode == "wing_subtract":
         if wing_level is None:
             raise ConfigError("wing_subtract needs a wing_level estimate")
-        b_hat = _estimate_background(ys, sigma_y if have_counts else None, wing_level)
+        b_hat = _estimate_background(ys, var_y, wing_level)
         # Stationarity refinement: after subtracting the right constant,
         # the pooled reference amplitude must reproduce the wing level.
         for _ in range(2):
             trial = [v - b_hat for v in ys]
-            re, im, gam, valid = _invert_arrays(*trial, root=root)
-            sg = _sigma_arrays(trial, sigma_y, root)[2] if have_counts else np.zeros_like(gam)
+            re, im, gam, valid = _invert_arrays(*trial)
+            sg = _sigma_arrays(_jacobian(*trial), var_y)[2]
             pooled, _ = _pool_gamma(gam, sg, valid)
             b_hat = wing_level - pooled**2
         background = max(b_hat, 0.0)
         ys = [v - background for v in ys]
 
-    re, im, gamma, valid = _invert_arrays(*ys, root=root)
+    re, im, gamma, valid = _invert_arrays(*ys)
     n_bins = tau.size
-    if n_bins and (n_bins - int(valid.sum())) > max_invalid_fraction * n_bins:
+    if n_bins and (n_bins - int(valid.sum())) > MAX_INVALID_FRACTION * n_bins:
         raise NumericalError(
             f"{n_bins - int(valid.sum())} of {n_bins} bins failed to invert"
         )
 
     if have_counts:
-        sigma_re, sigma_im, sigma_gamma, cov_re_im = _sigma_arrays(ys, sigma_y, root)
+        sigma_re, sigma_im, sigma_gamma, cov_re_im = _sigma_arrays(_jacobian(*ys), var_y)
     else:
-        sigma_re = np.zeros(n_bins)
-        sigma_im = np.zeros(n_bins)
-        sigma_gamma = np.zeros(n_bins)
-        cov_re_im = np.zeros(n_bins)
+        sigma_re, sigma_im, sigma_gamma, cov_re_im = np.zeros((4, n_bins))
 
     pooled_gamma = None
     pooled_sigma = None
@@ -356,23 +374,17 @@ def reconstruct_values(
         pooled_gamma, pooled_sigma = _pool_gamma(gamma, sigma_gamma, valid)
         if pooled_gamma <= 0.0:
             raise NumericalError("pooled gamma is not positive")
-        num_re = (ys[1] + ys[2] - 2.0 * ys[0]) / 3.0
-        num_im = (ys[1] - ys[2]) / SQRT3
+        num_re, num_im = _numerators(*ys)
         re = np.where(valid, num_re / (2.0 * pooled_gamma), np.nan)
         im = np.where(valid, num_im / (2.0 * pooled_gamma), np.nan)
         gamma = np.where(valid, pooled_gamma, np.nan)
-        if have_counts:
-            # Numerators are linear in the rates: exact propagation, with
-            # the pooled gamma treated as a constant scale (its own error
-            # is negligible after pooling).
-            var0, var1, var2 = (np.where(np.isfinite(s), s, np.inf) ** 2 for s in sigma_y)
-            var_num_re = (var1 + var2 + 4.0 * var0) / 9.0
-            var_num_im = (var1 + var2) / 3.0
-            cov_num = (var1 - var2) / (3.0 * SQRT3)
-            sigma_re = np.sqrt(var_num_re) / (2.0 * pooled_gamma)
-            sigma_im = np.sqrt(var_num_im) / (2.0 * pooled_gamma)
-            cov_re_im = cov_num / (4.0 * pooled_gamma**2)
-            sigma_gamma = np.full(n_bins, pooled_sigma)
+        # The numerators are linear in the rates, so the propagation is
+        # exact with the pooled gamma held fixed (its own error is
+        # negligible after pooling).
+        J = np.zeros((3, 3))
+        J[:2] = _NUM_GRAD / (2.0 * pooled_gamma)
+        sigma_re, sigma_im, _, cov_re_im = _sigma_arrays(J, var_y)
+        sigma_gamma = np.full(n_bins, pooled_sigma)
 
     return ReconstructedTpwf(
         tau=tau,
@@ -392,7 +404,7 @@ def reconstruct_values(
     )
 
 
-def _estimate_background(ys, sigma_y, wing_level):
+def _estimate_background(ys, var_y, wing_level):
     """Split the wing level gamma^2 + B into its parts.
 
     The wings alone cannot separate the reference from the background
@@ -405,20 +417,13 @@ def _estimate_background(ys, sigma_y, wing_level):
     """
     y0, y1, y2 = ys
     ybar = (y0 + y1 + y2) / 3.0
-    num_re = (y1 + y2 - 2.0 * y0) / 3.0
-    num_im = (y1 - y2) / SQRT3
-    c = (num_re**2 + num_im**2) / 4.0
-    if sigma_y is not None:
-        var = [np.where(np.isfinite(s), s, np.inf) ** 2 for s in sigma_y]
-        # debias the quadratic and weight by the ybar error
-        var_nr = (4.0 * var[0] + var[1] + var[2]) / 9.0
-        var_ni = (var[1] + var[2]) / 3.0
-        c = c - (var_nr + var_ni) / 4.0
-        var_m = (var[0] + var[1] + var[2]) / 9.0
-        w = np.where(var_m > 0.0, 1.0 / np.where(var_m > 0.0, var_m, 1.0), 0.0)
-        if not np.any(w > 0.0):
-            w = np.ones_like(ybar)
-    else:
+    num_re, num_im = _numerators(y0, y1, y2)
+    # Weight by the ybar error, Var(ybar) = sum(var_y) / 9, and debias the
+    # quadratic by (Var num_re + Var num_im) / 4, which is the same sum / 9.
+    var_m = var_y.sum(axis=0) / 9.0
+    c = (num_re**2 + num_im**2) / 4.0 - var_m
+    w = np.where(var_m > 0.0, 1.0 / np.where(var_m > 0.0, var_m, 1.0), 0.0)
+    if not np.any(w > 0.0):
         w = np.ones_like(ybar)
     w_sum = float(np.sum(w))
     c_mean = float(np.sum(w * c) / w_sum)
@@ -431,21 +436,11 @@ def _estimate_background(ys, sigma_y, wing_level):
     return wing_level - gamma_sq
 
 
-def _sigma_arrays(ys, sigma_y, root):
-    """Jacobian-propagated (sigma_re, sigma_im, sigma_gamma, cov_re_im)."""
-    J = _jacobian(ys[0], ys[1], ys[2], root=root)
-    var_y = [np.where(np.isfinite(s), s, np.inf) ** 2 for s in sigma_y]
-    var = [sum(J[i, k] ** 2 * var_y[k] for k in range(3)) for i in range(3)]
-    cov_re_im = sum(J[0, k] * J[1, k] * var_y[k] for k in range(3))
-    return np.sqrt(var[0]), np.sqrt(var[1]), np.sqrt(var[2]), cov_re_im
-
-
 def reconstruct_curve(
     triple: PhaseTriple,
     background_mode: str = "none",
     gamma_mode: str = "per_bin",
     wing_fraction: float = 0.2,
-    root: str = "larger",
 ) -> ReconstructedTpwf:
     """Reconstruct psi(tau) from a phase triple of histograms.
 
@@ -471,7 +466,6 @@ def reconstruct_curve(
         background_mode=background_mode,
         gamma_mode=gamma_mode,
         wing_level=wing_level,
-        root=root,
     )
     recon.meta["acquisition_time"] = hists[0].acquisition_time
     return recon

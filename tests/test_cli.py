@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import io as bio
 from biphoton.cli import MANIFEST_NAME, PipelineConfig, main
@@ -46,6 +48,26 @@ def write_config(tmp_path, overrides=None):
     return str(path)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def config_dicts():
+    """JSON-shaped dicts over the known config keys, with any values."""
+    sections = {
+        name: st.fixed_dictionaries({}, optional={key: JSON_VALUES for key in keys}) | JSON_VALUES
+        for name, keys in PipelineConfig().to_dict().items()
+        if isinstance(keys, dict)
+    }
+    return st.fixed_dictionaries(
+        {}, optional={"seed": JSON_VALUES, "gamma": JSON_VALUES, "bogus": JSON_VALUES, **sections}
+    )
+
+
 class TestPipelineConfig:
     def test_defaults_round_trip(self):
         config = PipelineConfig()
@@ -67,6 +89,26 @@ class TestPipelineConfig:
             PipelineConfig.from_dict({"model": {"corr_time_ns": -5.0}})
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"gamma": -1.0})
+
+    @pytest.mark.parametrize(
+        "obj", [{"seed": "abc"}, {"gamma": [1]}, {"sim": {"duration_s": {}}}, {"seed": 1e400}]
+    )
+    def test_uncoercible_values_rejected(self, obj):
+        from biphoton import ConfigError
+
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(obj)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(obj=config_dicts())
+    def test_any_json_dict_loads_or_raises_config_error(self, obj):
+        from biphoton import ConfigError
+
+        try:
+            config = PipelineConfig.from_dict(obj)
+        except ConfigError:
+            return
+        assert isinstance(config, PipelineConfig)
 
 
 class TestPipeline:
@@ -308,6 +350,22 @@ class TestExitCodes:
             )
             bio.write_json(out / f"hist_phi{k}.json", bio.histogram_to_dict(hist))
         assert main(["reconstruct", "--input-dir", str(out)]) == 3
+
+    def test_malformed_manifest_is_two(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", config, "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        del manifest["settings"][1]["tags_a"]
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
+        assert main(["correlate", "--config", config, "--input-dir", str(out)]) == 2
+        del manifest["settings"]
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
+        assert main(["correlate", "--config", config, "--input-dir", str(out)]) == 2
+
+    def test_zero_gamma_is_one(self, tmp_path):
+        config = write_config(tmp_path, {"gamma": 0})
+        assert main(["pipeline", "--config", config, "--output-dir", str(tmp_path / "o")]) == 1
 
     def test_missing_file_is_two(self, tmp_path):
         assert main(["correlate", "--input-dir", str(tmp_path / "nowhere")]) == 2

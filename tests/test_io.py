@@ -202,6 +202,15 @@ class TestDocuments:
         fit = fit_double_exponential(back)
         assert fit.params["corr_time"] == pytest.approx(30e-9, rel=1e-8)
 
+    @pytest.mark.parametrize("cov", [None, [0.0, 0.0]])
+    def test_reconstruction_bad_covariance_rejected(self, cov):
+        tau = np.linspace(-100e-9, 100e-9, 5)
+        ones = np.ones(tau.size)
+        doc = bio.recon_to_dict(reconstruct_values(tau, ones, ones, ones))
+        doc["cov_re_im"] = cov
+        with pytest.raises(DataError):
+            bio.recon_from_dict(doc)
+
     def test_fit_document(self):
         model = TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4)
         tau = np.linspace(-100e-9, 100e-9, 41)

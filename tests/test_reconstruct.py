@@ -25,6 +25,7 @@ from biphoton import (
     reconstruct_values,
     tpwf_eval,
 )
+from biphoton.reconstruct import _invert_arrays, _jacobian
 
 BALANCED = AnalyzerSetting.balanced
 PHASE_FACTORS = [np.exp(-2j * phi) for phi in RECONSTRUCTION_PHASES]
@@ -50,6 +51,28 @@ def bootstrap_sigmas(y, counts, n_rep, seed):
         float(np.std(recon.gamma[ok])),
         float(np.mean(ok)),
     )
+
+
+def central_difference_jacobian(y0, y1, y2, root="larger"):
+    """Reference Jacobian by central differences of the inversion, six
+    extra inversions per call; NaN where a perturbed inversion fails."""
+    y = [np.asarray(v, dtype=float) for v in (y0, y1, y2)]
+    ybar = (y[0] + y[1] + y[2]) / 3.0
+    h = 1e-6 * np.where(ybar > 0.0, ybar, 1.0)
+    J = np.empty((3, 3) + ybar.shape, dtype=float)
+    for k in range(3):
+        plus = [v.copy() for v in y]
+        minus = [v.copy() for v in y]
+        plus[k] = plus[k] + h
+        minus[k] = minus[k] - h
+        rp, ip, gp, vp = _invert_arrays(*plus, root=root)
+        rm, im_, gm, vm = _invert_arrays(*minus, root=root)
+        inv_2h = 1.0 / (2.0 * h)
+        bad = ~(vp & vm)
+        for i, (p, m) in enumerate(((rp, rm), (ip, im_), (gp, gm))):
+            d = (p - m) * inv_2h
+            J[i, k] = np.where(bad, np.nan, d)
+    return J
 
 
 class TestReconstructBin:
@@ -226,6 +249,56 @@ class TestPropagateErrors:
     def test_shape_validation(self):
         with pytest.raises(ConfigError):
             propagate_errors([1.0, 1.0], [10, 10])
+
+
+class TestJacobian:
+    @staticmethod
+    def draws(n=100_000, seed=45):
+        rng = np.random.default_rng(seed)
+        gamma = rng.uniform(0.2, 5.0, n)
+        psi = gamma * rng.uniform(0.0, 0.9, n) * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+        return forward_triple(gamma, psi)
+
+    @pytest.mark.parametrize("root,tol", [("larger", 1e-6), ("smaller", 1e-2)])
+    def test_closed_form_matches_central_differences(self, root, tol):
+        # Central differences are ill-conditioned on the smaller root,
+        # hence its looser tolerance.
+        y = self.draws()
+        exact = _jacobian(*y, root=root)
+        reference = central_difference_jacobian(*y, root=root)
+        assert exact.shape == (3, 3, y[0].size)
+        assert np.isfinite(exact).all() and np.isfinite(reference).all()
+        scale = np.max(np.abs(exact.reshape(9, -1)), axis=0)
+        err = np.max(np.abs((exact - reference).reshape(9, -1)), axis=0)
+        assert np.max(err / scale) < tol
+
+    def test_nan_on_invalid_bins(self):
+        J = _jacobian(np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        assert np.isnan(J[..., 0]).all()
+        assert np.isfinite(J[..., 1]).all()
+
+    def test_pooled_sigmas_are_the_linear_formulas(self):
+        rng = np.random.default_rng(46)
+        n = 50
+        tau = np.zeros(n)
+        psi = 0.5 * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+        y = forward_triple(1.3, psi)
+        counts = [rng.integers(1, 10_000, n) for _ in range(3)]
+        counts[0][0] = 0  # y0 unmeasured in bin 0: Im psi does not use it
+        recon = reconstruct_values(tau, *y, *counts, gamma_mode="pooled")
+        var0, var1, var2 = (
+            np.where(c > 0, v**2 / np.maximum(c, 1), np.inf) for v, c in zip(y, counts)
+        )
+        scale = 4.0 * recon.pooled_gamma**2
+        expected = {
+            "sigma_re": np.sqrt((var1 + var2 + 4.0 * var0) / 9.0 / scale),
+            "sigma_im": np.sqrt((var1 + var2) / 3.0 / scale),
+            "cov_re_im": (var1 - var2) / (3.0 * math.sqrt(3.0)) / scale,
+        }
+        for name, value in expected.items():
+            np.testing.assert_allclose(getattr(recon, name), value, rtol=1e-12)
+        assert np.isinf(recon.sigma_re[0]) and np.isfinite(recon.sigma_im[0])
+        np.testing.assert_array_equal(recon.sigma_gamma, recon.pooled_sigma_gamma)
 
 
 def make_hist(counts, duration, singles, phi_index, bin_width_ps=4000, mean=None):
