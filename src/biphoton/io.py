@@ -218,7 +218,7 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -249,7 +249,13 @@ def histogram_to_dict(hist: CoincidenceHistogram) -> dict:
     }
 
 
+def _require_object(obj, kind: str):
+    if not isinstance(obj, dict):
+        raise DataError(f"{kind} document must be a JSON object, not {type(obj).__name__}")
+
+
 def histogram_from_dict(obj) -> CoincidenceHistogram:
+    _require_object(obj, "histogram")
     try:
         if obj.get("format") != HISTOGRAM_FORMAT:
             raise DataError(f"not a histogram document: {obj.get('format')!r}")
@@ -264,7 +270,7 @@ def histogram_from_dict(obj) -> CoincidenceHistogram:
             setting=_setting_from_dict(obj.get("setting")),
             mean_counts=None if mean is None else np.asarray(mean, dtype=float),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise DataError(f"malformed histogram document: {exc}") from exc
 
 
@@ -290,7 +296,12 @@ def recon_to_dict(recon: ReconstructedTpwf) -> dict:
     }
 
 
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
 def recon_from_dict(obj) -> ReconstructedTpwf:
+    _require_object(obj, "reconstruction")
     try:
         if obj.get("format") != RECON_FORMAT:
             raise DataError(f"not a reconstruction document: {obj.get('format')!r}")
@@ -307,11 +318,11 @@ def recon_from_dict(obj) -> ReconstructedTpwf:
             background=float(obj.get("background", 0.0)),
             background_mode=str(obj.get("background_mode", "none")),
             gamma_mode=str(obj.get("gamma_mode", "per_bin")),
-            pooled_gamma=obj.get("pooled_gamma"),
-            pooled_sigma_gamma=obj.get("pooled_sigma_gamma"),
+            pooled_gamma=_optional_float(obj.get("pooled_gamma")),
+            pooled_sigma_gamma=_optional_float(obj.get("pooled_sigma_gamma")),
             meta=dict(obj.get("meta", {})),
         )
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise DataError(f"malformed reconstruction document: {exc}") from exc
 
 

@@ -238,11 +238,13 @@ class ReconstructedTpwf:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if np.ndim(self.tau) != 1:
+            raise ConfigError("tau must be a 1-d array")
         n = len(self.tau)
         for name in (
             "re_psi", "im_psi", "gamma", "sigma_re", "sigma_im", "sigma_gamma", "valid", "cov_re_im"
         ):
-            if len(getattr(self, name)) != n:
+            if np.shape(getattr(self, name)) != (n,):
                 raise ConfigError(f"field {name} does not match the bin count")
         self.valid = np.asarray(self.valid, dtype=bool)
         g = self.gamma[self.valid]
@@ -425,6 +427,10 @@ def _estimate_background(ys, var_y, wing_level):
     w = np.where(var_m > 0.0, 1.0 / np.where(var_m > 0.0, var_m, 1.0), 0.0)
     if not np.any(w > 0.0):
         w = np.ones_like(ybar)
+    # A zero-count bin has infinite variance: weight 0 and c = -inf, whose
+    # product would turn every sum into NaN.  Leave such bins out.
+    used = w > 0.0
+    w, c, ybar = w[used], c[used], ybar[used]
     w_sum = float(np.sum(w))
     c_mean = float(np.sum(w * c) / w_sum)
     m_mean = float(np.sum(w * ybar) / w_sum)

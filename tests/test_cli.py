@@ -367,6 +367,19 @@ class TestExitCodes:
         config = write_config(tmp_path, {"gamma": 0})
         assert main(["pipeline", "--config", config, "--output-dir", str(tmp_path / "o")]) == 1
 
+    def test_non_utf8_document_is_two(self, tmp_path):
+        recon = tmp_path / "recon.json"
+        recon.write_bytes(b'{"format": "\xff\xfe"}')
+        assert main(["fit", "--recon", str(recon), "--output", str(tmp_path / "fit.json")]) == 2
+
+    def test_non_object_document_is_two(self, tmp_path):
+        recon = tmp_path / "recon.json"
+        recon.write_text("[1, 2]")
+        assert main(["fit", "--recon", str(recon), "--output", str(tmp_path / "fit.json")]) == 2
+        for k in range(3):
+            (tmp_path / f"hist_phi{k}.json").write_text("[1, 2]")
+        assert main(["reconstruct", "--input-dir", str(tmp_path)]) == 2
+
     def test_missing_file_is_two(self, tmp_path):
         assert main(["correlate", "--input-dir", str(tmp_path / "nowhere")]) == 2
 

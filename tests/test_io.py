@@ -8,14 +8,18 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     AnalyzerSetting,
+    BiphotonError,
     CoincidenceHistogram,
     DataError,
     TimeTagStream,
     TpwfModel,
     RECONSTRUCTION_PHASES,
+    ReconstructedTpwf,
     fit_double_exponential,
     reconstruct_values,
     tpwf_eval,
@@ -211,6 +215,15 @@ class TestDocuments:
         with pytest.raises(DataError):
             bio.recon_from_dict(doc)
 
+    def test_reconstruction_malformed_fields_rejected(self):
+        tau = np.linspace(-100e-9, 100e-9, 5)
+        ones = np.ones(tau.size)
+        doc = bio.recon_to_dict(reconstruct_values(tau, ones, ones, ones, gamma_mode="pooled"))
+        # a 2-d tau used to load and then crash the envelope fit
+        for key, value in (("tau_s", [[t, t] for t in doc["tau_s"]]), ("pooled_gamma", "abc")):
+            with pytest.raises(DataError):
+                bio.recon_from_dict(dict(doc, **{key: value}))
+
     def test_fit_document(self):
         model = TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4)
         tau = np.linspace(-100e-9, 100e-9, 41)
@@ -223,3 +236,142 @@ class TestDocuments:
         assert back["label"] == "envelope"
         assert back["params"]["corr_time"] == fit.params["corr_time"]
         assert back["converged"] is True
+
+
+# --- fuzzing: every input loads or raises a BiphotonError -------------
+FUZZ = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+VALID_HEADER = bio._HEADER.pack(bio.TIMETAG_MAGIC, bio.TIMETAG_VERSION, 1)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=15,
+)
+
+
+@st.composite
+def tag_records(draw):
+    """Record bytes that are mostly well framed: channel bytes near the
+    valid range, timestamps anywhere, and optional trailing garbage."""
+    rows = draw(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(-(2**63), 2**63 - 1)), max_size=12)
+    )
+    if draw(st.booleans()):
+        rows.sort(key=lambda r: r[1])
+    records = np.array(rows, dtype=bio._RECORD_DTYPE)
+    return records.tobytes() + draw(st.binary(max_size=10))
+
+
+@st.composite
+def corrupt_headers(draw):
+    """A valid header with one field or byte replaced, or arbitrary bytes."""
+    mutate = draw(st.sampled_from(["field", "byte", "raw"]))
+    if mutate == "raw":
+        return draw(st.binary(max_size=bio._HEADER.size + 4))
+    if mutate == "byte":
+        header = bytearray(VALID_HEADER)
+        header[draw(st.integers(0, len(header) - 1))] = draw(st.integers(0, 255))
+        return bytes(header)
+    return bio._HEADER.pack(
+        draw(st.binary(min_size=4, max_size=4)),
+        draw(st.integers(0, 2**16 - 1)),
+        draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@st.composite
+def mutated_documents(draw, valid):
+    """Arbitrary JSON values, or a valid document with fields replaced by
+    arbitrary JSON values or removed."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    doc = dict(valid)
+    keys = sorted(doc)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        doc[key] = draw(JSON_VALUES)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
+        doc.pop(key, None)
+    return doc
+
+
+def _small_recon_document():
+    tau = np.linspace(-100e-9, 100e-9, 5)
+    psi = tpwf_eval(TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4), tau)
+    y = [np.abs(1.2 * np.exp(-2j * p) - psi) ** 2 for p in RECONSTRUCTION_PHASES]
+    counts = [np.rint(1e3 * v) for v in y]
+    return bio.recon_to_dict(reconstruct_values(tau, *y, *counts, gamma_mode="pooled"))
+
+
+def _small_histogram_document():
+    return bio.histogram_to_dict(
+        CoincidenceHistogram(
+            bin_width_ps=4000,
+            tau_min_ps=-8000,
+            counts=np.array([3, 0, 7, 1], dtype=np.int64),
+            acquisition_time=2.0,
+            singles_a=100,
+            singles_b=90,
+            setting=AnalyzerSetting.balanced(RECONSTRUCTION_PHASES[2]),
+            mean_counts=np.array([2.5, 0.5, 6.0, 1.5]),
+        )
+    )
+
+
+class TestReaderFuzz:
+    def check_tag_file(self, path, data, channel):
+        path.write_bytes(data)
+        try:
+            channels, timestamps = bio.read_timetags(path)
+        except BiphotonError:
+            return
+        assert channels.size == timestamps.size
+        assert timestamps.dtype == np.int64
+        try:
+            stream = bio.read_timetag_stream(path, duration=1.0, channel=channel)
+        except BiphotonError:
+            return
+        assert isinstance(stream, TimeTagStream)
+        np.testing.assert_array_equal(stream.timestamps_ps, timestamps)
+
+    @FUZZ
+    @given(
+        body=tag_records() | st.binary(max_size=60),
+        channel=st.sampled_from(["A", "B", None]),
+    )
+    def test_tag_readers_behind_a_valid_header(self, tmp_path, body, channel):
+        self.check_tag_file(tmp_path / "tags.bttg", VALID_HEADER + body, channel)
+
+    @FUZZ
+    @given(
+        header=corrupt_headers(),
+        body=tag_records() | st.binary(max_size=60),
+        channel=st.sampled_from(["A", "B", None]),
+    )
+    def test_tag_readers_behind_a_corrupt_header(self, tmp_path, header, body, channel):
+        self.check_tag_file(tmp_path / "tags.bttg", header + body, channel)
+
+    @FUZZ
+    @given(obj=mutated_documents(_small_histogram_document()))
+    def test_histogram_reader(self, obj):
+        try:
+            hist = bio.histogram_from_dict(obj)
+        except BiphotonError:
+            return
+        assert isinstance(hist, CoincidenceHistogram)
+        assert hist.counts.ndim == 1
+
+    @FUZZ
+    @given(obj=mutated_documents(_small_recon_document()))
+    def test_reconstruction_reader(self, obj):
+        try:
+            recon = bio.recon_from_dict(obj)
+        except BiphotonError:
+            return
+        assert isinstance(recon, ReconstructedTpwf)
+        assert recon.tau.ndim == 1
+        for value in (recon.pooled_gamma, recon.pooled_sigma_gamma):
+            assert value is None or isinstance(value, float)

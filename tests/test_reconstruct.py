@@ -380,6 +380,27 @@ class TestReconstructValues:
         assert fixed.pooled_gamma == pytest.approx(gamma, rel=1e-9)
         np.testing.assert_allclose(fixed.re_psi, psi.real, rtol=0, atol=1e-8)
 
+    def test_wing_subtract_survives_a_zero_count_bin(self):
+        # A bin with zero counts has infinite variance; it must drop out of
+        # the background regression instead of turning it into NaN.
+        model = TpwfModel(amplitude=0.7, corr_time=30e-9, phase=0.4)
+        gamma, background = 1.5, 0.6
+        tau = np.linspace(-300e-9, 300e-9, 151)
+        psi = tpwf_eval(model, tau)
+        y = [np.abs(gamma * f - psi) ** 2 + background for f in PHASE_FACTORS]
+        counts = [np.rint(1e4 * v).astype(np.int64) for v in y]
+        counts[0][0] = 0
+        recon = reconstruct_values(
+            tau,
+            *y,
+            *counts,
+            background_mode="wing_subtract",
+            gamma_mode="pooled",
+            wing_level=gamma**2 + background,
+        )
+        assert recon.background == pytest.approx(background, abs=1e-3)
+        assert recon.pooled_gamma == pytest.approx(gamma, abs=1e-3)
+
     def test_too_many_invalid_bins_fails(self):
         tau = np.zeros(10)
         y0 = np.full(10, 1.0)

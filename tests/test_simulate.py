@@ -3,9 +3,13 @@ distributions, determinism, stationarity, dead time, and event-level vs
 rate-level agreement."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from biphoton import (
@@ -21,6 +25,7 @@ from biphoton import (
     rate_level_histogram,
     sample_pair_delay,
 )
+from biphoton.simulate import _dead_time_filter
 
 BALANCED = AnalyzerSetting.balanced
 
@@ -248,6 +253,63 @@ class TestGenerateStream:
         keep = (c1 + c2) > 5
         stat = float(np.sum((c1[keep] - c2[keep]) ** 2 / (c1[keep] + c2[keep])))
         assert stats.chi2.sf(stat, df=int(keep.sum())) > 1e-3
+
+
+def _dead_time_reference(ts, dead_ps):
+    """Per-click non-paralyzable dead time: the oracle for _dead_time_filter."""
+    if dead_ps <= 0 or ts.size == 0:
+        return ts
+    keep = np.empty(ts.size, dtype=bool)
+    last = -(1 << 62)
+    for i in range(ts.size):
+        t = ts[i]
+        if t - last >= dead_ps:
+            keep[i] = True
+            last = t
+        else:
+            keep[i] = False
+    return ts[keep]
+
+
+def _best_time(fn, repeats=3):
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestDeadTimeFilter:
+    # Gaps of 0 give duplicate timestamps; short gaps against a short
+    # dead time give long clusters, in which clicks land exactly dead_ps
+    # after a kept one; wide gaps give singleton clusters.
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        start=st.integers(-(2**40), 2**40),
+        gaps=arrays(
+            np.int64, st.integers(0, 120), elements=st.integers(0, 6) | st.integers(0, 10**6)
+        ),
+        dead_ps=st.integers(0, 20) | st.integers(0, 2**40),
+    )
+    @example(start=0, gaps=np.array([10, 10, 5, 5, 30]), dead_ps=20)
+    def test_matches_reference(self, start, gaps, dead_ps):
+        ts = np.int64(start) + np.cumsum(gaps)
+        got = _dead_time_filter(ts, dead_ps)
+        want = _dead_time_reference(ts, dead_ps)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    def test_single_cluster_comb(self):
+        # Spacing below the dead time: no gap splits the stream, so one
+        # cluster holds all 1e5 clicks and every second one is kept.
+        ts = np.arange(100_000, dtype=np.int64) * 15
+        got = _dead_time_filter(ts, 20)
+        np.testing.assert_array_equal(got, _dead_time_reference(ts, 20))
+        assert got.size == 50_000
+        fast = _best_time(lambda: _dead_time_filter(ts, 20))
+        loop = _best_time(lambda: _dead_time_reference(ts, 20))
+        assert fast <= loop
 
 
 class TestRateLevelHistogram:
