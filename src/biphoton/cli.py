@@ -12,18 +12,18 @@ Exit codes: 0 success, 1 usage or configuration error, 2 malformed data,
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import io as bio
-from .correlate import cross_correlate
+from .correlate import TimeTagStream, cross_correlate
 from .errors import BiphotonError, ConfigError, DataError, NumericalError
 from .fit import fit_constant_phase, fit_double_exponential
 from .model import RECONSTRUCTION_PHASES, AnalyzerSetting, TpwfModel
-from .reconstruct import PhaseTriple, reconstruct_curve
+from .reconstruct import BACKGROUND_MODES, GAMMA_MODES, PhaseTriple, reconstruct_curve
 from .simulate import SimConfig, derive_setting_seed, generate_stream
 
 __all__ = ["PipelineConfig", "main"]
@@ -34,13 +34,46 @@ MANIFEST_NAME = "manifest.json"
 _NS = 1e-9
 _PS = 1e-12
 
+# The config format, one row per value: JSON section (None for the top
+# level), JSON key, field (of TpwfModel in the "model" section, of
+# PipelineConfig elsewhere), coercion, and the unit the JSON value is
+# given in (None when it is stored as given).  The row order is the key
+# order of to_dict and so of every manifest.
+_CONFIG_KEYS = (
+    (None, "seed", "seed", int, None),
+    ("model", "amplitude", "amplitude", float, None),
+    ("model", "corr_time_ns", "corr_time", float, _NS),
+    ("model", "tau_offset_ns", "tau_offset", float, _NS),
+    ("model", "phase_rad", "phase", float, None),
+    (None, "gamma", "gamma", float, None),
+    ("sim", "pair_rate_hz", "pair_rate", float, None),
+    ("sim", "singles_rate_a_hz", "singles_rate_a", float, None),
+    ("sim", "singles_rate_b_hz", "singles_rate_b", float, None),
+    ("sim", "duration_s", "duration", float, None),
+    ("sim", "jitter_sigma_ps", "jitter_sigma", float, _PS),
+    ("sim", "dead_time_ns", "dead_time", float, _NS),
+    ("sim", "tau_window_ns", "tau_window", float, _NS),
+    ("correlate", "bin_width_ns", "bin_width", float, _NS),
+    ("correlate", "tau_max_ns", "tau_max", float, _NS),
+    ("reconstruct", "background_mode", "background_mode", str, None),
+    ("reconstruct", "gamma_mode", "gamma_mode", str, None),
+    ("reconstruct", "wing_fraction", "wing_fraction", float, None),
+    ("fit", "fix_corr_time_ns", "fix_corr_time", float, _NS),
+    ("fit", "phase_threshold", "phase_threshold", float, None),
+)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Fully validated parameters for one end-to-end run."""
+    """Fully validated parameters for one end-to-end run.
+
+    The defaults that carry a unit are written as the JSON value times
+    that unit, the conversion from_dict applies, so the default config
+    and its JSON form load to each other exactly.
+    """
 
     seed: int = 1
-    model: TpwfModel = TpwfModel(amplitude=1.0, corr_time=39.3e-9, tau_offset=0.0, phase=0.9)
+    model: TpwfModel = TpwfModel(amplitude=1.0, corr_time=39.3 * _NS, tau_offset=0.0, phase=0.9)
     gamma: float = 1.0
     pair_rate: float = 2000.0
     singles_rate_a: float = 1000.0
@@ -48,9 +81,9 @@ class PipelineConfig:
     duration: float = 10.0
     jitter_sigma: float = 0.0
     dead_time: float = 0.0
-    tau_window: float = 400e-9
-    bin_width: float = 4e-9
-    tau_max: float = 200e-9
+    tau_window: float = 400.0 * _NS
+    bin_width: float = 4.0 * _NS
+    tau_max: float = 200.0 * _NS
     background_mode: str = "none"
     gamma_mode: str = "per_bin"
     wing_fraction: float = 0.2
@@ -60,126 +93,71 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.gamma > 0.0:
             raise ConfigError(f"gamma must be > 0 (the inversion divides by it), got {self.gamma}")
-        if self.background_mode not in ("none", "wing_subtract"):
+        if self.background_mode not in BACKGROUND_MODES:
             raise ConfigError(f"unknown background_mode {self.background_mode!r}")
-        if self.gamma_mode not in ("per_bin", "pooled"):
+        if self.gamma_mode not in GAMMA_MODES:
             raise ConfigError(f"unknown gamma_mode {self.gamma_mode!r}")
         self.sim_config(0)  # validates rates, durations, window
 
     def sim_config(self, setting_index: int) -> SimConfig:
         return SimConfig(
-            pair_rate=self.pair_rate,
-            singles_rate_a=self.singles_rate_a,
-            singles_rate_b=self.singles_rate_b,
-            duration=self.duration,
-            jitter_sigma=self.jitter_sigma,
-            dead_time=self.dead_time,
-            tau_window=self.tau_window,
             seed=derive_setting_seed(self.seed, setting_index),
+            **{field: getattr(self, field) for section, _, field, _, _ in _CONFIG_KEYS
+               if section == "sim"},
         )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "model": {
-                "amplitude": self.model.amplitude,
-                "corr_time_ns": self.model.corr_time / _NS,
-                "tau_offset_ns": self.model.tau_offset / _NS,
-                "phase_rad": self.model.phase,
-            },
-            "gamma": self.gamma,
-            "sim": {
-                "pair_rate_hz": self.pair_rate,
-                "singles_rate_a_hz": self.singles_rate_a,
-                "singles_rate_b_hz": self.singles_rate_b,
-                "duration_s": self.duration,
-                "jitter_sigma_ps": self.jitter_sigma / _PS,
-                "dead_time_ns": self.dead_time / _NS,
-                "tau_window_ns": self.tau_window / _NS,
-            },
-            "correlate": {
-                "bin_width_ns": self.bin_width / _NS,
-                "tau_max_ns": self.tau_max / _NS,
-            },
-            "reconstruct": {
-                "background_mode": self.background_mode,
-                "gamma_mode": self.gamma_mode,
-                "wing_fraction": self.wing_fraction,
-            },
-            "fit": {
-                "fix_corr_time_ns": None
-                if self.fix_corr_time is None
-                else self.fix_corr_time / _NS,
-                "phase_threshold": self.phase_threshold,
-            },
-        }
+        doc = {}
+        for section, key, field, _, unit in _CONFIG_KEYS:
+            value = getattr(self.model if section == "model" else self, field)
+            if value is not None and unit is not None:
+                value = value / unit
+            (doc if section is None else doc.setdefault(section, {}))[key] = value
+        return doc
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
-        def section(d, name, allowed):
-            sub = d.get(name, {})
-            if not isinstance(sub, dict):
-                raise ConfigError(f"config section {name!r} must be an object")
-            unknown = set(sub) - set(allowed)
-            if unknown:
-                raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-            return sub
-
-        top_allowed = {"seed", "model", "gamma", "sim", "correlate", "reconstruct", "fit"}
-        unknown = set(obj) - top_allowed
+        allowed = {}
+        for section, key, _, _, _ in _CONFIG_KEYS:
+            allowed.setdefault(section, set()).add(key)
+        top = allowed.pop(None)
+        unknown = set(obj) - top - set(allowed)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, keys in allowed.items():
+            sub = obj.get(name, {})
+            if not isinstance(sub, dict):
+                raise ConfigError(f"config section {name!r} must be an object")
+            unknown = set(sub) - keys
+            if unknown:
+                raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
 
-        m = section(obj, "model", {"amplitude", "corr_time_ns", "tau_offset_ns", "phase_rad"})
-        s = section(
-            obj,
-            "sim",
-            {
-                "pair_rate_hz",
-                "singles_rate_a_hz",
-                "singles_rate_b_hz",
-                "duration_s",
-                "jitter_sigma_ps",
-                "dead_time_ns",
-                "tau_window_ns",
-            },
-        )
-        c = section(obj, "correlate", {"bin_width_ns", "tau_max_ns"})
-        r = section(obj, "reconstruct", {"background_mode", "gamma_mode", "wing_fraction"})
-        f = section(obj, "fit", {"fix_corr_time_ns", "phase_threshold"})
-
-        defaults = cls()
+        defaults = cls().to_dict()
+        fields, model = {}, {}
         # A value that int()/float() cannot coerce, or that a constructor
         # rejects by range (a negative seed), is a configuration error.
+        # A value whose default is None may be None.
         try:
-            model = TpwfModel(
-                amplitude=float(m.get("amplitude", defaults.model.amplitude)),
-                corr_time=float(m.get("corr_time_ns", defaults.model.corr_time / _NS)) * _NS,
-                tau_offset=float(m.get("tau_offset_ns", defaults.model.tau_offset / _NS)) * _NS,
-                phase=float(m.get("phase_rad", defaults.model.phase)),
-            )
-            fix_tc = f.get("fix_corr_time_ns", None)
-            return cls(
-                seed=int(obj.get("seed", defaults.seed)),
-                model=model,
-                gamma=float(obj.get("gamma", defaults.gamma)),
-                pair_rate=float(s.get("pair_rate_hz", defaults.pair_rate)),
-                singles_rate_a=float(s.get("singles_rate_a_hz", defaults.singles_rate_a)),
-                singles_rate_b=float(s.get("singles_rate_b_hz", defaults.singles_rate_b)),
-                duration=float(s.get("duration_s", defaults.duration)),
-                jitter_sigma=float(s.get("jitter_sigma_ps", defaults.jitter_sigma / _PS)) * _PS,
-                dead_time=float(s.get("dead_time_ns", defaults.dead_time / _NS)) * _NS,
-                tau_window=float(s.get("tau_window_ns", defaults.tau_window / _NS)) * _NS,
-                bin_width=float(c.get("bin_width_ns", defaults.bin_width / _NS)) * _NS,
-                tau_max=float(c.get("tau_max_ns", defaults.tau_max / _NS)) * _NS,
-                background_mode=str(r.get("background_mode", defaults.background_mode)),
-                gamma_mode=str(r.get("gamma_mode", defaults.gamma_mode)),
-                wing_fraction=float(r.get("wing_fraction", defaults.wing_fraction)),
-                fix_corr_time=None if fix_tc is None else float(fix_tc) * _NS,
-                phase_threshold=float(f.get("phase_threshold", defaults.phase_threshold)),
-            )
+            for section, key, field, coerce, unit in _CONFIG_KEYS:
+                given = obj if section is None else obj.get(section, {})
+                default = (defaults if section is None else defaults[section])[key]
+                value = given.get(key, default)
+                if not (value is None and default is None):
+                    value = coerce(value)
+                    if unit is not None:
+                        value = value * unit
+                (model if section == "model" else fields)[field] = value
+            return cls(model=TpwfModel(**model), **fields)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
+
+
+class _ConfigFlag(argparse.Action):
+    """A flag that overrides the config value whose JSON key is its dest.
+    The value goes through from_dict as given, like a config file value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.overrides = {**getattr(namespace, "overrides", {}), self.dest: values}
 
 
 def _load_config(args) -> PipelineConfig:
@@ -189,21 +167,13 @@ def _load_config(args) -> PipelineConfig:
         obj = bio.read_json(args.config)
         if not isinstance(obj, dict):
             raise ConfigError("config file must hold a JSON object")
-    config = PipelineConfig.from_dict(obj)
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "bin_width_ns", None) is not None:
-        updates["bin_width"] = args.bin_width_ns * _NS
-    if getattr(args, "tau_max_ns", None) is not None:
-        updates["tau_max"] = args.tau_max_ns * _NS
-    if getattr(args, "background_mode", None) is not None:
-        updates["background_mode"] = args.background_mode
-    if getattr(args, "gamma_mode", None) is not None:
-        updates["gamma_mode"] = args.gamma_mode
-    if updates:
-        config = dataclasses.replace(config, **updates)
-    return config
+    overrides = getattr(args, "overrides", {})
+    for section, key, _, _, _ in _CONFIG_KEYS:
+        if key in overrides:
+            target = obj if section is None else obj.setdefault(section, {})
+            if isinstance(target, dict):  # else from_dict rejects the section
+                target[key] = overrides[key]
+    return PipelineConfig.from_dict(obj)
 
 
 def _tag_names(index: int) -> tuple[str, str]:
@@ -254,37 +224,63 @@ def _hist_name(index: int) -> str:
 _MANIFEST_ENTRY_KEYS = ("index", "theta_rad", "phi_rad", "tags_a", "tags_b", "duration_s")
 
 
+def _check_manifest_entry(entry) -> AnalyzerSetting:
+    """Check the types and ranges of one manifest setting entry and
+    return its analyzer setting.  Every fault is a DataError."""
+    missing = [k for k in _MANIFEST_ENTRY_KEYS if not isinstance(entry, dict) or k not in entry]
+    if missing:
+        raise DataError(f"manifest setting entry lacks {missing}")
+    index = entry["index"]
+    if type(index) is not int or index not in (0, 1, 2):
+        raise DataError(f"manifest setting index must be 0, 1 or 2, got {index!r}")
+    for key in ("tags_a", "tags_b"):
+        if not (isinstance(entry[key], str) and entry[key].isprintable()):
+            raise DataError(f"manifest setting {index}: {key} must be a file name")
+    for key in ("theta_rad", "phi_rad", "duration_s", "exposure_s"):
+        value = entry.get(key, 0.0)
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise DataError(f"manifest setting {index}: {key} must be a finite number")
+    try:
+        # An empty stream applies the stream's own duration and exposure checks.
+        TimeTagStream("A", (), entry["duration_s"], entry.get("exposure_s"))
+        return AnalyzerSetting(theta=entry["theta_rad"], phi=entry["phi_rad"])
+    except ConfigError as exc:
+        raise DataError(f"manifest setting {index}: {exc}") from exc
+
+
+def _correlate_files(config, tags_a, tags_b, duration, exposure, setting, out_path) -> str:
+    """Correlate the tag files of channels A and B into a histogram file."""
+    stream_a = bio.read_timetag_stream(tags_a, duration=duration, exposure=exposure, channel="A")
+    stream_b = bio.read_timetag_stream(tags_b, duration=duration, exposure=exposure, channel="B")
+    hist = cross_correlate(stream_a, stream_b, config.bin_width, config.tau_max, setting)
+    bio.write_json(out_path, bio.histogram_to_dict(hist))
+    return out_path
+
+
 def run_correlate(run_dir: str, config: PipelineConfig, manifest: dict) -> list:
     """Correlate every setting recorded in a manifest."""
     entries = manifest.get("settings") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise DataError("manifest has no 'settings' list")
-    for entry in entries:
-        missing = [k for k in _MANIFEST_ENTRY_KEYS if not isinstance(entry, dict) or k not in entry]
-        if missing:
-            raise DataError(f"manifest setting entry lacks {missing}")
+    settings = [_check_manifest_entry(entry) for entry in entries]
 
-    def one(entry):
-        setting = AnalyzerSetting(theta=entry["theta_rad"], phi=entry["phi_rad"])
-        stream_a = bio.read_timetag_stream(
+    def one(entry, setting):
+        return _correlate_files(
+            config,
             os.path.join(run_dir, entry["tags_a"]),
-            duration=entry["duration_s"],
-            exposure=entry.get("exposure_s"),
-            channel="A",
-        )
-        stream_b = bio.read_timetag_stream(
             os.path.join(run_dir, entry["tags_b"]),
-            duration=entry["duration_s"],
-            exposure=entry.get("exposure_s"),
-            channel="B",
+            entry["duration_s"],
+            entry.get("exposure_s"),
+            setting,
+            os.path.join(run_dir, _hist_name(entry["index"])),
         )
-        hist = cross_correlate(stream_a, stream_b, config.bin_width, config.tau_max, setting)
-        path = os.path.join(run_dir, _hist_name(entry["index"]))
-        bio.write_json(path, bio.histogram_to_dict(hist))
-        return path
 
     with ThreadPoolExecutor(max_workers=max(len(entries), 1)) as pool:
-        return list(pool.map(one, entries))
+        return list(pool.map(one, entries, settings))
 
 
 def run_reconstruct(hist_paths, config: PipelineConfig, out_path: str):
@@ -344,10 +340,7 @@ def _cmd_correlate(args) -> int:
     setting = None
     if args.phi_rad is not None:
         setting = AnalyzerSetting.balanced(args.phi_rad)
-    stream_a = bio.read_timetag_stream(args.tags_a, duration=args.duration_s)
-    stream_b = bio.read_timetag_stream(args.tags_b, duration=args.duration_s)
-    hist = cross_correlate(stream_a, stream_b, config.bin_width, config.tau_max, setting)
-    bio.write_json(args.output, bio.histogram_to_dict(hist))
+    _correlate_files(config, args.tags_a, args.tags_b, args.duration_s, None, setting, args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -371,10 +364,6 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_fit(args) -> int:
     config = _load_config(args)
-    if args.fix_corr_time_ns is not None:
-        config = dataclasses.replace(config, fix_corr_time=args.fix_corr_time_ns * _NS)
-    if args.phase_threshold is not None:
-        config = dataclasses.replace(config, phase_threshold=args.phase_threshold)
     doc = run_fit(args.recon, config, args.output)
     env = doc["fits"]["envelope"]["params"]
     ph = doc["fits"]["phase"]["params"]
@@ -421,14 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="pipeline config JSON")
-        p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--bin-width-ns", type=float, help="coincidence bin width")
-        p.add_argument("--tau-max-ns", type=float, help="histogram half range")
+        p.add_argument("--seed", action=_ConfigFlag, help="override the run seed")
+        p.add_argument("--bin-width-ns", action=_ConfigFlag, help="coincidence bin width")
+        p.add_argument("--tau-max-ns", action=_ConfigFlag, help="histogram half range")
         p.add_argument(
-            "--background-mode", choices=["none", "wing_subtract"], help="background handling"
+            "--background-mode", action=_ConfigFlag, choices=BACKGROUND_MODES,
+            help="background handling",
         )
         p.add_argument(
-            "--gamma-mode", choices=["per_bin", "pooled"], help="reference amplitude handling"
+            "--gamma-mode", action=_ConfigFlag, choices=GAMMA_MODES,
+            help="reference amplitude handling",
         )
 
     p_sim = sub.add_parser("simulate", help="generate time-tag files for the phase settings")
@@ -462,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_fit)
     p_fit.add_argument("--recon", required=True)
     p_fit.add_argument("--output", required=True)
-    p_fit.add_argument("--fix-corr-time-ns", type=float)
-    p_fit.add_argument("--phase-threshold", type=float)
+    p_fit.add_argument("--fix-corr-time-ns", action=_ConfigFlag)
+    p_fit.add_argument("--phase-threshold", action=_ConfigFlag)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_pipe = sub.add_parser("pipeline", help="run all stages into one directory")

@@ -153,12 +153,6 @@ class CoincidenceHistogram:
         )
 
 
-def _check_sorted(stream: TimeTagStream):
-    ts = stream.timestamps_ps
-    if ts.size and np.any(np.diff(ts) < 0):
-        raise DataError(f"stream {stream.channel} is not sorted")
-
-
 def cross_correlate(
     stream_a: TimeTagStream,
     stream_b: TimeTagStream,
@@ -181,8 +175,6 @@ def cross_correlate(
         raise ConfigError(f"bin_width must be >= 1 ps, got {bin_width}")
     if tmax_ps <= 0 or tmax_ps % bw_ps != 0:
         raise ConfigError("tau_max must be a positive multiple of bin_width")
-    _check_sorted(stream_a)
-    _check_sorted(stream_b)
     if not math.isclose(stream_a.exposure, stream_b.exposure, rel_tol=1e-9):
         raise DataError("streams have different acquisition times")
 

@@ -148,7 +148,11 @@ class _PowerData:
         safe = np.where(p > 0.0, p, 1.0)
         cos_t = np.where(p > 0.0, re / safe, math.sqrt(0.5))
         sin_t = np.where(p > 0.0, im / safe, math.sqrt(0.5))
-        self.directional = cos_t**2 * var_re + 2.0 * cos_t * sin_t * cov + sin_t**2 * var_im
+        # Bins with a non-finite (co)variance are dropped by the fits; NaN
+        # in place of inf keeps inf - inf from being formed.
+        finite = np.isfinite(var_re) & np.isfinite(var_im) & np.isfinite(cov)
+        vr, vi, c = (np.where(finite, v, np.nan) for v in (var_re, var_im, cov))
+        self.directional = cos_t**2 * vr + 2.0 * cos_t * sin_t * c + sin_t**2 * vi
         self.var_floor = 2.0 * (var_re**2 + var_im**2 + 2.0 * cov**2)
 
     def variance_at(self, power, points=slice(None)):

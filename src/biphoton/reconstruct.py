@@ -48,6 +48,10 @@ __all__ = [
 
 SQRT3 = math.sqrt(3.0)
 
+#: The accepted background_mode and gamma_mode values.
+BACKGROUND_MODES = ("none", "wing_subtract")
+GAMMA_MODES = ("per_bin", "pooled")
+
 #: A radicand more negative than -tol*ybar^2 flags the bin invalid;
 #: anything closer to zero is clamped (pure rounding residue).
 RADICAND_REL_TOL = 1e-9
@@ -321,9 +325,9 @@ def reconstruct_values(
     separated from the reference level by two fixed-point iterations of
     subtract -> re-estimate gamma.
     """
-    if background_mode not in ("none", "wing_subtract"):
+    if background_mode not in BACKGROUND_MODES:
         raise ConfigError(f"unknown background_mode {background_mode!r}")
-    if gamma_mode not in ("per_bin", "pooled"):
+    if gamma_mode not in GAMMA_MODES:
         raise ConfigError(f"unknown gamma_mode {gamma_mode!r}")
     tau = np.asarray(tau, dtype=float)
     ys = [np.asarray(v, dtype=float).copy() for v in (y0, y1, y2)]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .correlate import PS_PER_SECOND, CoincidenceHistogram, TimeTagStream, apply_gate, seconds_to_ps
 from .errors import ConfigError, NumericalError
-from .model import AnalyzerSetting, ReferenceAmplitude, TpwfModel, forward_g2, tpwf_eval
+from .model import AnalyzerSetting, TpwfModel, _gamma_value, forward_g2, tpwf_eval
 
 __all__ = [
     "SimConfig",
@@ -148,8 +148,7 @@ class PairDelaySampler:
         # integral; quoting rates against this phi-independent reference
         # keeps one common scale across the three settings (it equals the
         # mean of the per-setting masses over the analyzer period).
-        g = gamma.gamma if hasattr(gamma, "gamma") else float(gamma)
-        interference_free = g**2 + np.abs(psi) ** 2
+        interference_free = _gamma_value(gamma) ** 2 + np.abs(psi) ** 2
         self.neutral_mass = trapezoid(interference_free)
         self.rate_factor = total / self.neutral_mass if self.neutral_mass > 0.0 else 1.0
         self.window = window

@@ -4,6 +4,7 @@ manifest, flag/config precedence, and exit codes."""
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from hypothesis import strategies as st
 
 from biphoton import io as bio
 from biphoton.cli import MANIFEST_NAME, PipelineConfig, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+MISSING = object()
 
 FAST_CONFIG = {
     "seed": 97,
@@ -33,6 +38,16 @@ FAST_CONFIG = {
     "reconstruct": {"background_mode": "none", "gamma_mode": "pooled"},
     "fit": {"fix_corr_time_ns": None, "phase_threshold": 0.1},
 }
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A simulated run of 0.05 s and its manifest."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    config = write_config(tmp, {"sim.duration_s": 0.05})
+    run_dir = tmp / "run"
+    assert main(["simulate", "--config", config, "--output-dir", str(run_dir)]) == 0
+    return run_dir, json.loads((run_dir / MANIFEST_NAME).read_text())
 
 
 def write_config(tmp_path, overrides=None):
@@ -73,6 +88,12 @@ class TestPipelineConfig:
         config = PipelineConfig()
         again = PipelineConfig.from_dict(config.to_dict())
         assert again == config
+
+    def test_readme_config_is_the_default(self):
+        text = README.read_text().split("A full config file with the defaults:", 1)[1]
+        block = json.loads(text.split("```json", 1)[1].split("```", 1)[0])
+        assert PipelineConfig.from_dict(block) == PipelineConfig()
+        assert PipelineConfig().to_dict() == block
 
     def test_unknown_keys_rejected(self):
         from biphoton import ConfigError
@@ -351,17 +372,58 @@ class TestExitCodes:
             bio.write_json(out / f"hist_phi{k}.json", bio.histogram_to_dict(hist))
         assert main(["reconstruct", "--input-dir", str(out)]) == 3
 
-    def test_malformed_manifest_is_two(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("settings", MISSING, id="settings-missing"),
+            pytest.param("tags_a", MISSING, id="tags_a-missing"),
+            pytest.param("duration_s", "abc", id="duration_s-str"),
+            pytest.param("theta_rad", "x", id="theta_rad-str"),
+            pytest.param("tags_a", 5, id="tags_a-int"),
+            pytest.param("exposure_s", "q", id="exposure_s-str"),
+            pytest.param("index", [1], id="index-list"),
+            pytest.param("index", 3, id="index-3"),
+            pytest.param("index", True, id="index-bool"),
+            pytest.param("phi_rad", 4.0, id="phi_rad-out-of-range"),
+            pytest.param("duration_s", -1.0, id="duration_s-negative"),
+            pytest.param("exposure_s", 60.0, id="exposure_s-above-duration"),
+        ],
+    )
+    def test_malformed_manifest_is_two(self, tmp_path, key, value):
         config = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["simulate", "--config", config, "--output-dir", str(out)]) == 0
         manifest = json.loads((out / MANIFEST_NAME).read_text())
-        del manifest["settings"][1]["tags_a"]
+        target = manifest if key == "settings" else manifest["settings"][1]
+        if value is MISSING:
+            del target[key]
+        else:
+            target[key] = value
         (out / MANIFEST_NAME).write_text(json.dumps(manifest))
         assert main(["correlate", "--config", config, "--input-dir", str(out)]) == 2
-        del manifest["settings"]
-        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
-        assert main(["correlate", "--config", config, "--input-dir", str(out)]) == 2
+        assert not list(out.glob("hist_*"))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(edit=st.data())
+    def test_any_manifest_entry_correlates_or_exits_two(self, tiny_run, edit):
+        run_dir, manifest = tiny_run
+        entry = dict(manifest["settings"][0])
+        keys = sorted(entry)
+        names = sorted(p.name for p in run_dir.iterdir())
+        values = JSON_VALUES | st.integers(-1, 3) | st.floats(-1.0, 2.0) | st.sampled_from(names)
+        entry.update(edit.draw(st.fixed_dictionaries({}, optional={k: values for k in keys})))
+        for key in edit.draw(st.lists(st.sampled_from(keys), max_size=2)):
+            entry.pop(key, None)
+        edited = {**manifest, "settings": [entry, *manifest["settings"][1:]]}
+        (run_dir / MANIFEST_NAME).write_text(json.dumps(edited))
+        before = set(run_dir.iterdir())
+        try:
+            assert main(["correlate", "--input-dir", str(run_dir)]) in (0, 2)
+            new = {p.name for p in set(run_dir.iterdir()) - before}
+            assert new <= {f"hist_phi{k}.json" for k in range(3)}
+        finally:
+            for path in set(run_dir.iterdir()) - before:
+                path.unlink()
 
     def test_zero_gamma_is_one(self, tmp_path):
         config = write_config(tmp_path, {"gamma": 0})

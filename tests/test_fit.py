@@ -3,6 +3,7 @@ to flagged bins, calibration on repeated simulations, and the visibility
 harmonic fit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,38 @@ class TestDoubleExponentialFit:
         assert fit.converged
         assert fit.params["corr_time"] == pytest.approx(30e-9, rel=1e-8)
         assert fit.n_points == int(recon.valid.sum())
+
+    def test_zero_count_bins_fit_without_warnings(self):
+        # 1 s at 2 ns bins leaves bins with no counts: their sigma is
+        # infinite and cov_re_im is +inf or -inf.  The fit drops them
+        # without forming inf - inf.
+        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
+        hists = []
+        for k, phi in enumerate(RECONSTRUCTION_PHASES):
+            cfg = SimConfig(
+                pair_rate=2000.0,
+                singles_rate_a=1000.0,
+                singles_rate_b=1000.0,
+                duration=1.0,
+                tau_window=400e-9,
+                seed=derive_setting_seed(3, k),
+            )
+            hists.append(rate_level_histogram(cfg, BALANCED(phi), model, 1.0, 2e-9))
+        recon = reconstruct_curve(PhaseTriple(*hists), gamma_mode="pooled")
+        assert np.any(recon.cov_re_im == np.inf) and np.any(recon.cov_re_im == -np.inf)
+        finite = (
+            recon.valid
+            & np.isfinite(recon.sigma_re)
+            & np.isfinite(recon.sigma_im)
+            & np.isfinite(recon.cov_re_im)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_double_exponential(recon)
+        assert fit.converged
+        assert fit.n_points == int(finite.sum())
+        fwhm = math.log(2.0) * 39.3e-9
+        assert abs(fit.params["fwhm"] - fwhm) < 4.0 * fit.sigmas["fwhm"]
 
     def test_too_few_bins_rejected(self):
         model = TpwfModel(amplitude=1.0, corr_time=30e-9)
