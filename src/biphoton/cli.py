@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import io as bio
-from .correlate import TimeTagStream, cross_correlate
+from .correlate import check_acquisition, check_binning, cross_correlate
 from .errors import BiphotonError, ConfigError, DataError, NumericalError
 from .fit import fit_constant_phase, fit_double_exponential
 from .model import RECONSTRUCTION_PHASES, AnalyzerSetting, TpwfModel
@@ -97,6 +97,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown background_mode {self.background_mode!r}")
         if self.gamma_mode not in GAMMA_MODES:
             raise ConfigError(f"unknown gamma_mode {self.gamma_mode!r}")
+        check_binning(self.bin_width, self.tau_max)
         self.sim_config(0)  # validates rates, durations, window
 
     def sim_config(self, setting_index: int) -> SimConfig:
@@ -245,17 +246,17 @@ def _check_manifest_entry(entry) -> AnalyzerSetting:
         if not finite:
             raise DataError(f"manifest setting {index}: {key} must be a finite number")
     try:
-        # An empty stream applies the stream's own duration and exposure checks.
-        TimeTagStream("A", (), entry["duration_s"], entry.get("exposure_s"))
+        check_acquisition("A", entry["duration_s"], entry.get("exposure_s"))
         return AnalyzerSetting(theta=entry["theta_rad"], phi=entry["phi_rad"])
     except ConfigError as exc:
         raise DataError(f"manifest setting {index}: {exc}") from exc
 
 
 def _correlate_files(config, tags_a, tags_b, duration, exposure, setting, out_path) -> str:
-    """Correlate the tag files of channels A and B into a histogram file."""
-    stream_a = bio.read_timetag_stream(tags_a, duration=duration, exposure=exposure, channel="A")
-    stream_b = bio.read_timetag_stream(tags_b, duration=duration, exposure=exposure, channel="B")
+    """Correlate the tag files of channels A and B into a histogram file,
+    streaming both from disk."""
+    stream_a = bio.TimeTagFile(tags_a, "A", duration, exposure)
+    stream_b = bio.TimeTagFile(tags_b, "B", duration, exposure)
     hist = cross_correlate(stream_a, stream_b, config.bin_width, config.tau_max, setting)
     bio.write_json(out_path, bio.histogram_to_dict(hist))
     return out_path
@@ -308,6 +309,8 @@ def run_fit(recon_path: str, config: PipelineConfig, out_path: str) -> dict:
         },
     }
     bio.write_json(out_path, doc)
+    if not envelope.converged:
+        raise NumericalError(f"envelope fit failed: {envelope.message} (written to {out_path})")
     return doc
 
 

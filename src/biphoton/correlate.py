@@ -12,6 +12,7 @@ neighbours.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +34,44 @@ PS_PER_SECOND = 10**12
 # vectorized correlator's memory flat on dense streams.
 _PAIR_CHUNK = 4_000_000
 
+# Records per block of a time-tag stream: the unit in which tag files are
+# read and checked and in which streams are merged by cross_correlate.
+# 2**17 timestamps (1 MiB) keep a block and the pair kernel's index
+# arrays in cache.
+_BLOCK_RECORDS = 2**17
+
 
 def seconds_to_ps(t: float) -> int:
     return int(round(t * PS_PER_SECOND))
+
+
+def check_binning(bin_width: float, tau_max: float) -> tuple[int, int]:
+    """The integer-picosecond binning rule: bin_width at least 1 ps and
+    tau_max a positive multiple of it.  Returns both in picoseconds."""
+    try:
+        bw_ps = seconds_to_ps(bin_width)
+        tmax_ps = seconds_to_ps(tau_max)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"bin_width and tau_max must be finite: {exc}") from exc
+    if bw_ps <= 0:
+        raise ConfigError(f"bin_width must be >= 1 ps, got {bin_width}")
+    if tmax_ps <= 0 or tmax_ps % bw_ps != 0:
+        raise ConfigError("tau_max must be a positive multiple of bin_width")
+    return bw_ps, tmax_ps
+
+
+def check_acquisition(channel: str, duration: float, exposure: float | None) -> float:
+    """Check a channel name and an acquisition's duration and exposure (s).
+    Returns the exposure, which defaults to the duration."""
+    if channel not in ("A", "B"):
+        raise ConfigError(f"channel must be 'A' or 'B', got {channel!r}")
+    if not duration > 0.0:
+        raise ConfigError(f"duration must be > 0, got {duration}")
+    if exposure is None:
+        exposure = duration
+    if not 0.0 < exposure <= duration * (1.0 + 1e-12):
+        raise ConfigError("exposure must lie in (0, duration]")
+    return exposure
 
 
 @dataclass(frozen=True)
@@ -54,26 +90,26 @@ class TimeTagStream:
     exposure: float | None = None
 
     def __post_init__(self):
-        if self.channel not in ("A", "B"):
-            raise ConfigError(f"channel must be 'A' or 'B', got {self.channel!r}")
-        if not self.duration > 0.0:
-            raise ConfigError(f"duration must be > 0, got {self.duration}")
-        if self.exposure is None:
-            object.__setattr__(self, "exposure", self.duration)
-        if not 0.0 < self.exposure <= self.duration * (1.0 + 1e-12):
-            raise ConfigError("exposure must lie in (0, duration]")
+        exposure = check_acquisition(self.channel, self.duration, self.exposure)
+        object.__setattr__(self, "exposure", exposure)
         ts = np.asarray(self.timestamps_ps, dtype=np.int64)
         object.__setattr__(self, "timestamps_ps", ts)
         if ts.size:
             if ts[0] < 0:
                 raise DataError("timestamps must be >= 0")
-            if np.any(np.diff(ts) < 0):
+            if np.any(ts[1:] < ts[:-1]):
                 raise DataError(f"channel {self.channel} timestamps are not sorted")
             if ts[-1] >= self.duration * PS_PER_SECOND:
                 raise DataError("timestamps must lie within [0, duration)")
 
     def __len__(self):
         return int(self.timestamps_ps.size)
+
+    def blocks(self):
+        """The timestamps as successive views of _BLOCK_RECORDS or fewer."""
+        ts, step = self.timestamps_ps, _BLOCK_RECORDS
+        for start in range(0, ts.size, step):
+            yield ts[start : start + step]
 
     def shifted(self, offset_ps: int) -> "TimeTagStream":
         """Same clicks translated by offset_ps, duration grown to fit."""
@@ -154,59 +190,33 @@ class CoincidenceHistogram:
 
 
 def cross_correlate(
-    stream_a: TimeTagStream,
-    stream_b: TimeTagStream,
+    stream_a,
+    stream_b,
     bin_width: float,
     tau_max: float,
     setting: AnalyzerSetting | None = None,
 ) -> CoincidenceHistogram:
     """Histogram all pairs (a, b) with tau = t_a - t_b in [-tau_max, tau_max).
 
-    Single pass over both sorted streams: for each chunk of A-clicks a
-    binary search locates the B-window, candidate pairs are materialized
-    in bounded chunks, and bin indices are accumulated with bincount.
-    Cost is O((N_a + N_b) log N_b + pairs) with flat memory.  Segments of
-    a long acquisition may be processed independently (with tau_max
-    overlap) and merged by adding counts.
+    The streams are TimeTagStreams or any source with the same channel,
+    exposure, len() and blocks() (a file-backed one is io.TimeTagFile).
+    Their blocks are merged in time: at most one A block is held, with
+    the B tags that can still partner a pending A tag, and each A tag is
+    counted once all its partners are loaded.  Cost is O((N_a + N_b)
+    log(block) + pairs), and memory does not grow with the acquisition.
+    Every block of both streams is read, so a fault anywhere in either
+    is raised.  Segment counts add: segments of a long acquisition may
+    be processed independently (with tau_max overlap) and merged by
+    adding counts.
     """
-    bw_ps = seconds_to_ps(bin_width)
-    tmax_ps = seconds_to_ps(tau_max)
-    if bw_ps <= 0:
-        raise ConfigError(f"bin_width must be >= 1 ps, got {bin_width}")
-    if tmax_ps <= 0 or tmax_ps % bw_ps != 0:
-        raise ConfigError("tau_max must be a positive multiple of bin_width")
+    bw_ps, tmax_ps = check_binning(bin_width, tau_max)
     if not math.isclose(stream_a.exposure, stream_b.exposure, rel_tol=1e-9):
         raise DataError("streams have different acquisition times")
 
-    a = stream_a.timestamps_ps
-    b = stream_b.timestamps_ps
-    n_bins = 2 * tmax_ps // bw_ps
-    counts = np.zeros(n_bins, dtype=np.int64)
-
-    if a.size and b.size:
-        # tau in [-T, T)  <=>  b in (a - T, a + T]
-        lo = np.searchsorted(b, a - tmax_ps, side="right")
-        hi = np.searchsorted(b, a + tmax_ps, side="right")
-        per_a = hi - lo
-        cum = np.cumsum(per_a)
-        total = int(cum[-1])
-        start = 0
-        while start < a.size:
-            base = cum[start - 1] if start > 0 else 0
-            stop = int(np.searchsorted(cum, base + _PAIR_CHUNK, side="left")) + 1
-            stop = min(max(stop, start + 1), a.size)
-            n_pairs = int(cum[stop - 1] - base)
-            if n_pairs:
-                seg_per = per_a[start:stop]
-                seg_lo = lo[start:stop]
-                offsets = np.repeat(np.cumsum(seg_per) - seg_per, seg_per)
-                b_idx = np.repeat(seg_lo, seg_per) + (np.arange(n_pairs) - offsets)
-                tau = np.repeat(a[start:stop], seg_per) - b[b_idx]
-                k = (tau + tmax_ps) // bw_ps
-                counts += np.bincount(k, minlength=n_bins)
-            start = stop
-        del lo, hi, per_a, cum
-        assert int(counts.sum()) == total  # every windowed pair lands in a bin
+    counts = np.zeros(2 * tmax_ps // bw_ps, dtype=np.int64)
+    with closing(stream_a.blocks()) as blocks_a, closing(stream_b.blocks()) as blocks_b:
+        total = _merge_blocks(blocks_a, blocks_b, tmax_ps, bw_ps, counts)
+    assert int(counts.sum()) == total  # every windowed pair lands in a bin
 
     return CoincidenceHistogram(
         bin_width_ps=bw_ps,
@@ -217,6 +227,76 @@ def cross_correlate(
         singles_b=len(stream_b),
         setting=setting,
     )
+
+
+def _merge_blocks(blocks_a, blocks_b, tmax_ps, bw_ps, counts) -> int:
+    """Add the pairs of two sorted block sequences to counts; return
+    their number.
+
+    b holds the B tags in (a_next - T, b_last], where a_next is the first
+    A tag not yet counted and b_last the last B tag read.  An A tag a has
+    all its partners (b in (a - T, a + T]) loaded once a + T < b_last or
+    B has ended; the next B block is read only when a_next is not ready.
+    """
+    b = np.empty(0, dtype=np.int64)
+    b_last = None
+    total = 0
+    for a in blocks_a:
+        i = 0
+        while i < a.size:
+            if blocks_b is None:
+                ready = a.size
+            elif b_last is None:
+                ready = i
+            else:
+                ready = int(np.searchsorted(a, b_last - tmax_ps, side="left"))
+            # B tags <= a_next - T partner no pending A tag.
+            b = b[np.searchsorted(b, a[i] - tmax_ps, side="right"):]
+            if ready > i:
+                total += _count_pairs(a[i:ready], b, tmax_ps, bw_ps, counts)
+                i = ready
+                continue
+            block = next(blocks_b, None)
+            if block is None:
+                blocks_b = None
+            elif block.size:
+                b = np.concatenate((b, block)) if b.size else block
+                b_last = block[-1]
+    if blocks_b is not None:
+        for _ in blocks_b:  # read to the end: a fault in B's tail still raises
+            pass
+    return total
+
+
+def _count_pairs(a, b, tmax_ps, bw_ps, counts) -> int:
+    """Add the pairs of a against b with tau = a - b in [-T, T) to
+    counts; return their number.
+
+    A binary search locates each A tag's B window, candidate pairs are
+    materialized at most _PAIR_CHUNK at a time, and bin indices are
+    accumulated with bincount.
+    """
+    if not b.size:
+        return 0
+    # tau in [-T, T)  <=>  b in (a - T, a + T]
+    lo = np.searchsorted(b, a - tmax_ps, side="right")
+    per_a = np.searchsorted(b, a + tmax_ps, side="right") - lo
+    cum = np.cumsum(per_a)
+    start = 0
+    while start < a.size:
+        base = cum[start - 1] if start > 0 else 0
+        stop = int(np.searchsorted(cum, base + _PAIR_CHUNK, side="left")) + 1
+        stop = min(max(stop, start + 1), a.size)
+        n_pairs = int(cum[stop - 1] - base)
+        if n_pairs:
+            seg_per = per_a[start:stop]
+            offsets = np.repeat(np.cumsum(seg_per) - seg_per, seg_per)
+            b_idx = np.repeat(lo[start:stop], seg_per) + (np.arange(n_pairs) - offsets)
+            tau = np.repeat(a[start:stop], seg_per) - b[b_idx]
+            k = (tau + tmax_ps) // bw_ps
+            counts += np.bincount(k, minlength=counts.size)
+        start = stop
+    return int(cum[-1])
 
 
 def normalize_g2(hist: CoincidenceHistogram):

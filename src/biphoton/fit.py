@@ -259,6 +259,18 @@ def fit_double_exponential(
         "corr_time": sigma_tc,
         "fwhm": math.log(2.0) * sigma_tc,
     }
+    # A fit that ends in non-finite numbers, or in an envelope narrower
+    # than the bins that sample it, has not found the wave function.
+    # The finest spacing, not np.median: with NumPy 2.4 on an AVX-512
+    # x86-64 CPU, complex exp calls made after np.median ran about 3x
+    # slower, and the many-seed calibration loop 25-30% slower.
+    spacing = float(np.min(np.abs(np.diff(recon.tau))))
+    if not all(math.isfinite(v) for v in (*params.values(), *sigmas.values())):
+        converged = False
+        message = f"{message}; non-finite parameter or error"
+    elif fwhm < spacing:
+        converged = False
+        message = f"{message}; FWHM {fwhm:.3g} s is below one bin spacing ({spacing:.3g} s)"
     n = int(usable.sum())
     n_free = 3 if free_tc else 2
     return FitResult(

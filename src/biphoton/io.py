@@ -27,6 +27,7 @@ import tempfile
 
 import numpy as np
 
+from . import correlate
 from .correlate import CoincidenceHistogram, TimeTagStream
 from .errors import ConfigError, DataError
 from .fit import FitResult
@@ -37,6 +38,7 @@ __all__ = [
     "write_timetags",
     "read_timetags",
     "read_timetag_stream",
+    "TimeTagFile",
     "write_json",
     "read_json",
     "histogram_to_dict",
@@ -80,6 +82,84 @@ def write_timetags(path, stream: TimeTagStream):
     _atomic_write_bytes(path, header + records.tobytes())
 
 
+def _check_header(path) -> tuple[int, int | None]:
+    """Check a time-tag file's header, and its record framing from the
+    file size.  Returns the record count and the first record's channel
+    byte (None for an empty file)."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size + 1)
+        size = os.fstat(fh.fileno()).st_size
+    if len(head) < _HEADER.size:
+        raise DataError(f"{path}: truncated header", byte_offset=0)
+    magic, version, resolution = _HEADER.unpack_from(head, 0)
+    if magic != TIMETAG_MAGIC:
+        raise DataError(f"{path}: bad magic {magic!r}", byte_offset=0)
+    if version != TIMETAG_VERSION:
+        raise DataError(f"{path}: unsupported version {version}", byte_offset=4)
+    if resolution != 1:
+        raise DataError(f"{path}: unsupported resolution {resolution} ps", byte_offset=8)
+    n_records, remainder = divmod(size - _HEADER.size, _RECORD_DTYPE.itemsize)
+    if remainder:
+        raise DataError(
+            f"{path}: truncated record at end of file",
+            byte_offset=_HEADER.size + n_records * _RECORD_DTYPE.itemsize,
+        )
+    return n_records, (head[_HEADER.size] if n_records else None)
+
+
+def _record_blocks(path, n_records):
+    """Yield (channels, timestamps_ps) arrays of a tag file whose header
+    _check_header passed, block by block.
+
+    Each block is checked before it is yielded: its channel bytes, then
+    the timestamp order of each channel within the block and against the
+    last timestamp of the blocks before.  A fault raises DataError with
+    the byte offset of the first bad record.
+    """
+    size = _RECORD_DTYPE.itemsize
+    last = {}  # channel code -> its last timestamp so far
+    start = 0
+    with open(path, "rb") as fh:
+        fh.seek(_HEADER.size)
+        while start < n_records:
+            count = min(correlate._BLOCK_RECORDS, n_records - start)
+            records = np.fromfile(fh, dtype=_RECORD_DTYPE, count=count)
+            offset = _HEADER.size + start * size
+            if records.size < count:
+                raise DataError(
+                    f"{path}: file shrank while being read",
+                    byte_offset=offset + records.size * size,
+                )
+            channels = records["channel"]
+            timestamps = records["timestamp"].astype(np.int64)
+            bad = np.flatnonzero(channels > 1)
+            if bad.size:
+                raise DataError(
+                    f"{path}: invalid channel byte {int(channels[bad[0]])}",
+                    byte_offset=offset + int(bad[0]) * size,
+                )
+            if np.all(channels == channels[0]):
+                groups = [(int(channels[0]), None)]
+            else:
+                groups = [(code, np.flatnonzero(channels == code)) for code in (0, 1)]
+            for code, idx in groups:
+                ts = timestamps if idx is None else timestamps[idx]
+                if code in last and ts[0] < last[code]:
+                    drop = 0
+                else:
+                    drops = np.flatnonzero(ts[1:] < ts[:-1])
+                    drop = int(drops[0]) + 1 if drops.size else None
+                if drop is not None:
+                    bad_record = drop if idx is None else int(idx[drop])
+                    raise DataError(
+                        f"{path}: channel {_CHANNEL_NAME[code]} timestamps decrease",
+                        byte_offset=offset + bad_record * size,
+                    )
+                last[code] = ts[-1]
+            yield channels, timestamps
+            start += count
+
+
 def read_timetags(path):
     """Read a time-tag file into (channels, timestamps_ps) arrays.
 
@@ -87,46 +167,67 @@ def read_timetags(path):
     monotonicity; malformed input raises DataError carrying the byte
     offset of the first bad record.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise DataError(f"{path}: truncated header", byte_offset=0)
-    magic, version, resolution = _HEADER.unpack_from(raw, 0)
-    if magic != TIMETAG_MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r}", byte_offset=0)
-    if version != TIMETAG_VERSION:
-        raise DataError(f"{path}: unsupported version {version}", byte_offset=4)
-    if resolution != 1:
-        raise DataError(f"{path}: unsupported resolution {resolution} ps", byte_offset=8)
-
-    body = raw[_HEADER.size:]
-    n_full, remainder = divmod(len(body), _RECORD_DTYPE.itemsize)
-    if remainder:
-        raise DataError(
-            f"{path}: truncated record at end of file",
-            byte_offset=_HEADER.size + n_full * _RECORD_DTYPE.itemsize,
-        )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    channels = records["channel"]
-    timestamps = records["timestamp"].astype(np.int64)
-
-    bad = np.nonzero(channels > 1)[0]
-    if bad.size:
-        raise DataError(
-            f"{path}: invalid channel byte {int(channels[bad[0]])}",
-            byte_offset=_HEADER.size + int(bad[0]) * _RECORD_DTYPE.itemsize,
-        )
-    for code in (0, 1):
-        idx = np.nonzero(channels == code)[0]
-        if idx.size > 1:
-            drops = np.nonzero(np.diff(timestamps[idx]) < 0)[0]
-            if drops.size:
-                offender = idx[drops[0] + 1]
-                raise DataError(
-                    f"{path}: channel {_CHANNEL_NAME[code]} timestamps decrease",
-                    byte_offset=_HEADER.size + int(offender) * _RECORD_DTYPE.itemsize,
-                )
+    n_records, _ = _check_header(path)
+    channels = np.empty(n_records, dtype=np.uint8)
+    timestamps = np.empty(n_records, dtype=np.int64)
+    start = 0
+    for block_channels, block_timestamps in _record_blocks(path, n_records):
+        stop = start + block_timestamps.size
+        channels[start:stop] = block_channels
+        timestamps[start:stop] = block_timestamps
+        start = stop
     return channels, timestamps
+
+
+class TimeTagFile:
+    """A single-channel time-tag file, read block by block.
+
+    Stands in for a TimeTagStream in cross_correlate without holding the
+    file in memory: it has the same channel, duration, exposure, len()
+    (the record count) and blocks().  The header, the framing and the
+    channel are checked on creation; blocks() opens the file, checks each
+    block (channel bytes, timestamp order across blocks, range
+    [0, duration)) before yielding its timestamps, and closes the file
+    when it ends or is closed.
+
+    The binary format does not store acquisition metadata; duration (and
+    optionally exposure) come from the run manifest.  channel is required
+    for empty files (no record to infer it from) and is cross-checked
+    against the records otherwise.
+    """
+
+    def __init__(self, path, channel: str | None, duration: float, exposure: float | None = None):
+        n_records, first = _check_header(path)
+        if first is None:
+            if channel is None:
+                raise DataError(f"{path}: empty file has no channel; pass one explicitly")
+        elif first not in _CHANNEL_NAME:
+            raise DataError(f"{path}: invalid channel byte {first}", byte_offset=_HEADER.size)
+        elif channel is None:
+            channel = _CHANNEL_NAME[first]
+        elif _CHANNEL_NAME[first] != channel:
+            raise DataError(f"{path}: holds channel {_CHANNEL_NAME[first]}, expected {channel}")
+        self.path = path
+        self.channel = channel
+        self.duration = duration
+        self.exposure = correlate.check_acquisition(channel, duration, exposure)
+        self._n_records = n_records
+
+    def __len__(self):
+        return self._n_records
+
+    def blocks(self):
+        """Yield the timestamps in checked blocks of at most _BLOCK_RECORDS."""
+        code = _CHANNEL_CODE[self.channel]
+        end_ps = self.duration * correlate.PS_PER_SECOND
+        for channels, timestamps in _record_blocks(self.path, self._n_records):
+            if np.any(channels != code):
+                raise DataError(f"{self.path}: expected a single-channel file")
+            if timestamps[0] < 0:
+                raise DataError(f"{self.path}: timestamps must be >= 0")
+            if timestamps[-1] >= end_ps:
+                raise DataError(f"{self.path}: timestamps must lie within [0, duration)")
+            yield timestamps
 
 
 def read_timetag_stream(
@@ -137,30 +238,16 @@ def read_timetag_stream(
 ) -> TimeTagStream:
     """Read a single-channel file into a TimeTagStream.
 
-    The binary format does not store acquisition metadata; duration (and
-    optionally exposure) come from the run manifest.  channel is required
-    for empty files (no record to infer it from) and is cross-checked
-    against the records otherwise.
+    The file is checked as TimeTagFile checks it; duration, exposure and
+    channel have the same meaning.
     """
-    channels, timestamps = read_timetags(path)
-    if channels.size == 0:
-        if channel is None:
-            raise DataError(f"{path}: empty file has no channel; pass one explicitly")
-        code = _CHANNEL_CODE[channel]
-    else:
-        code = int(channels[0])
-        if np.any(channels != code):
-            raise DataError(f"{path}: expected a single-channel file")
-        if channel is not None and _CHANNEL_NAME[code] != channel:
-            raise DataError(
-                f"{path}: holds channel {_CHANNEL_NAME[code]}, expected {channel}"
-            )
-    return TimeTagStream(
-        channel=_CHANNEL_NAME[code],
-        timestamps_ps=timestamps,
-        duration=duration,
-        exposure=exposure,
-    )
+    source = TimeTagFile(path, channel, duration, exposure)
+    timestamps = np.empty(len(source), dtype=np.int64)
+    start = 0
+    for block in source.blocks():
+        timestamps[start : start + block.size] = block
+        start += block.size
+    return TimeTagStream(source.channel, timestamps, duration, source.exposure)
 
 
 # --- JSON ------------------------------------------------------------

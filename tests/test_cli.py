@@ -429,6 +429,30 @@ class TestExitCodes:
         config = write_config(tmp_path, {"gamma": 0})
         assert main(["pipeline", "--config", config, "--output-dir", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "command, bin_width_ns",
+        [("pipeline", "3"), ("simulate", "0"), ("simulate", "0.0001")],
+    )
+    def test_bad_binning_is_one_before_any_file(self, tmp_path, command, bin_width_ns):
+        config = write_config(tmp_path)  # tau_max_ns 200
+        out = tmp_path / "o"
+        args = [command, "--config", config, "--output-dir", str(out), "--bin-width-ns", bin_width_ns]
+        assert main(args) == 1
+        assert not out.exists()
+
+    def test_degenerate_fit_is_three_after_writing_fits(self, tmp_path):
+        # The default config cut to 0.5 s at 2 ns bins, pooled: the
+        # envelope fit ends at a 0.22 ns FWHM.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sim": {"duration_s": 0.5}, "reconstruct": {"gamma_mode": "pooled"}}))
+        config = str(config)
+        out = tmp_path / "o"
+        args = ["pipeline", "--config", config, "--seed", "7", "--bin-width-ns", "2"]
+        assert main([*args, "--output-dir", str(out)]) == 3
+        envelope = json.loads((out / "fits.json").read_text())["fits"]["envelope"]
+        assert envelope["converged"] is False
+        assert "below one bin spacing" in envelope["message"]
+
     def test_non_utf8_document_is_two(self, tmp_path):
         recon = tmp_path / "recon.json"
         recon.write_bytes(b'{"format": "\xff\xfe"}')

@@ -1,9 +1,15 @@
 """Correlator contracts: exact pair counting against a brute-force
 oracle, normalization, gating, and the histogram invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from biphoton import correlate
+from biphoton import io as bio
 from biphoton import (
     AnalyzerSetting,
     CoincidenceHistogram,
@@ -127,6 +133,110 @@ class TestCrossCorrelate:
         first = brute_force_counts(a[a < cut], b, 4000, tmax_ps)
         second = brute_force_counts(a[a >= cut], b, 4000, tmax_ps)
         np.testing.assert_array_equal(first + second, whole.counts)
+
+
+# Sorted tag lists: 5 to 40 tags in a 20 ps span (dense, many equal
+# timestamps) or up to 120 in a 300 ps span, shifted by up to 300 ps so
+# that either stream may end before the other.
+TAGS = st.tuples(
+    st.lists(st.integers(0, 20), min_size=5, max_size=40)
+    | st.lists(st.integers(0, 300), max_size=120),
+    st.integers(0, 10) | st.integers(0, 300),
+).map(lambda t: sorted(x + t[1] for x in t[0]))
+TAGS_DURATION = 1e-9  # 1000 ps holds every drawn tag
+
+
+class TestStreamedCorrelation:
+    """The block-merged driver is exact at block edges, for in-memory
+    streams and for files, whatever the block size."""
+
+    @settings(
+        max_examples=250,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        block=st.integers(1, 4) | st.integers(1, 64),
+        a=TAGS,
+        b=TAGS,
+        bw=st.sampled_from([1, 2, 3, 7]),
+        half_bins=st.integers(1, 40),
+    )
+    # equal timestamps on both sides of block edges
+    @example(block=2, a=[5] * 5, b=[5] * 3, bw=1, half_bins=1)
+    @example(block=3, a=[0, 4, 4, 4, 4, 9], b=[4, 4, 4, 4, 4, 4, 4], bw=1, half_bins=5)
+    # B tags equal to b_last at a + tau_max, the window's closed B edge
+    @example(block=1, a=[0], b=[4, 4], bw=1, half_bins=4)
+    # an empty A or B file
+    @example(block=1, a=[], b=[1, 2, 3], bw=1, half_bins=4)
+    @example(block=1, a=[1, 2, 3], b=[], bw=1, half_bins=4)
+    # B ends before A, and A before B
+    @example(block=2, a=[0, 1, 200, 250, 600], b=[0, 1, 2, 3], bw=1, half_bins=8)
+    @example(block=2, a=[0, 1, 2, 3], b=[0, 1, 200, 250, 600], bw=1, half_bins=8)
+    # one window spanning many blocks
+    @example(block=1, a=[150], b=list(range(0, 300, 3)), bw=1, half_bins=120)
+    def test_matches_brute_force(self, tmp_path, monkeypatch, block, a, b, bw, half_bins):
+        monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
+        tmax = bw * half_bins
+        expected = brute_force_counts(a, b, bw, tmax)
+        mem_a = stream("A", a, TAGS_DURATION)
+        mem_b = stream("B", b, TAGS_DURATION)
+        bio.write_timetags(tmp_path / "a.bttg", mem_a)
+        bio.write_timetags(tmp_path / "b.bttg", mem_b)
+        file_a = bio.TimeTagFile(tmp_path / "a.bttg", "A", TAGS_DURATION)
+        file_b = bio.TimeTagFile(tmp_path / "b.bttg", "B", TAGS_DURATION)
+        for source_a, source_b in ((mem_a, mem_b), (file_a, file_b)):
+            h = cross_correlate(source_a, source_b, bw * 1e-12, tmax * 1e-12)
+            np.testing.assert_array_equal(h.counts, expected)
+            assert (h.singles_a, h.singles_b) == (len(a), len(b))
+
+
+def write_evenly_spaced_tags(path, channel, n, spacing_ps, chunk=2**20):
+    """Write n tags at k * spacing_ps, a chunk at a time."""
+    with open(path, "wb") as fh:
+        fh.write(bio._HEADER.pack(bio.TIMETAG_MAGIC, bio.TIMETAG_VERSION, 1))
+        for start in range(0, n, chunk):
+            records = np.empty(min(chunk, n - start), dtype=bio._RECORD_DTYPE)
+            records["channel"] = 0 if channel == "A" else 1
+            records["timestamp"] = np.arange(start, start + records.size) * spacing_ps
+            fh.write(records.tobytes())
+
+
+def traced_peak_of_file_correlation(tmp_path, n_a, spacing_a, n_b, spacing_b):
+    """Peak bytes NumPy and Python allocate while correlating two files."""
+    duration = max(n_a * spacing_a, n_b * spacing_b) * 1e-12 + 1e-6
+    write_evenly_spaced_tags(tmp_path / "a.bttg", "A", n_a, spacing_a)
+    write_evenly_spaced_tags(tmp_path / "b.bttg", "B", n_b, spacing_b)
+    file_a = bio.TimeTagFile(tmp_path / "a.bttg", "A", duration)
+    file_b = bio.TimeTagFile(tmp_path / "b.bttg", "B", duration)
+    tracemalloc.start()
+    try:
+        h = cross_correlate(file_a, file_b, 1e-9, 8e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.counts.sum() > 0
+    return peak
+
+
+class TestStreamedMemory:
+    """Correlation memory is set by the block size and the window, not by
+    the length of the files."""
+
+    def test_peak_does_not_grow_with_the_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(correlate, "_BLOCK_RECORDS", 2**12)
+        small = traced_peak_of_file_correlation(tmp_path, 10**5, 1000, 10**5, 1000)
+        large = traced_peak_of_file_correlation(tmp_path, 8 * 10**5, 1000, 8 * 10**5, 1000)
+        assert large < 2 * small
+
+    def test_sparse_a_holds_no_more_of_a_dense_b(self, tmp_path, monkeypatch):
+        # 10^3 A tags spread over the span of 10^6 or 8 * 10^6 B tags: a
+        # driver that loads the B span of a whole A block holds all of B.
+        monkeypatch.setattr(correlate, "_BLOCK_RECORDS", 2**12)
+        small = traced_peak_of_file_correlation(tmp_path, 10**3, 10**5, 10**6, 100)
+        large = traced_peak_of_file_correlation(tmp_path, 10**3, 8 * 10**5, 8 * 10**6, 100)
+        assert large < 2 * small
 
 
 class TestNormalize:

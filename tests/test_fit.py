@@ -27,6 +27,7 @@ from biphoton import (
     tpwf_eval,
     visibility_curve,
 )
+from biphoton import fit as fit_module
 from biphoton.reconstruct import PhaseTriple
 
 BALANCED = AnalyzerSetting.balanced
@@ -130,6 +131,29 @@ class TestDoubleExponentialFit:
         recon = noiseless_recon(model)
         with pytest.raises(ConfigError):
             fit_double_exponential(recon, fix_corr_time=0.0)
+
+    def test_envelope_below_one_bin_is_not_converged(self):
+        # a 0.7 ns FWHM sampled by 4 ns bins
+        recon = noiseless_recon(TpwfModel(amplitude=1.0, corr_time=1e-9))
+        fit = fit_double_exponential(recon)
+        assert fit.params["fwhm"] < 4e-9
+        assert not fit.converged
+        assert "below one bin spacing" in fit.message
+
+    def test_non_finite_error_is_not_converged(self, monkeypatch):
+        real = fit_module._levenberg
+
+        def infinite_variance(*args):
+            p, cov, chi2, converged, message, r = real(*args)
+            cov = cov.copy()
+            cov[0, 0] = np.inf
+            return p, cov, chi2, converged, message, r
+
+        monkeypatch.setattr(fit_module, "_levenberg", infinite_variance)
+        fit = fit_double_exponential(noiseless_recon(TpwfModel(amplitude=1.0, corr_time=30e-9)))
+        assert math.isinf(fit.sigmas["amplitude"])
+        assert not fit.converged
+        assert "non-finite" in fit.message
 
     def test_gradient_matches_finite_differences(self):
         model = TpwfModel(amplitude=0.7, corr_time=42e-9, tau_offset=6e-9, phase=0.2)

@@ -1,10 +1,12 @@
 """File-format contracts: binary time-tag round trips, malformed-input
 byte offsets, lossless JSON, and document round trips."""
 
+import gc
 import json
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from biphoton import (
     reconstruct_values,
     tpwf_eval,
 )
+from biphoton import correlate, cross_correlate
 from biphoton import io as bio
 
 
@@ -123,6 +126,101 @@ class TestTimetagBinary:
         bio.write_json(tmp_path / "doc.json", {"x": 1.5})
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
         assert leftovers == []
+
+
+def write_records(path, rows):
+    header = struct.pack("<4sH2xQ", b"BTTG", 1, 1)
+    path.write_bytes(header + b"".join(struct.pack("<Bq", ch, t) for ch, t in rows))
+
+
+def assert_readers_fail_at(path, byte_offset, channel="A"):
+    """Every reader raises DataError at byte_offset."""
+    readers = [
+        bio.read_timetags,
+        lambda p: bio.read_timetag_stream(p, duration=1.0, channel=channel),
+        lambda p: list(bio.TimeTagFile(p, channel, 1.0).blocks()),
+    ]
+    for read in readers:
+        with pytest.raises(DataError) as err:
+            read(path)
+        assert err.value.byte_offset == byte_offset
+
+
+class TestBlockReader:
+    """A fault in a later block is reported at the byte offset the whole
+    file gives when it is one block."""
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 64])
+    def test_decrease_at_block_boundary(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
+        path = tmp_path / "tags.bttg"
+        write_records(path, [(0, t) for t in (0, 1, 2, 3, 2, 5, 6, 7)])
+        assert_readers_fail_at(path, 16 + 4 * 9)
+
+    @pytest.mark.parametrize("block", [1, 2, 64])
+    def test_decrease_of_one_channel_across_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
+        path = tmp_path / "mixed.bttg"
+        write_records(path, [(0, 10), (1, 5), (0, 20), (1, 6), (0, 15), (1, 7)])
+        with pytest.raises(DataError) as err:
+            bio.read_timetags(path)
+        assert err.value.byte_offset == 16 + 4 * 9
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 64])
+    def test_bad_channel_in_last_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
+        path = tmp_path / "tags.bttg"
+        write_records(path, [(0, t) for t in range(9)] + [(7, 9)])
+        assert_readers_fail_at(path, 16 + 9 * 9)
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 64])
+    def test_truncated_tail(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
+        path = tmp_path / "tags.bttg"
+        write_records(path, [(0, t) for t in range(10)])
+        path.write_bytes(path.read_bytes()[:-4])
+        assert_readers_fail_at(path, 16 + 9 * 9)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_round_trip_in_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
+        path = tmp_path / "tags.bttg"
+        original = stream("B", [0, 5, 5, 5, 9, 12, 12, 30])
+        bio.write_timetags(path, original)
+        source = bio.TimeTagFile(path, None, 1.0)
+        assert source.channel == "B" and len(source) == 8
+        np.testing.assert_array_equal(np.concatenate(list(source.blocks())), original.timestamps_ps)
+        back = bio.read_timetag_stream(path, duration=1.0)
+        np.testing.assert_array_equal(back.timestamps_ps, original.timestamps_ps)
+
+    def test_fault_in_one_file_closes_both(self, tmp_path, monkeypatch):
+        # B fails in its second block while A's reader is suspended in
+        # the middle of its file.
+        monkeypatch.setattr(correlate, "_BLOCK_RECORDS", 4)
+        bio.write_timetags(tmp_path / "a.bttg", stream("A", np.arange(0, 40, 2)))
+        write_records(tmp_path / "b.bttg", [(1, t) for t in (1, 3, 5, 7, 9, 8, 11, 13)])
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(bio, "open", tracking_open, raising=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError) as err:
+                cross_correlate(
+                    bio.TimeTagFile(tmp_path / "a.bttg", "A", 1.0),
+                    bio.TimeTagFile(tmp_path / "b.bttg", "B", 1.0),
+                    1e-12,
+                    4e-12,
+                )
+            assert err.value.byte_offset == 16 + 5 * 9
+            assert {os.path.basename(fh.name) for fh in opened} == {"a.bttg", "b.bttg"}
+            assert all(fh.closed for fh in opened)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestJson:
