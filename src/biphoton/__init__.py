@@ -48,6 +48,7 @@ from .simulate import (
     PairDelaySampler,
     SimConfig,
     derive_setting_seed,
+    generate_blocks,
     generate_stream,
     rate_level_histogram,
     sample_pair_delay,
@@ -83,6 +84,7 @@ __all__ = [
     "fit_visibility",
     "forward_g2",
     "forward_two_photon_amplitude",
+    "generate_blocks",
     "generate_stream",
     "normalize_g2",
     "propagate_errors",

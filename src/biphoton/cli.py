@@ -24,7 +24,9 @@ from .errors import BiphotonError, ConfigError, DataError, NumericalError
 from .fit import fit_constant_phase, fit_double_exponential
 from .model import RECONSTRUCTION_PHASES, AnalyzerSetting, TpwfModel
 from .reconstruct import BACKGROUND_MODES, GAMMA_MODES, PhaseTriple, reconstruct_curve
-from .simulate import SimConfig, derive_setting_seed, generate_stream
+# generate_stream is not called here; perfbench/child.py wraps it as an
+# attribute of this module, so the name stays importable from it.
+from .simulate import SimConfig, derive_setting_seed, generate_blocks, generate_stream  # noqa: F401
 
 __all__ = ["PipelineConfig", "main"]
 
@@ -182,13 +184,17 @@ def _tag_names(index: int) -> tuple[str, str]:
 
 
 def _simulate_setting(config: PipelineConfig, index: int, out_dir: str) -> dict:
+    """Stream one setting's clicks to its two tag files, block by block."""
     phi = RECONSTRUCTION_PHASES[index]
     setting = AnalyzerSetting.balanced(phi)
     sim = config.sim_config(index)
-    stream_a, stream_b = generate_stream(sim, setting, config.model, config.gamma)
+    blocks = generate_blocks(sim, setting, config.model, config.gamma)
     name_a, name_b = _tag_names(index)
-    bio.write_timetags(os.path.join(out_dir, name_a), stream_a)
-    bio.write_timetags(os.path.join(out_dir, name_b), stream_b)
+    with bio.TimeTagWriter(os.path.join(out_dir, name_a), "A") as writer_a, \
+            bio.TimeTagWriter(os.path.join(out_dir, name_b), "B") as writer_b:
+        for block_a, block_b in blocks:
+            writer_a.append(block_a)
+            writer_b.append(block_b)
     return {
         "index": index,
         "phi_rad": phi,
@@ -196,10 +202,10 @@ def _simulate_setting(config: PipelineConfig, index: int, out_dir: str) -> dict:
         "seed": sim.seed,
         "tags_a": name_a,
         "tags_b": name_b,
-        "n_tags_a": len(stream_a),
-        "n_tags_b": len(stream_b),
-        "duration_s": stream_a.duration,
-        "exposure_s": stream_a.exposure,
+        "n_tags_a": writer_a.n_records,
+        "n_tags_b": writer_b.n_records,
+        "duration_s": sim.duration,
+        "exposure_s": sim.exposure(),
     }
 
 

@@ -102,6 +102,18 @@ class TimeTagStream:
             if ts[-1] >= self.duration * PS_PER_SECOND:
                 raise DataError("timestamps must lie within [0, duration)")
 
+    @classmethod
+    def _from_checked(cls, channel, timestamps_ps, duration, exposure=None) -> "TimeTagStream":
+        """A stream over an int64 array already known to be non-decreasing
+        and within [0, duration): the acquisition is checked, the
+        timestamps are not scanned again."""
+        stream = cls.__new__(cls)
+        exposure = check_acquisition(channel, duration, exposure)
+        for name, value in (("channel", channel), ("timestamps_ps", timestamps_ps),
+                            ("duration", duration), ("exposure", exposure)):
+            object.__setattr__(stream, name, value)
+        return stream
+
     def __len__(self):
         return int(self.timestamps_ps.size)
 
@@ -322,17 +334,27 @@ def apply_gate(stream: TimeTagStream, period: float, open_fraction: float) -> Ti
     the effective acquisition time by open_fraction so downstream
     normalization stays consistent.
     """
+    period_ps = _gate_period_ps(period, open_fraction)
+    if open_fraction == 1.0:
+        return stream
+    return TimeTagStream._from_checked(
+        stream.channel,
+        stream.timestamps_ps[_gate_open(stream.timestamps_ps, period_ps, open_fraction)],
+        stream.duration,
+        stream.exposure * open_fraction,
+    )
+
+
+def _gate_period_ps(period: float, open_fraction: float) -> int:
+    """Check a gate's period (s) and open fraction; return the period in ps."""
     if not 0.0 < open_fraction <= 1.0:
         raise ConfigError(f"open_fraction must be in (0, 1], got {open_fraction}")
     period_ps = seconds_to_ps(period)
     if period_ps <= 0:
         raise ConfigError(f"period must be >= 1 ps, got {period}")
-    if open_fraction == 1.0:
-        return stream
-    keep = (stream.timestamps_ps % period_ps) < open_fraction * period_ps
-    return TimeTagStream(
-        channel=stream.channel,
-        timestamps_ps=stream.timestamps_ps[keep],
-        duration=stream.duration,
-        exposure=stream.exposure * open_fraction,
-    )
+    return period_ps
+
+
+def _gate_open(timestamps_ps: np.ndarray, period_ps: int, open_fraction: float) -> np.ndarray:
+    """Mask of the timestamps that fall in the open part of their period."""
+    return (timestamps_ps % period_ps) < open_fraction * period_ps

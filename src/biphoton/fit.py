@@ -61,12 +61,14 @@ class FitResult:
         return self.chi2 / self.ndof if self.ndof > 0 else math.nan
 
 
-def _levenberg(residual_jac, p0, scales):
+def _levenberg(residual_jac, p0, scales, feasible=None):
     """Damped Gauss-Newton minimization of sum(r^2).
 
     residual_jac(p) returns (r, J) with J[i, j] = dr_i/dp_j.  Parameters
-    are rescaled to unit order internally.  Returns (p, cov, chi2,
-    converged, message, r).
+    are rescaled to unit order internally.  A trial step to a point where
+    feasible(p) is false is rejected, like an uphill one, without
+    evaluating residual_jac there.  Returns (p, cov, chi2, converged,
+    message, r).
     """
     p = np.asarray(p0, dtype=float).copy()
     scales = np.asarray(scales, dtype=float)
@@ -91,6 +93,9 @@ def _levenberg(residual_jac, p0, scales):
                 lam *= 10.0
                 continue
             p_new = p + delta * scales
+            if feasible is not None and not feasible(p_new):
+                lam *= 10.0
+                continue
             r_new, J_new = residual_jac(p_new)
             chi2_new = float(r_new @ r_new)
             if np.isfinite(chi2_new) and chi2_new <= chi2:
@@ -228,11 +233,17 @@ def fit_double_exponential(
     if free_tc:
         scales.append(max(tc0, 1e-12))
 
+    # A trial Tc <= 0 makes the envelope grow away from tau0, and its
+    # exponent overflows; the step is refused before it is evaluated.
+    feasible = (lambda p: p[2] > 0.0) if free_tc else None
+
     w = np.ones_like(y) if noiseless else 1.0 / np.sqrt(var0)
     p = np.asarray(p0, dtype=float)
     n_passes = 1 if noiseless else 3
     for i in range(n_passes):
-        p, cov, chi2, converged, message, r = _levenberg(make_residual_jac(w), p, scales)
+        p, cov, chi2, converged, message, r = _levenberg(
+            make_residual_jac(w), p, scales, feasible
+        )
         if i == n_passes - 1:
             break
         var_model = data.variance_at(envelope(p), usable)

@@ -36,6 +36,7 @@ from .reconstruct import ReconstructedTpwf
 
 __all__ = [
     "write_timetags",
+    "TimeTagWriter",
     "read_timetags",
     "read_timetag_stream",
     "TimeTagFile",
@@ -73,13 +74,74 @@ def _atomic_write_bytes(path, data: bytes):
         raise
 
 
+class TimeTagWriter:
+    """Writes one channel's clicks to a binary time-tag file, block by
+    block, so that no more than one block is held.
+
+    The header goes to a temp file in the target directory on creation;
+    append() adds records with ndarray.tofile and counts them (n_records).
+    Each block must continue the channel's non-decreasing timestamp
+    order, or append() raises DataError.  close() renames the temp file
+    to path, so readers never see a partial file; used as a context
+    manager, an exception discards the temp file instead.
+    """
+
+    def __init__(self, path, channel: str):
+        self.path = path
+        self.n_records = 0
+        self._code = _CHANNEL_CODE[channel]
+        self._last = None
+        directory = os.path.dirname(os.path.abspath(path)) or "."
+        fd, self._tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+        self._fh = os.fdopen(fd, "wb")
+        try:
+            self._fh.write(_HEADER.pack(TIMETAG_MAGIC, TIMETAG_VERSION, 1))
+        except BaseException:
+            self.discard()
+            raise
+
+    def append(self, timestamps_ps: np.ndarray):
+        ts = np.asarray(timestamps_ps, dtype=np.int64)
+        if not ts.size:
+            return
+        if (self._last is not None and ts[0] < self._last) or np.any(ts[1:] < ts[:-1]):
+            raise DataError(f"{self.path}: timestamps must be non-decreasing")
+        records = np.empty(ts.size, dtype=_RECORD_DTYPE)
+        records["channel"] = self._code
+        records["timestamp"] = ts
+        records.tofile(self._fh)
+        self.n_records += ts.size
+        self._last = ts[-1]
+
+    def close(self):
+        """Finish the file and move it into place."""
+        self._fh.close()
+        try:
+            os.replace(self._tmp, self.path)
+        except BaseException:
+            self.discard()
+            raise
+
+    def discard(self):
+        """Drop the temp file; path is left as it was."""
+        self._fh.close()
+        if os.path.exists(self._tmp):
+            os.unlink(self._tmp)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
+
+
 def write_timetags(path, stream: TimeTagStream):
     """Write one channel's clicks as a binary time-tag file."""
-    header = _HEADER.pack(TIMETAG_MAGIC, TIMETAG_VERSION, 1)
-    records = np.empty(len(stream), dtype=_RECORD_DTYPE)
-    records["channel"] = _CHANNEL_CODE[stream.channel]
-    records["timestamp"] = stream.timestamps_ps
-    _atomic_write_bytes(path, header + records.tobytes())
+    with TimeTagWriter(path, stream.channel) as writer:
+        writer.append(stream.timestamps_ps)
 
 
 def _check_header(path) -> tuple[int, int | None]:
@@ -238,8 +300,8 @@ def read_timetag_stream(
 ) -> TimeTagStream:
     """Read a single-channel file into a TimeTagStream.
 
-    The file is checked as TimeTagFile checks it; duration, exposure and
-    channel have the same meaning.
+    The file is checked once, block by block, as TimeTagFile checks it;
+    duration, exposure and channel have the same meaning.
     """
     source = TimeTagFile(path, channel, duration, exposure)
     timestamps = np.empty(len(source), dtype=np.int64)
@@ -247,7 +309,7 @@ def read_timetag_stream(
     for block in source.blocks():
         timestamps[start : start + block.size] = block
         start += block.size
-    return TimeTagStream(source.channel, timestamps, duration, source.exposure)
+    return TimeTagStream._from_checked(source.channel, timestamps, duration, source.exposure)
 
 
 # --- JSON ------------------------------------------------------------

@@ -11,7 +11,9 @@ follow a gap of at least the dead time are always kept and split the
 stream into clusters, and the kept clicks inside multi-click clusters
 are found by pointer doubling over a successor map, in about
 log2(longest kept chain) + 1 vectorized rounds.
-Everything is a pure function of (inputs, seed).
+An acquisition is generated as a sequence of time segments sized by
+their expected click count, so it is never held in memory whole; see
+generate_blocks.  Everything is a pure function of (inputs, seed).
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlate import PS_PER_SECOND, CoincidenceHistogram, TimeTagStream, apply_gate, seconds_to_ps
+from .correlate import (
+    PS_PER_SECOND,
+    CoincidenceHistogram,
+    TimeTagStream,
+    _gate_open,
+    _gate_period_ps,
+    seconds_to_ps,
+)
 from .errors import ConfigError, NumericalError
 from .model import AnalyzerSetting, TpwfModel, _gamma_value, forward_g2, tpwf_eval
 
@@ -29,6 +38,7 @@ __all__ = [
     "SimConfig",
     "PairDelaySampler",
     "sample_pair_delay",
+    "generate_blocks",
     "generate_stream",
     "rate_level_histogram",
     "derive_setting_seed",
@@ -38,6 +48,18 @@ __all__ = [
 # tail of exp(-2|tau|/Tc) is < 1e-8 of the total pair-delay mass.
 _MIN_WINDOW_CORR_TIMES = 10.0
 _CDF_GRID_POINTS = 8192
+_ZERO_DENSITY = "pair-delay density integrates to zero (gamma = 0 and amplitude = 0)"
+
+# Expected clicks per channel in one generated segment: enough that the
+# per-segment overhead is small, few enough that a segment's arrays stay
+# within a few MiB.  A segment also spans at least _SEGMENT_MIN_WINDOWS
+# pair-delay windows, so the clicks carried across a boundary are a
+# small share of it.
+_SEGMENT_CLICKS = 2**16
+_SEGMENT_MIN_WINDOWS = 64
+# Timing jitter is clipped at this many sigmas (a two-sided tail of
+# 1.2e-15), which bounds how far a click lands from its event.
+_JITTER_BOUND_SIGMAS = 8.0
 
 
 @dataclass(frozen=True)
@@ -48,8 +70,10 @@ class SimConfig:
     coincidence rate averaged over the analyzer period; individual
     settings collect more or fewer pairs as the interference dictates.
     tau_window is the half-width of the pair-delay truncation window.
-    max_expected_tags bounds the expected total click count so a bad
-    config cannot exhaust memory.
+    max_expected_tags bounds the expected total click count, so that a
+    bad config can neither exhaust memory in generate_stream, which
+    holds the whole acquisition, nor fill the disk through
+    generate_blocks.
     """
 
     pair_rate: float
@@ -84,6 +108,12 @@ class SimConfig:
         per_channel = 2.0 * self.pair_rate + self.singles_rate_a + self.singles_rate_b
         return per_channel * self.duration
 
+    def exposure(self) -> float:
+        """Live time: the duration, scaled by the gate's open fraction."""
+        if self.gate_period is None:
+            return self.duration
+        return self.duration * self.gate_open_fraction
+
     def validate_budget(self):
         if self.expected_tags() > self.max_expected_tags:
             raise ConfigError(
@@ -100,6 +130,31 @@ def derive_setting_seed(seed: int, setting_index: int) -> int:
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(setting_index,))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _trapezoid(values: np.ndarray, dx: float) -> float:
+    return float((0.5 * (values[1:] + values[:-1]) * dx).sum())
+
+
+def _neutral_mass(model: TpwfModel, gamma, window: float, grid_points: int = _CDF_GRID_POINTS) -> float:
+    """Interference-free pair-delay mass: the trapezoid of
+    gamma^2 + |psi|^2 over the sampler grid on [-window, window].
+
+    The analyzer phase redistributes pair amplitude, so the detected pair
+    rate scales with the density integral; quoting rates against this
+    phi-independent reference keeps one common scale across the three
+    settings (it equals the mean of the per-setting masses over the
+    analyzer period).  The window must span _MIN_WINDOW_CORR_TIMES
+    correlation times.
+    """
+    if window < _MIN_WINDOW_CORR_TIMES * model.corr_time:
+        raise ConfigError(
+            f"tau_window {window:.3g} s is below {_MIN_WINDOW_CORR_TIMES} "
+            f"correlation times ({model.corr_time:.3g} s)"
+        )
+    grid = np.linspace(-window, window, grid_points)
+    interference_free = _gamma_value(gamma) ** 2 + np.abs(tpwf_eval(model, grid)) ** 2
+    return _trapezoid(interference_free, grid[1] - grid[0])
 
 
 class PairDelaySampler:
@@ -119,44 +174,30 @@ class PairDelaySampler:
         window: float,
         grid_points: int = _CDF_GRID_POINTS,
     ):
-        if window < _MIN_WINDOW_CORR_TIMES * model.corr_time:
-            raise ConfigError(
-                f"tau_window {window:.3g} s is below {_MIN_WINDOW_CORR_TIMES} "
-                f"correlation times ({model.corr_time:.3g} s)"
-            )
+        neutral_mass = _neutral_mass(model, gamma, window, grid_points)
         grid = np.linspace(-window, window, grid_points)
-        psi = tpwf_eval(model, grid)
-        density = forward_g2(setting, gamma, psi, 0.0)
         dx = grid[1] - grid[0]
-
-        def trapezoid(values):
-            return float((0.5 * (values[1:] + values[:-1]) * dx).sum())
-
-        total = trapezoid(density)
+        density = forward_g2(setting, gamma, tpwf_eval(model, grid), 0.0)
+        total = _trapezoid(density, dx)
         if total <= 0.0:
-            raise NumericalError(
-                "pair-delay density integrates to zero (gamma = 0 and amplitude = 0)"
-            )
+            raise NumericalError(_ZERO_DENSITY)
         mass_steps = 0.5 * (density[1:] + density[:-1]) * dx
         cdf = np.concatenate(([0.0], np.cumsum(mass_steps))) / total
         cdf[-1] = 1.0
         self.grid = grid
         self.cdf = cdf
         self.total_mass = total
-        # Interference-free mass: the analyzer phase redistributes pair
-        # amplitude, so the detected pair rate scales with the density
-        # integral; quoting rates against this phi-independent reference
-        # keeps one common scale across the three settings (it equals the
-        # mean of the per-setting masses over the analyzer period).
-        interference_free = _gamma_value(gamma) ** 2 + np.abs(psi) ** 2
-        self.neutral_mass = trapezoid(interference_free)
-        self.rate_factor = total / self.neutral_mass if self.neutral_mass > 0.0 else 1.0
+        self.neutral_mass = neutral_mass
+        self.rate_factor = total / neutral_mass if neutral_mass > 0.0 else 1.0
         self.window = window
+
+    def quantile(self, u):
+        """Delays in seconds at CDF levels u in [0, 1]."""
+        return np.interp(u, self.cdf, self.grid)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw delays in seconds; scalar when size is None."""
-        u = rng.random(size)
-        return np.interp(u, self.cdf, self.grid)
+        return self.quantile(rng.random(size))
 
 
 def sample_pair_delay(
@@ -224,23 +265,133 @@ def _dead_time_filter(ts: np.ndarray, dead_ps: int) -> np.ndarray:
     return ts[keep]
 
 
-def _finalize_channel(
-    times_s: np.ndarray,
-    config: SimConfig,
-    rng: np.random.Generator,
-    channel: str,
-) -> TimeTagStream:
-    if config.jitter_sigma > 0.0 and times_s.size:
-        times_s = times_s + rng.normal(0.0, config.jitter_sigma, times_s.size)
-    ts = np.rint(times_s * PS_PER_SECOND).astype(np.int64)
+def _segment_edges(config: SimConfig) -> np.ndarray:
+    """Event-time edges (s) of the equal segments of one acquisition.
+
+    A segment is expected to hold about _SEGMENT_CLICKS clicks in the
+    busier channel and spans at least _SEGMENT_MIN_WINDOWS tau_windows.
+    The edges follow from the config alone, not from the thread count.
+    """
+    rate = config.pair_rate + max(config.singles_rate_a, config.singles_rate_b)
+    length = _SEGMENT_CLICKS / rate if rate > 0.0 else config.duration
+    length = max(length, _SEGMENT_MIN_WINDOWS * config.tau_window)
+    n_segments = max(1, math.ceil(config.duration / length))
+    return np.linspace(0.0, config.duration, n_segments + 1)
+
+
+def _segment_rng(config: SimConfig, index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(index,)))
+
+
+def _draw_segment(config, sampler, rng, start, stop):
+    """The clicks (A, B) of the events in [start, stop) s: unsorted int64
+    picosecond timestamps, cropped to [0, duration)."""
+    span = stop - start
+    n_pairs = rng.poisson(config.pair_rate * span * sampler.rate_factor)
+    midpoints = start + rng.random(n_pairs) * span
+    # The midpoints are i.i.d. and independent of the delays, so drawing
+    # the delays in ascending order leaves the pairs' joint distribution
+    # as it is; np.interp is about 8x faster on sorted levels.
+    delays = sampler.quantile(np.sort(rng.random(n_pairs)))
+    pair_a = midpoints + 0.5 * delays
+    pair_b = midpoints - 0.5 * delays
+
+    # Pair photons whose partner exits the same port (or is lost) show up
+    # as extra singles; to first order this keeps R_A = pair_rate +
+    # singles_rate_a at every setting.
+    compensation = config.pair_rate * (1.0 - sampler.rate_factor)
+    eff_rate_a = max(config.singles_rate_a + compensation, 0.0)
+    eff_rate_b = max(config.singles_rate_b + compensation, 0.0)
+    singles_a = start + rng.random(rng.poisson(eff_rate_a * span)) * span
+    singles_b = start + rng.random(rng.poisson(eff_rate_b * span)) * span
+
     duration_ps = seconds_to_ps(config.duration)
-    ts = ts[(ts >= 0) & (ts < duration_ps)]
-    ts.sort()
-    ts = _dead_time_filter(ts, seconds_to_ps(config.dead_time))
-    stream = TimeTagStream(channel=channel, timestamps_ps=ts, duration=config.duration)
+    clicks = []
+    for times_s in (np.concatenate((pair_a, singles_a)), np.concatenate((pair_b, singles_b))):
+        if config.jitter_sigma > 0.0 and times_s.size:
+            bound = _JITTER_BOUND_SIGMAS * config.jitter_sigma
+            jitter = rng.normal(0.0, config.jitter_sigma, times_s.size)
+            times_s += np.clip(jitter, -bound, bound, out=jitter)
+        ts = np.rint(times_s * PS_PER_SECOND).astype(np.int64)
+        clicks.append(ts[(ts >= 0) & (ts < duration_ps)])
+    return clicks
+
+
+def generate_blocks(
+    config: SimConfig,
+    setting: AnalyzerSetting,
+    model: TpwfModel,
+    gamma,
+):
+    """Simulate one acquisition as an iterator of (A, B) timestamp blocks.
+
+    The blocks of each channel are int64 picosecond arrays that
+    concatenate to its sorted click record in [0, duration); generate_stream
+    gives the same clicks as TimeTagStreams.  The config is checked,
+    including the tag budget, before this returns.
+
+    Events are generated segment by segment (_segment_edges), segment k
+    from its own generator, SeedSequence(config.seed, spawn_key=(k,)):
+
+    - Pair events: Poisson count with mean pair_rate * segment length
+      times the setting's interference factor (constructive settings
+      collect more coincidences), midpoints uniform over the segment,
+      internal delay tau from the interference density, clicks at
+      midpoint +/- tau/2 on channels A/B.
+    - Singles: independent homogeneous Poisson processes per channel,
+      with the pair-rate variation compensated so each channel's total
+      flux is independent of the analyzer phase, as it is physically.
+    - Gaussian jitter, clipped at _JITTER_BOUND_SIGMAS sigmas; clicks
+      pushed outside the acquisition are dropped.
+
+    A click lands at most tau_window/2 plus the jitter bound from its
+    event, so after segment k every click earlier than the next edge
+    minus that spill is final; the later ones carry into the next
+    segment and are merged in order.  Final clicks then pass the
+    non-paralyzable dead time, whose state across a boundary is the last
+    kept timestamp (prepended to the block, which the filter always
+    keeps, and dropped again), and the gate.  Memory is bounded by the
+    segment size, not by the duration.  Identical inputs and seed give
+    bit-identical blocks.
+    """
+    config.validate_budget()
+    sampler = PairDelaySampler(setting, model, gamma, config.tau_window)
+    period_ps = None
     if config.gate_period is not None:
-        stream = apply_gate(stream, config.gate_period, config.gate_open_fraction)
-    return stream
+        period_ps = _gate_period_ps(config.gate_period, config.gate_open_fraction)
+    return _blocks(config, sampler, period_ps)
+
+
+def _blocks(config: SimConfig, sampler: PairDelaySampler, period_ps):
+    edges = _segment_edges(config)
+    dead_ps = seconds_to_ps(config.dead_time)
+    # Largest distance from an event to its click, plus a margin for the
+    # floating-point rounding of the click time.
+    spill = 0.5 * config.tau_window + _JITTER_BOUND_SIGMAS * config.jitter_sigma
+    spill += 4.0 * np.finfo(float).eps * (config.duration + config.tau_window)
+    spill_ps = math.ceil(spill * PS_PER_SECOND) + 1
+    gated = period_ps is not None and config.gate_open_fraction < 1.0
+    carry = [np.empty(0, dtype=np.int64)] * 2
+    # A start value dead_ps before 0 lets the first click through.
+    last_kept = [-dead_ps, -dead_ps]
+    n_segments = edges.size - 1
+    for k in range(n_segments):
+        clicks = _draw_segment(config, sampler, _segment_rng(config, k), edges[k], edges[k + 1])
+        cut = seconds_to_ps(edges[k + 1]) - spill_ps
+        block = []
+        for ch in (0, 1):
+            ts = np.concatenate((carry[ch], clicks[ch]))
+            ts.sort()
+            split = ts.size if k == n_segments - 1 else int(np.searchsorted(ts, cut))
+            ts, carry[ch] = ts[:split], ts[split:]
+            if dead_ps > 0 and ts.size:
+                ts = _dead_time_filter(np.concatenate(([last_kept[ch]], ts)), dead_ps)[1:]
+                if ts.size:
+                    last_kept[ch] = ts[-1]
+            if gated:
+                ts = ts[_gate_open(ts, period_ps, config.gate_open_fraction)]
+            block.append(ts)
+        yield tuple(block)
 
 
 def generate_stream(
@@ -251,41 +402,20 @@ def generate_stream(
 ) -> tuple[TimeTagStream, TimeTagStream]:
     """Simulate one acquisition, returning the (A, B) click streams.
 
-    Pair events: Poisson count with mean pair_rate*duration times the
-    setting's interference factor (constructive settings collect more
-    coincidences), midpoint uniform over the acquisition, internal delay
-    tau from the interference density, clicks at midpoint +/- tau/2 on
-    channels A/B.  Singles: independent homogeneous Poisson processes per
-    channel, with the pair-rate variation compensated so each channel's
-    total flux is independent of the analyzer phase, as it is physically.
-    Jitter is applied before dead time; clicks pushed outside the
-    acquisition are dropped.  Identical inputs and seed give bit-identical
+    The clicks are those of generate_blocks, concatenated; the exposure is
+    config.exposure().  Identical inputs and seed give bit-identical
     streams.
     """
-    config.validate_budget()
-    sampler = PairDelaySampler(setting, model, gamma, config.tau_window)
-    rng = np.random.default_rng(config.seed)
-
-    n_pairs = rng.poisson(config.pair_rate * config.duration * sampler.rate_factor)
-    midpoints = rng.random(n_pairs) * config.duration
-    delays = sampler.sample(rng, n_pairs)
-    pair_a = midpoints + 0.5 * delays
-    pair_b = midpoints - 0.5 * delays
-
-    # Pair photons whose partner exits the same port (or is lost) show up
-    # as extra singles; to first order this keeps R_A = pair_rate +
-    # singles_rate_a at every setting.
-    compensation = config.pair_rate * (1.0 - sampler.rate_factor)
-    eff_rate_a = max(config.singles_rate_a + compensation, 0.0)
-    eff_rate_b = max(config.singles_rate_b + compensation, 0.0)
-    n_sa = rng.poisson(eff_rate_a * config.duration)
-    singles_a = rng.random(n_sa) * config.duration
-    n_sb = rng.poisson(eff_rate_b * config.duration)
-    singles_b = rng.random(n_sb) * config.duration
-
-    stream_a = _finalize_channel(np.concatenate((pair_a, singles_a)), config, rng, "A")
-    stream_b = _finalize_channel(np.concatenate((pair_b, singles_b)), config, rng, "B")
-    return stream_a, stream_b
+    blocks = list(generate_blocks(config, setting, model, gamma))
+    return tuple(
+        TimeTagStream._from_checked(
+            channel,
+            np.concatenate([block[ch] for block in blocks]),
+            config.duration,
+            config.exposure(),
+        )
+        for ch, channel in enumerate("AB")
+    )
 
 
 def rate_level_histogram(
@@ -310,15 +440,17 @@ def rate_level_histogram(
     window_ps = seconds_to_ps(config.tau_window)
     if window_ps % bw_ps != 0:
         raise ConfigError("tau_window must be an integer multiple of bin_width")
-    # Shares the sampler's tabulated density so event-level and rate-level
-    # runs normalize the pair mass identically.
-    sampler = PairDelaySampler(setting, model, gamma, config.tau_window)
+    # The sampler's normalization, so event-level and rate-level runs
+    # scale the pair mass identically.
+    neutral_mass = _neutral_mass(model, gamma, config.tau_window)
+    if neutral_mass <= 0.0:
+        raise NumericalError(_ZERO_DENSITY)
     n_bins = 2 * window_ps // bw_ps
     centers = (-window_ps + bw_ps * (np.arange(n_bins) + 0.5)) / PS_PER_SECOND
     density = forward_g2(setting, gamma, tpwf_eval(model, centers), 0.0)
 
     pair_means = (
-        config.pair_rate * config.duration * density * bin_width / sampler.neutral_mass
+        config.pair_rate * config.duration * density * bin_width / neutral_mass
     )
     accidental = (
         config.singles_rate_a * config.singles_rate_b * bin_width * config.duration

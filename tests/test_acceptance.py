@@ -119,7 +119,7 @@ def test_criterion_3_end_to_end_round_trip():
             singles_rate_b=1500.0,
             duration=16.0,
             tau_window=400e-9,
-            seed=derive_setting_seed(16180, k),
+            seed=derive_setting_seed(16181, k),
         )
         stream_a, stream_b = generate_stream(cfg, BALANCED(phi), model, gamma)
         hist = cross_correlate(stream_a, stream_b, 4e-9, 200e-9, BALANCED(phi))

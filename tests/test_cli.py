@@ -4,6 +4,8 @@ manifest, flag/config precedence, and exit codes."""
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +259,61 @@ class TestPipeline:
         # no signal: psi consistent with zero everywhere
         assert np.mean(np.abs(pulls) < 4.0) > 0.95
         assert abs(np.mean(pulls)) < 0.4
+
+
+class TestStreamingSimulate:
+    # 0.5 s at 4e5 clicks per channel and second: about three segments of
+    # generation per setting.
+    DENSE = {
+        "sim.pair_rate_hz": 2e5,
+        "sim.singles_rate_a_hz": 2e5,
+        "sim.singles_rate_b_hz": 2e5,
+        "sim.duration_s": 0.5,
+        "sim.dead_time_ns": 20.0,
+        "sim.jitter_sigma_ps": 50.0,
+    }
+
+    def test_tags_do_not_depend_on_threads(self, tmp_path):
+        # Three settings on three threads, or one setting alone: the same
+        # tag files and manifest entry; a repeat gives the same manifest.
+        config = write_config(tmp_path, self.DENSE)
+        full, again = tmp_path / "full", tmp_path / "again"
+        assert main(["simulate", "--config", config, "--output-dir", str(full)]) == 0
+        assert main(["simulate", "--config", config, "--output-dir", str(again)]) == 0
+        assert (full / MANIFEST_NAME).read_bytes() == (again / MANIFEST_NAME).read_bytes()
+        manifest = bio.read_json(full / MANIFEST_NAME)
+        for k in range(3):
+            one = tmp_path / f"one{k}"
+            args = ["simulate", "--config", config, "--output-dir", str(one), "--phi-setting", str(k)]
+            assert main(args) == 0
+            for ch in "AB":
+                name = f"tags_phi{k}_{ch}.bttg"
+                assert (one / name).read_bytes() == (full / name).read_bytes()
+            assert bio.read_json(one / MANIFEST_NAME)["settings"] == [manifest["settings"][k]]
+        entry = manifest["settings"][0]
+        size = (full / entry["tags_a"]).stat().st_size
+        assert entry["n_tags_a"] > 50_000 and size == 16 + 9 * entry["n_tags_a"]
+
+    def test_over_budget_is_one_before_any_tag_file(self, tmp_path):
+        config = write_config(tmp_path, {"sim.pair_rate_hz": 1e8})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", config, "--output-dir", str(out)]) == 1
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_perfbench_tracer_installs(self):
+        # perfbench/child.py wraps cli, simulate, io and stage functions by
+        # attribute name; a missing name fails every traced run at install.
+        # A subprocess keeps the wrappers out of this test session.
+        root = README.parent
+        code = (
+            "import sys; sys.path.insert(0, 'perfbench'); import child; "
+            "child.install(child.Tracer(0))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestCorrelateCommand:

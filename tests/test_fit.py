@@ -120,6 +120,29 @@ class TestDoubleExponentialFit:
         fwhm = math.log(2.0) * 39.3e-9
         assert abs(fit.params["fwhm"] - fwhm) < 4.0 * fit.sigmas["fwhm"]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_sparse_pooled_fit_never_overflows(self, seed):
+        # 0.5 s at 2 ns bins, pooled: every seed tries trial steps with
+        # Tc <= 0, whose growing exponent used to overflow in exp,
+        # multiply and matmul.  Such steps are refused before evaluation.
+        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
+        hists = []
+        for k, phi in enumerate(RECONSTRUCTION_PHASES):
+            cfg = SimConfig(
+                pair_rate=2000.0,
+                singles_rate_a=1000.0,
+                singles_rate_b=1000.0,
+                duration=0.5,
+                tau_window=400e-9,
+                seed=derive_setting_seed(seed, k),
+            )
+            hists.append(rate_level_histogram(cfg, BALANCED(phi), model, 1.0, 2e-9))
+        recon = reconstruct_curve(PhaseTriple(*hists), gamma_mode="pooled")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_double_exponential(recon)
+        assert fit.params["corr_time"] > 0.0
+
     def test_too_few_bins_rejected(self):
         model = TpwfModel(amplitude=1.0, corr_time=30e-9)
         recon = noiseless_recon(model, n_bins=7)

@@ -128,6 +128,51 @@ class TestTimetagBinary:
         assert leftovers == []
 
 
+class TestTagWriter:
+    def test_blocks_give_the_one_block_file(self, tmp_path):
+        ts = np.array([0, 5, 5, 9, 12, 12, 30, 31], dtype=np.int64)
+        bio.write_timetags(tmp_path / "whole.bttg", stream("B", ts))
+        with bio.TimeTagWriter(tmp_path / "blocks.bttg", "B") as writer:
+            for block in (ts[:3], ts[3:3], ts[3:4], ts[4:]):
+                writer.append(block)
+        assert writer.n_records == ts.size
+        assert (tmp_path / "blocks.bttg").read_bytes() == (tmp_path / "whole.bttg").read_bytes()
+
+    def test_file_appears_only_at_close(self, tmp_path):
+        path = tmp_path / "tags.bttg"
+        writer = bio.TimeTagWriter(path, "A")
+        writer.append(np.array([1, 2], dtype=np.int64))
+        assert not path.exists()
+        writer.close()
+        assert path.stat().st_size == 16 + 2 * 9
+
+    @pytest.mark.parametrize("blocks", [[[1, 3, 2]], [[1, 5], [4, 6]]])
+    def test_decreasing_block_rejected_and_discarded(self, tmp_path, blocks):
+        path = tmp_path / "tags.bttg"
+        with pytest.raises(DataError):
+            with bio.TimeTagWriter(path, "A") as writer:
+                for block in blocks:
+                    writer.append(np.array(block, dtype=np.int64))
+        assert os.listdir(tmp_path) == []
+
+    def test_read_checks_each_record_once(self, tmp_path, monkeypatch):
+        # The blocks are checked as they are read; the stream is built
+        # from them without the constructor's second order and range pass.
+        path = tmp_path / "tags.bttg"
+        bio.write_timetags(path, stream("A", [1, 2, 3]))
+
+        def second_pass(self):
+            raise AssertionError("timestamps scanned again")
+
+        monkeypatch.setattr(TimeTagStream, "__post_init__", second_pass)
+        back = bio.read_timetag_stream(path, duration=1.0, exposure=0.5)
+        assert back.exposure == 0.5 and back.timestamps_ps.dtype == np.int64
+        np.testing.assert_array_equal(back.timestamps_ps, [1, 2, 3])
+        write_records(path, [(0, 1), (0, 2_000_000_000_000)])  # beyond 1 s
+        with pytest.raises(DataError):
+            bio.read_timetag_stream(path, duration=1.0)
+
+
 def write_records(path, rows):
     header = struct.pack("<4sH2xQ", b"BTTG", 1, 1)
     path.write_bytes(header + b"".join(struct.pack("<Bq", ch, t) for ch, t in rows))

@@ -4,6 +4,7 @@ rate-level agreement."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,11 +21,17 @@ from biphoton import (
     SimConfig,
     TpwfModel,
     cross_correlate,
+    apply_gate,
     derive_setting_seed,
+    generate_blocks,
     generate_stream,
     rate_level_histogram,
     sample_pair_delay,
+    tpwf_eval,
 )
+from biphoton import io as bio
+from biphoton import simulate
+from biphoton.correlate import seconds_to_ps
 from biphoton.simulate import _dead_time_filter
 
 BALANCED = AnalyzerSetting.balanced
@@ -378,3 +385,213 @@ class TestRateLevelHistogram:
         assert np.mean(np.abs(z) < 5.0) >= 0.99
         assert abs(z.mean()) < 4.0 / math.sqrt(z.size)
         assert 0.8 < z.std() < 1.25
+
+
+class TestSegmentedGenerator:
+    """generate_blocks draws each acquisition in time segments; these
+    tests check that the segmented clicks have the distributions of the
+    model and that the segment boundaries leave no trace."""
+
+    MODEL = TpwfModel(amplitude=1.0, corr_time=30e-9, phase=0.5)
+
+    @staticmethod
+    def concat(blocks):
+        blocks = list(blocks)
+        return [np.concatenate([block[ch] for block in blocks]) for ch in (0, 1)]
+
+    def test_pair_delays_follow_sampler_cdf(self, monkeypatch):
+        # Sparse pairs and no singles: each A click has its partner as the
+        # only B click within the window, so a - b is the drawn delay.
+        # About 80 segments of ~64 pairs.  One-sample KS, alpha = 0.01.
+        monkeypatch.setattr(simulate, "_SEGMENT_CLICKS", 64)
+        window = 300e-9
+        cfg = SimConfig(pair_rate=250.0, duration=20.0, tau_window=window, seed=21)
+        setting = BALANCED(0.7)
+        a, b = self.concat(generate_blocks(cfg, setting, self.MODEL, 1.0))
+        window_ps = int(window * 1e12)
+        lo = np.searchsorted(b, a - window_ps, side="right")
+        hi = np.searchsorted(b, a + window_ps, side="right")
+        alone = hi - lo == 1
+        delays = (a[alone] - b[lo[alone]]) / 1e12
+        assert delays.size > 0.99 * a.size > 4000
+        sampler = PairDelaySampler(setting, self.MODEL, 1.0, window)
+        result = stats.kstest(delays, lambda x: np.interp(x, sampler.grid, sampler.cdf))
+        assert result.pvalue > 0.01
+
+    def test_per_bin_counts_match_rate_level_means(self, monkeypatch):
+        # About 60 segments.  Pearson chi-square of the event-level
+        # histogram against the rate-level means, alpha = 1e-3.
+        monkeypatch.setattr(simulate, "_SEGMENT_CLICKS", 2**10)
+        window = 300e-9
+        cfg = SimConfig(
+            pair_rate=200.0,
+            singles_rate_a=3000.0,
+            singles_rate_b=3000.0,
+            duration=20.0,
+            tau_window=window,
+            seed=derive_setting_seed(23, 1),
+        )
+        setting = BALANCED(math.pi / 3)
+        a, b = generate_stream(cfg, setting, self.MODEL, 1.0)
+        h_event = cross_correlate(a, b, 4e-9, window)
+        h_rate = rate_level_histogram(cfg, setting, self.MODEL, 1.0, 4e-9)
+        assert chi2_pvalue(h_event.counts, h_rate.mean_counts) > 1e-3
+
+    def test_dead_time_kept_ratio(self, monkeypatch):
+        # Poisson clicks at rate r through a non-paralyzable dead time tau
+        # form a renewal process with gaps tau + Exp(r): the kept count
+        # has mean T / m and variance T s^2 / m^3, with m = tau + 1/r and
+        # s = 1/r, so the kept ratio is 1 / (1 + r tau).  About 25
+        # segments.  Two-sided z-test, alpha = 1e-3.
+        monkeypatch.setattr(simulate, "_SEGMENT_CLICKS", 2**12)
+        rate, dead, duration = 1e6, 200e-9, 0.1
+        cfg = SimConfig(
+            pair_rate=0.0,
+            singles_rate_a=rate,
+            duration=duration,
+            dead_time=dead,
+            tau_window=300e-9,
+            seed=25,
+        )
+        a, _ = generate_stream(cfg, BALANCED(0.0), self.MODEL, 1.0)
+        m, s = dead + 1.0 / rate, 1.0 / rate
+        z = (len(a) - duration / m) / math.sqrt(duration * s**2 / m**3)
+        assert abs(z) < 3.29
+        assert np.diff(a.timestamps_ps).min() >= seconds_to_ps(dead)
+
+    def test_dead_time_carry_is_exact(self, monkeypatch):
+        # The draws do not depend on the dead time, so the segmented
+        # output with dead time is the filter applied once to the whole
+        # output without it.  Segments of ~64 clicks and a dead time that
+        # drops a fifth of the A clicks: blind intervals straddle many
+        # boundaries.
+        monkeypatch.setattr(simulate, "_SEGMENT_CLICKS", 64)
+        base = dict(
+            pair_rate=2e5,
+            singles_rate_a=3e5,
+            singles_rate_b=1e5,
+            duration=0.01,
+            jitter_sigma=100e-12,
+            tau_window=300e-9,
+            seed=27,
+        )
+        dead = 500e-9
+        with_dead = self.concat(
+            generate_blocks(SimConfig(dead_time=dead, **base), BALANCED(0.4), self.MODEL, 1.0)
+        )
+        without = self.concat(generate_blocks(SimConfig(**base), BALANCED(0.4), self.MODEL, 1.0))
+        for got, raw in zip(with_dead, without):
+            assert raw.size > got.size > 1000
+            np.testing.assert_array_equal(got, _dead_time_filter(raw, seconds_to_ps(dead)))
+
+    def test_spill_across_several_segments(self, monkeypatch):
+        # Segments of a quarter tau_window: a pair's clicks can land two
+        # or three segments away from its midpoint.  Every block is
+        # sorted and in [0, duration), and the blocks hold exactly the
+        # drawn clicks.
+        monkeypatch.setattr(simulate, "_SEGMENT_CLICKS", 1e-3)
+        monkeypatch.setattr(simulate, "_SEGMENT_MIN_WINDOWS", 0.25)
+        cfg = SimConfig(
+            pair_rate=1e6,
+            singles_rate_a=1e6,
+            singles_rate_b=5e5,
+            duration=2e-4,
+            jitter_sigma=1e-9,
+            tau_window=300e-9,
+            seed=29,
+        )
+        setting = BALANCED(1.1)
+        edges = simulate._segment_edges(cfg)
+        assert edges.size - 1 > 2000
+        blocks = list(generate_blocks(cfg, setting, self.MODEL, 1.0))
+        assert len(blocks) == edges.size - 1
+        duration_ps = seconds_to_ps(cfg.duration)
+        for block in blocks:
+            for ts in block:
+                assert ts.dtype == np.int64
+                if ts.size:
+                    assert np.all(np.diff(ts) >= 0)
+                    assert ts[0] >= 0 and ts[-1] < duration_ps
+        got = self.concat(blocks)
+        sampler = PairDelaySampler(setting, self.MODEL, 1.0, cfg.tau_window)
+        draws = [
+            simulate._draw_segment(cfg, sampler, simulate._segment_rng(cfg, k), edges[k], edges[k + 1])
+            for k in range(edges.size - 1)
+        ]
+        for ch in (0, 1):
+            assert np.all(np.diff(got[ch]) >= 0)
+            want = np.sort(np.concatenate([d[ch] for d in draws]))
+            assert want.size > 100
+            np.testing.assert_array_equal(got[ch], want)
+
+    def test_gate_on_blocks(self, monkeypatch):
+        # Gating block by block keeps what apply_gate keeps on the whole
+        # stream.
+        monkeypatch.setattr(simulate, "_SEGMENT_CLICKS", 2**10)
+        base = dict(
+            pair_rate=0.0,
+            singles_rate_a=5e4,
+            singles_rate_b=5e4,
+            duration=0.5,
+            tau_window=300e-9,
+            seed=31,
+        )
+        gated = generate_stream(
+            SimConfig(gate_period=1e-3, gate_open_fraction=0.25, **base), BALANCED(0.0), self.MODEL, 1.0
+        )
+        plain = generate_stream(SimConfig(**base), BALANCED(0.0), self.MODEL, 1.0)
+        for got, raw in zip(gated, plain):
+            want = apply_gate(raw, 1e-3, 0.25)
+            np.testing.assert_array_equal(got.timestamps_ps, want.timestamps_ps)
+            assert got.exposure == want.exposure == pytest.approx(0.125)
+
+    def test_memory_flat_in_duration(self, tmp_path):
+        # Generator plus tag writers: the traced peak at 4x the duration
+        # (13 segments against 4) stays below 1.5x.
+        def peak(duration):
+            cfg = SimConfig(
+                pair_rate=2e5,
+                singles_rate_a=2e5,
+                singles_rate_b=2e5,
+                duration=duration,
+                dead_time=20e-9,
+                jitter_sigma=50e-12,
+                tau_window=300e-9,
+                seed=33,
+            )
+            tracemalloc.start()
+            try:
+                blocks = generate_blocks(cfg, BALANCED(0.3), self.MODEL, 1.0)
+                with bio.TimeTagWriter(tmp_path / "a.bttg", "A") as wa, \
+                        bio.TimeTagWriter(tmp_path / "b.bttg", "B") as wb:
+                    for block_a, block_b in blocks:
+                        wa.append(block_a)
+                        wb.append(block_b)
+                return tracemalloc.get_traced_memory()[1], wa.n_records
+            finally:
+                tracemalloc.stop()
+
+        small, n_small = peak(0.5)
+        large, n_large = peak(2.0)
+        assert n_large > 3.5 * n_small
+        assert large < 1.5 * small
+
+    def test_segments_follow_click_count(self):
+        # about 2**16 expected clicks per segment in the busier channel,
+        # and one segment when nothing is emitted
+        cfg = SimConfig(pair_rate=1e6, singles_rate_a=1e6, singles_rate_b=5e5, duration=0.5)
+        n_segments = simulate._segment_edges(cfg).size - 1
+        assert n_segments == math.ceil(0.5 * 2e6 / simulate._SEGMENT_CLICKS)
+        edges = simulate._segment_edges(SimConfig(pair_rate=0.0, duration=100.0))
+        np.testing.assert_array_equal(edges, [0.0, 100.0])
+
+    def test_neutral_mass_matches_sampler(self):
+        model = TpwfModel(amplitude=0.8, corr_time=39.3e-9, tau_offset=3e-9, phase=0.9)
+        window = 400e-9
+        sampler = PairDelaySampler(BALANCED(0.3), model, 1.2, window)
+        got = simulate._neutral_mass(model, 1.2, window)
+        grid = np.linspace(-window, window, simulate._CDF_GRID_POINTS)
+        values = 1.2**2 + np.abs(tpwf_eval(model, grid)) ** 2
+        dx = grid[1] - grid[0]
+        assert got == sampler.neutral_mass
+        assert got == float((0.5 * (values[1:] + values[:-1]) * dx).sum())
