@@ -81,12 +81,13 @@ def _levenberg(residual_jac, p0, scales, feasible=None):
         Js = J * scales[np.newaxis, :]
         A = Js.T @ Js
         g = Js.T @ r
-        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(g)):
+        if not np.isfinite(A).all() or not np.isfinite(g).all():
             message = "non-finite normal equations"
             break
         stepped = False
+        damping = np.diag(np.maximum(np.diag(A), 1e-300))
         for _ in range(25):
-            damped = A + lam * np.diag(np.maximum(np.diag(A), 1e-300))
+            damped = A + lam * damping
             try:
                 delta = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
@@ -98,7 +99,7 @@ def _levenberg(residual_jac, p0, scales, feasible=None):
                 continue
             r_new, J_new = residual_jac(p_new)
             chi2_new = float(r_new @ r_new)
-            if np.isfinite(chi2_new) and chi2_new <= chi2:
+            if math.isfinite(chi2_new) and chi2_new <= chi2:
                 improvement = chi2 - chi2_new
                 p, r, J, chi2 = p_new, r_new, J_new, chi2_new
                 lam = max(lam / 3.0, 1e-12)
@@ -166,6 +167,30 @@ class _PowerData:
         return 4.0 * np.clip(power, 0.0, None) * self.directional[points] + self.var_floor[points]
 
 
+def _envelope_residual_jac(tau, y, w, fixed_tc=None):
+    """residual_jac for _levenberg: the weighted residuals of
+    A^2 * exp(-2|tau - tau0| / Tc) against y and their Jacobian, at
+    p = (A, tau0, Tc), or at p = (A, tau0) with Tc = fixed_tc."""
+    n_free = 3 if fixed_tc is None else 2
+
+    def residual_jac(p):
+        a, t_off = p[0], p[1]
+        tc = p[2] if fixed_tc is None else fixed_tc
+        u = tau - t_off
+        abs_u = np.abs(u)
+        env = np.exp(-2.0 * abs_u / tc)
+        f = a * a * env
+        r = (f - y) * w
+        J = np.empty((tau.size, n_free))
+        J[:, 0] = 2.0 * a * env * w
+        J[:, 1] = f * (2.0 * np.sign(u) / tc) * w
+        if fixed_tc is None:
+            J[:, 2] = f * (2.0 * abs_u / tc**2) * w
+        return r, J
+
+    return residual_jac
+
+
 def fit_double_exponential(
     recon: ReconstructedTpwf,
     fix_corr_time: float | None = None,
@@ -213,21 +238,6 @@ def fit_double_exponential(
         tc = p[2] if free_tc else tc0
         return a * a * np.exp(-2.0 * np.abs(tau - t_off) / tc)
 
-    def make_residual_jac(w):
-        def residual_jac(p):
-            a, t_off = p[0], p[1]
-            tc = p[2] if free_tc else tc0
-            u = tau - t_off
-            env = np.exp(-2.0 * np.abs(u) / tc)
-            f = a * a * env
-            r = (f - y) * w
-            cols = [2.0 * a * env * w, a * a * env * (2.0 * np.sign(u) / tc) * w]
-            if free_tc:
-                cols.append(a * a * env * (2.0 * np.abs(u) / tc**2) * w)
-            return r, np.column_stack(cols)
-
-        return residual_jac
-
     p0 = [a0, t0, tc0] if free_tc else [a0, t0]
     scales = [max(abs(a0), 1e-12), max(tc0, 1e-12)]
     if free_tc:
@@ -242,7 +252,7 @@ def fit_double_exponential(
     n_passes = 1 if noiseless else 3
     for i in range(n_passes):
         p, cov, chi2, converged, message, r = _levenberg(
-            make_residual_jac(w), p, scales, feasible
+            _envelope_residual_jac(tau, y, w, None if free_tc else tc0), p, scales, feasible
         )
         if i == n_passes - 1:
             break

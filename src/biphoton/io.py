@@ -322,6 +322,20 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _encode_flat(arr: np.ndarray):
+    """The items of a 1-d bool, int or float array as _encode writes them
+    one by one, in one pass; None for any other array."""
+    kind = arr.dtype.kind
+    if kind == "b":
+        return ["true" if v else "false" for v in arr.tolist()]
+    if kind in "iu":
+        return [str(v) for v in arr.tolist()]
+    # Wider floats come out of tolist() as np.longdouble, not float.
+    if kind == "f" and arr.itemsize <= 8:
+        return [_format_float(v) for v in arr.tolist()]
+    return None
+
+
 def _encode(obj, indent, level):
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
@@ -338,6 +352,10 @@ def _encode(obj, indent, level):
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.size:
+            items = _encode_flat(obj)
+            if items is not None:
+                return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -383,18 +401,20 @@ def _setting_from_dict(obj):
     return AnalyzerSetting(theta=float(obj["theta_rad"]), phi=float(obj["phi_rad"]))
 
 
+# The *_to_dict documents hold their arrays as ndarrays, which dumps_json
+# writes in one pass.
 def histogram_to_dict(hist: CoincidenceHistogram) -> dict:
     return {
         "format": HISTOGRAM_FORMAT,
         "units": {"bin_width": "ps", "tau_min": "ps", "acquisition_time": "s"},
         "bin_width_ps": hist.bin_width_ps,
         "tau_min_ps": hist.tau_min_ps,
-        "counts": [int(c) for c in hist.counts],
+        "counts": hist.counts,
         "acquisition_time_s": hist.acquisition_time,
         "singles_a": hist.singles_a,
         "singles_b": hist.singles_b,
         "setting": _setting_to_dict(hist.setting),
-        "mean_counts": None if hist.mean_counts is None else list(hist.mean_counts),
+        "mean_counts": hist.mean_counts,
     }
 
 
@@ -427,15 +447,15 @@ def recon_to_dict(recon: ReconstructedTpwf) -> dict:
     return {
         "format": RECON_FORMAT,
         "units": {"tau": "s", "psi": "relative", "setting_angles": "rad"},
-        "tau_s": list(recon.tau),
-        "re_psi": list(recon.re_psi),
-        "im_psi": list(recon.im_psi),
-        "gamma": list(recon.gamma),
-        "sigma_re": list(recon.sigma_re),
-        "sigma_im": list(recon.sigma_im),
-        "sigma_gamma": list(recon.sigma_gamma),
-        "cov_re_im": list(recon.cov_re_im),
-        "valid": [bool(v) for v in recon.valid],
+        "tau_s": recon.tau,
+        "re_psi": recon.re_psi,
+        "im_psi": recon.im_psi,
+        "gamma": recon.gamma,
+        "sigma_re": recon.sigma_re,
+        "sigma_im": recon.sigma_im,
+        "sigma_gamma": recon.sigma_gamma,
+        "cov_re_im": recon.cov_re_im,
+        "valid": recon.valid,
         "background": recon.background,
         "background_mode": recon.background_mode,
         "gamma_mode": recon.gamma_mode,
@@ -488,5 +508,5 @@ def fit_to_dict(result: FitResult, label: str) -> dict:
         "converged": result.converged,
         "message": result.message,
         "n_points": result.n_points,
-        "residuals": list(result.residuals),
+        "residuals": result.residuals,
     }

@@ -119,12 +119,15 @@ def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
     return float(re), float(im), float(gamma)
 
 
-def _jacobian(y0, y1, y2, root="larger"):
+def _jacobian(y0, y1, y2, root="larger", inversion=None):
     """Closed-form Jacobian of (re, im, gamma) w.r.t. (y0, y1, y2).
 
     Vectorized over bins: returns J with shape (3, 3) + y.shape, J[i, k]
-    the derivative of output i w.r.t. input k, NaN on invalid bins.  With
-    s = 2*gamma^2 - ybar, which is +sqrt(R) for the larger root and
+    the derivative of output i w.r.t. input k, NaN on invalid bins.
+    inversion is what _invert_arrays(y0, y1, y2, root) returns, passed by
+    a caller that has it already; without it the rates are inverted here.
+
+    With s = 2*gamma^2 - ybar, which is +sqrt(R) for the larger root and
     -sqrt(R) for the smaller one, and dR/dy_k = 2*ybar - (4/3)*y_k,
 
         d(gamma^2)/dy_k = (1/3 + (dR/dy_k) / (2*s)) / 2,
@@ -132,7 +135,9 @@ def _jacobian(y0, y1, y2, root="larger"):
     and re, im = numerator / (2*gamma) follow by the quotient rule.  The
     derivatives diverge as s -> 0, where the two roots meet.
     """
-    re, im, gamma, _ = _invert_arrays(y0, y1, y2, root=root)
+    if inversion is None:
+        inversion = _invert_arrays(y0, y1, y2, root=root)
+    re, im, gamma, _ = inversion
     y = np.array([y0, y1, y2], dtype=float)
     ybar = (y[0] + y[1] + y[2]) / 3.0
     grad = _NUM_GRAD.reshape(_NUM_GRAD.shape + (1,) * ybar.ndim)
@@ -355,14 +360,15 @@ def reconstruct_values(
         # the pooled reference amplitude must reproduce the wing level.
         for _ in range(2):
             trial = [v - b_hat for v in ys]
-            re, im, gam, valid = _invert_arrays(*trial)
-            sg = _sigma_arrays(_jacobian(*trial), var_y)[2]
-            pooled, _ = _pool_gamma(gam, sg, valid)
+            inversion = _invert_arrays(*trial)
+            sg = _sigma_arrays(_jacobian(*trial, inversion=inversion), var_y)[2]
+            pooled, _ = _pool_gamma(inversion[2], sg, inversion[3])
             b_hat = wing_level - pooled**2
         background = max(b_hat, 0.0)
         ys = [v - background for v in ys]
 
-    re, im, gamma, valid = _invert_arrays(*ys)
+    inversion = _invert_arrays(*ys)
+    re, im, gamma, valid = inversion
     n_bins = tau.size
     if n_bins and (n_bins - int(valid.sum())) > MAX_INVALID_FRACTION * n_bins:
         raise NumericalError(
@@ -370,7 +376,9 @@ def reconstruct_values(
         )
 
     if have_counts:
-        sigma_re, sigma_im, sigma_gamma, cov_re_im = _sigma_arrays(_jacobian(*ys), var_y)
+        sigma_re, sigma_im, sigma_gamma, cov_re_im = _sigma_arrays(
+            _jacobian(*ys, inversion=inversion), var_y
+        )
     else:
         sigma_re, sigma_im, sigma_gamma, cov_re_im = np.zeros((4, n_bins))
 

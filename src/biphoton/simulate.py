@@ -18,6 +18,7 @@ generate_blocks.  Everything is a pure function of (inputs, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,9 @@ _SEGMENT_MIN_WINDOWS = 64
 # Timing jitter is clipped at this many sigmas (a two-sided tail of
 # 1.2e-15), which bounds how far a click lands from its event.
 _JITTER_BOUND_SIGMAS = 8.0
+# Rate-level mean arrays kept by _rate_level_means; a many-seed study of
+# one config needs one per analyzer setting.
+_MEAN_CACHE_ENTRIES = 8
 
 
 @dataclass(frozen=True)
@@ -433,6 +437,8 @@ def rate_level_histogram(
     means are kept on the histogram (mean_counts) so tests can compare
     draws against their own expectation.  Much faster than the event-level
     path and statistically equivalent when jitter and dead time are off.
+    The means do not depend on the seed and are computed once per inputs
+    (_rate_level_means); only the Poisson draws are made per call.
     """
     bw_ps = seconds_to_ps(bin_width)
     if bw_ps <= 0:
@@ -440,22 +446,17 @@ def rate_level_histogram(
     window_ps = seconds_to_ps(config.tau_window)
     if window_ps % bw_ps != 0:
         raise ConfigError("tau_window must be an integer multiple of bin_width")
-    # The sampler's normalization, so event-level and rate-level runs
-    # scale the pair mass identically.
-    neutral_mass = _neutral_mass(model, gamma, config.tau_window)
-    if neutral_mass <= 0.0:
-        raise NumericalError(_ZERO_DENSITY)
-    n_bins = 2 * window_ps // bw_ps
-    centers = (-window_ps + bw_ps * (np.arange(n_bins) + 0.5)) / PS_PER_SECOND
-    density = forward_g2(setting, gamma, tpwf_eval(model, centers), 0.0)
-
-    pair_means = (
-        config.pair_rate * config.duration * density * bin_width / neutral_mass
+    means = _rate_level_means(
+        config.pair_rate,
+        config.singles_rate_a,
+        config.singles_rate_b,
+        config.duration,
+        config.tau_window,
+        setting,
+        model,
+        _gamma_value(gamma),
+        bin_width,
     )
-    accidental = (
-        config.singles_rate_a * config.singles_rate_b * bin_width * config.duration
-    )
-    means = pair_means + accidental
 
     rng = np.random.default_rng(config.seed)
     counts = rng.poisson(means)
@@ -475,5 +476,48 @@ def rate_level_histogram(
         singles_a=singles_a,
         singles_b=singles_b,
         setting=setting,
-        mean_counts=means,
+        mean_counts=means.copy(),
     )
+
+
+@functools.lru_cache(maxsize=_MEAN_CACHE_ENTRIES, typed=True)
+def _rate_level_means(
+    pair_rate,
+    singles_rate_a,
+    singles_rate_b,
+    duration,
+    tau_window,
+    setting,
+    model,
+    gamma,
+    bin_width,
+):
+    """Per-bin expected coincidence counts of rate_level_histogram, as a
+    read-only array.
+
+    Keyed on the inputs the means depend on: the seed, jitter, dead time
+    and gate do not enter, so the three settings of a many-seed study
+    take three entries however many seeds it runs.  gamma is the float
+    of _gamma_value, so a float and the equal ReferenceAmplitude share an
+    entry; the cache is typed, so an int rate and the equal float, whose
+    products may round differently, do not.  The cache holds at most
+    _MEAN_CACHE_ENTRIES arrays, that is _MEAN_CACHE_ENTRIES * n_bins * 8 B.
+    A call that raises stores nothing, so bad inputs raise again on
+    every call.
+    """
+    bw_ps = seconds_to_ps(bin_width)
+    window_ps = seconds_to_ps(tau_window)
+    # The sampler's normalization, so event-level and rate-level runs
+    # scale the pair mass identically.
+    neutral_mass = _neutral_mass(model, gamma, tau_window)
+    if neutral_mass <= 0.0:
+        raise NumericalError(_ZERO_DENSITY)
+    n_bins = 2 * window_ps // bw_ps
+    centers = (-window_ps + bw_ps * (np.arange(n_bins) + 0.5)) / PS_PER_SECOND
+    density = forward_g2(setting, gamma, tpwf_eval(model, centers), 0.0)
+
+    pair_means = pair_rate * duration * density * bin_width / neutral_mass
+    accidental = singles_rate_a * singles_rate_b * bin_width * duration
+    means = pair_means + accidental
+    means.flags.writeable = False
+    return means

@@ -40,19 +40,21 @@ def noiseless_recon(model, n_bins=101, span=400e-9, gamma=1.2):
     return reconstruct_values(tau, *y)
 
 
-def simulated_recon(model, gamma, seed, duration=30.0, pair_rate=3000.0):
+def simulated_recon(
+    model, gamma, seed, duration=30.0, pair_rate=3000.0, singles_rate=2000.0, gamma_mode="pooled"
+):
     hists = []
     for k, phi in enumerate(RECONSTRUCTION_PHASES):
         cfg = SimConfig(
             pair_rate=pair_rate,
-            singles_rate_a=2000.0,
-            singles_rate_b=2000.0,
+            singles_rate_a=singles_rate,
+            singles_rate_b=singles_rate,
             duration=duration,
             tau_window=400e-9,
             seed=derive_setting_seed(seed, k),
         )
         hists.append(rate_level_histogram(cfg, BALANCED(phi), model, gamma, 4e-9))
-    return reconstruct_curve(PhaseTriple(*hists), gamma_mode="pooled")
+    return reconstruct_curve(PhaseTriple(*hists), gamma_mode=gamma_mode)
 
 
 class TestDoubleExponentialFit:
@@ -251,6 +253,136 @@ class TestDoubleExponentialFit:
             if 0.8 <= fit.reduced_chi2 <= 1.2:
                 in_window += 1
         assert in_window >= 11
+
+
+def _column_stack_residual_jac(tau, y, w, fixed_tc=None):
+    """The envelope residuals and Jacobian as they were built before the
+    Jacobian was filled in place, with np.column_stack: the oracle for
+    fit._envelope_residual_jac."""
+    free_tc = fixed_tc is None
+
+    def residual_jac(p):
+        a, t_off = p[0], p[1]
+        tc = p[2] if free_tc else fixed_tc
+        u = tau - t_off
+        env = np.exp(-2.0 * np.abs(u) / tc)
+        f = a * a * env
+        r = (f - y) * w
+        cols = [2.0 * a * env * w, a * a * env * (2.0 * np.sign(u) / tc) * w]
+        if free_tc:
+            cols.append(a * a * env * (2.0 * np.abs(u) / tc**2) * w)
+        return r, np.column_stack(cols)
+
+    return residual_jac
+
+
+def _reference_levenberg(residual_jac, p0, scales, feasible=None):
+    """fit._levenberg as it was before the damping diagonal was formed
+    once per outer iteration: the oracle for it."""
+    p = np.asarray(p0, dtype=float).copy()
+    scales = np.asarray(scales, dtype=float)
+    r, J = residual_jac(p)
+    chi2 = float(r @ r)
+    lam = 1e-3
+    converged = False
+    message = "iteration budget exhausted"
+    for _ in range(fit_module._MAX_ITER):
+        Js = J * scales[np.newaxis, :]
+        A = Js.T @ Js
+        g = Js.T @ r
+        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(g)):
+            message = "non-finite normal equations"
+            break
+        stepped = False
+        for _ in range(25):
+            damped = A + lam * np.diag(np.maximum(np.diag(A), 1e-300))
+            try:
+                delta = np.linalg.solve(damped, -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            p_new = p + delta * scales
+            if feasible is not None and not feasible(p_new):
+                lam *= 10.0
+                continue
+            r_new, J_new = residual_jac(p_new)
+            chi2_new = float(r_new @ r_new)
+            if np.isfinite(chi2_new) and chi2_new <= chi2:
+                improvement = chi2 - chi2_new
+                p, r, J, chi2 = p_new, r_new, J_new, chi2_new
+                lam = max(lam / 3.0, 1e-12)
+                stepped = True
+                if improvement <= fit_module._CHI2_FTOL * max(chi2, 1e-300) + 1e-300:
+                    converged = True
+                    message = "chi2 converged"
+                break
+            lam *= 10.0
+        if not stepped:
+            converged = True
+            message = "no downhill step found (at a minimum)"
+            break
+        if converged:
+            break
+
+    Js = J * scales[np.newaxis, :]
+    A = Js.T @ Js
+    try:
+        cov_scaled = np.linalg.inv(A)
+        cov = cov_scaled * np.outer(scales, scales)
+    except np.linalg.LinAlgError:
+        cov = np.full((p.size, p.size), np.nan)
+        converged = False
+        message = "singular covariance at optimum"
+    return p, cov, chi2, converged, message, r
+
+
+class TestEnvelopeFitBitIdentical:
+    """The envelope fit fills its Jacobian in place, reuses |u| and the
+    model values, and forms the damping diagonal once per outer
+    iteration; every floating-point operation keeps its order, so the
+    results equal those of the oracles above bit for bit."""
+
+    @pytest.mark.parametrize("fixed_tc", [None, 39.3e-9])
+    def test_residuals_and_jacobian(self, fixed_tc):
+        rng = np.random.default_rng(8)
+        tau = np.linspace(-200e-9, 200e-9, 101)
+        for _ in range(200):
+            y = rng.normal(0.0, 1.0, tau.size)
+            w = rng.uniform(0.1, 10.0, tau.size)
+            p = [rng.uniform(-2.0, 2.0), rng.uniform(-50e-9, 50e-9)]
+            if fixed_tc is None:
+                p.append(rng.uniform(1e-9, 100e-9))
+            p = np.array(p)
+            r, J = fit_module._envelope_residual_jac(tau, y, w, fixed_tc)(p)
+            r_ref, J_ref = _column_stack_residual_jac(tau, y, w, fixed_tc)(p)
+            assert J.shape == J_ref.shape
+            assert (r == r_ref).all()
+            assert (J == J_ref).all()
+
+    @pytest.mark.parametrize("gamma_mode", ["per_bin", "pooled"])
+    @pytest.mark.parametrize("fix_corr_time", [None, 39.3e-9])
+    def test_fit_results(self, monkeypatch, gamma_mode, fix_corr_time):
+        for seed in range(6):
+            # the per-seed reconstruction of the many-seed calibration study
+            recon = simulated_recon(
+                TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9),
+                1.0,
+                900 + seed,
+                duration=100.0,
+                pair_rate=2000.0,
+                singles_rate=1000.0,
+                gamma_mode=gamma_mode,
+            )
+            fit = fit_double_exponential(recon, fix_corr_time=fix_corr_time)
+            with monkeypatch.context() as m:
+                m.setattr(fit_module, "_levenberg", _reference_levenberg)
+                m.setattr(fit_module, "_envelope_residual_jac", _column_stack_residual_jac)
+                ref = fit_double_exponential(recon, fix_corr_time=fix_corr_time)
+            assert fit.params == ref.params
+            assert fit.sigmas == ref.sigmas
+            assert (fit.chi2, fit.ndof, fit.n_points) == (ref.chi2, ref.ndof, ref.n_points)
+            assert (fit.converged, fit.message) == (ref.converged, ref.message)
+            assert (fit.residuals == ref.residuals).all()
 
 
 class TestConstantPhaseFit:

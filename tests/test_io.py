@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from biphoton import (
     AnalyzerSetting,
@@ -28,6 +29,7 @@ from biphoton import (
 )
 from biphoton import correlate, cross_correlate
 from biphoton import io as bio
+from biphoton.cli import main as cli_main
 
 
 def stream(channel, ts, duration=1.0):
@@ -297,6 +299,145 @@ class TestJson:
         path.write_text("{not json")
         with pytest.raises(DataError):
             bio.read_json(path)
+
+
+def _reference_format_float(x):
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, ".17g")
+
+
+def _reference_encode(obj, indent=2, level=0):
+    """io._encode as it was before arrays had a one-pass path: every
+    element encoded on its own.  The oracle for the array path."""
+    pad = " " * (indent * level)
+    inner = " " * (indent * (level + 1))
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _reference_format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_reference_encode(v, indent, level + 1) for v in obj]
+        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{json.dumps(str(k))}: {_reference_encode(v, indent, level + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _as_arrays(obj):
+    """A loaded JSON document with every non-empty list of one scalar
+    type (bool, int or float) turned back into an ndarray."""
+    if isinstance(obj, dict):
+        return {k: _as_arrays(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        kinds = {type(v) for v in obj}
+        if len(kinds) == 1 and kinds <= {bool, int, float}:
+            return np.array(obj)
+        return [_as_arrays(v) for v in obj]
+    return obj
+
+
+I64 = np.iinfo(np.int64)
+ARRAY_CASES = {
+    "floats": np.array([0.1, -2.5, 1e300, -1e-300, 3.0]),
+    "nan": np.array([1.0, math.nan, 2.0]),
+    "inf": np.array([math.inf, 0.5]),
+    "minus_inf": np.array([-math.inf, 0.5]),
+    "negative_zero": np.array([-0.0, 0.0, -0.0]),
+    "subnormals": np.array([5e-324, -5e-324, 2.0**-1070, np.nextafter(0.0, 1.0)]),
+    "float_extremes": np.array([np.finfo(float).max, np.finfo(float).tiny, -np.finfo(float).max]),
+    "float32": np.array([0.1, 1e-40, -3.5], dtype=np.float32),
+    "float16": np.array([0.1, 65504.0], dtype=np.float16),
+    "int64_extremes": np.array([I64.min, -1, 0, 1, I64.max], dtype=np.int64),
+    "uint64_max": np.array([0, np.iinfo(np.uint64).max], dtype=np.uint64),
+    "int8": np.array([-128, 127], dtype=np.int8),
+    "bool": np.array([True, False, True]),
+    "empty_float": np.array([], dtype=float),
+    "empty_int": np.array([], dtype=np.int64),
+    "empty_bool": np.array([], dtype=bool),
+    "zero_d_float": np.array(0.25),
+    "zero_d_nan": np.array(math.nan),
+    "zero_d_int": np.array(7),
+    "zero_d_bool": np.array(True),
+    "two_d": np.arange(6.0).reshape(2, 3),
+    "single": np.array([1.5]),
+}
+
+
+class TestArrayEncoding:
+    """dumps_json writes 1-d bool, int and finite float arrays in one
+    pass; the bytes must equal those of the element-by-element encoder."""
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+    def test_bytes_match_element_encoder(self, name):
+        arr = ARRAY_CASES[name]
+        for obj in (arr, {"a": arr, "b": [arr, {"c": arr}]}):
+            try:
+                expected = _reference_encode(obj) + "\n"
+            except TypeError:
+                # 0-d arrays were never serializable; they still are not
+                with pytest.raises(TypeError):
+                    bio.dumps_json(obj)
+            else:
+                assert bio.dumps_json(obj) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.float64, np.float32, np.int64, np.int32, np.uint16, np.bool_]),
+            st.integers(0, 12),
+        )
+    )
+    def test_random_arrays_match_element_encoder(self, arr):
+        obj = {"values": arr}
+        assert bio.dumps_json(obj) == _reference_encode(obj) + "\n"
+
+    def test_complex_array_still_refused(self):
+        with pytest.raises(TypeError):
+            bio.dumps_json(np.array([1j]))
+
+    def test_cli_run_documents(self, tmp_path):
+        # A short default run whose per-bin reconstruction has invalid
+        # (NaN) bins, so both array paths are taken.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3, "sim": {"duration_s": 5.0}}))
+        run = tmp_path / "run"
+        assert cli_main(["pipeline", "--config", str(config), "--output-dir", str(run)]) == 0
+        names = [f"hist_phi{k}.json" for k in range(3)] + ["reconstruction.json", "fits.json"]
+        recon = bio.recon_from_dict(bio.read_json(run / "reconstruction.json"))
+        assert not recon.valid.all()
+        for name in names:
+            data = (run / name).read_bytes()
+            doc = _as_arrays(json.loads(data))
+            assert _reference_encode(doc).encode() + b"\n" == data
+            assert bio.dumps_json(doc).encode() == data
+        for k in range(3):
+            hist = bio.histogram_from_dict(bio.read_json(run / f"hist_phi{k}.json"))
+            doc = bio.histogram_to_dict(hist)
+            assert isinstance(doc["counts"], np.ndarray)
+            assert bio.dumps_json(doc).encode() == (run / f"hist_phi{k}.json").read_bytes()
+        doc = bio.recon_to_dict(recon)
+        assert bio.dumps_json(doc) == _reference_encode(doc) + "\n"
 
 
 class TestDocuments:

@@ -25,6 +25,8 @@ from biphoton import (
     reconstruct_values,
     tpwf_eval,
 )
+from biphoton import reconstruct as reconstruct_module
+from biphoton.correlate import normalize_g2
 from biphoton.reconstruct import _invert_arrays, _jacobian
 
 BALANCED = AnalyzerSetting.balanced
@@ -276,6 +278,47 @@ class TestJacobian:
         J = _jacobian(np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         assert np.isnan(J[..., 0]).all()
         assert np.isfinite(J[..., 1]).all()
+
+    @pytest.mark.parametrize("root", ["larger", "smaller"])
+    def test_passed_inversion_gives_the_same_jacobian(self, root):
+        y = self.draws(n=1000)
+        J = _jacobian(*y, root=root, inversion=_invert_arrays(*y, root=root))
+        assert np.array_equal(J, _jacobian(*y, root=root), equal_nan=True)
+
+    @pytest.mark.parametrize("background_mode, calls", [("none", 1), ("wing_subtract", 3)])
+    @pytest.mark.parametrize("gamma_mode", ["per_bin", "pooled"])
+    def test_rates_are_inverted_once_per_pass(
+        self, monkeypatch, background_mode, calls, gamma_mode
+    ):
+        # One inversion per pass, the main one plus one per wing_subtract
+        # refinement, which the error propagation reuses; the results are
+        # those of a propagation that inverts the rates again.
+        model = TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4)
+        triple, tau, _ = synthetic_triple(model, 1.2, background=0.3)
+        rates = [normalize_g2(h)[0] for h in triple.histograms]
+        counts = [h.counts for h in triple.histograms]
+        wing_level = float(np.mean([background_estimate(h)[0] for h in triple.histograms]))
+        args = dict(background_mode=background_mode, gamma_mode=gamma_mode, wing_level=wing_level)
+        with monkeypatch.context() as m:
+            m.setattr(
+                reconstruct_module,
+                "_jacobian",
+                lambda y0, y1, y2, root="larger", inversion=None: _jacobian(y0, y1, y2, root),
+            )
+            expected = reconstruct_values(tau, *rates, *counts, **args)
+        seen = []
+
+        def counted(*a, **kw):
+            seen.append(1)
+            return _invert_arrays(*a, **kw)
+
+        monkeypatch.setattr(reconstruct_module, "_invert_arrays", counted)
+        recon = reconstruct_values(tau, *rates, *counts, **args)
+        assert len(seen) == calls
+        fields = ("re_psi", "im_psi", "gamma", "sigma_re", "sigma_im", "sigma_gamma", "cov_re_im")
+        for name in fields:
+            assert np.array_equal(getattr(recon, name), getattr(expected, name), equal_nan=True)
+        assert recon.background == expected.background
 
     def test_pooled_sigmas_are_the_linear_formulas(self):
         rng = np.random.default_rng(46)

@@ -18,11 +18,13 @@ from biphoton import (
     ConfigError,
     NumericalError,
     PairDelaySampler,
+    ReferenceAmplitude,
     SimConfig,
     TpwfModel,
     cross_correlate,
     apply_gate,
     derive_setting_seed,
+    forward_g2,
     generate_blocks,
     generate_stream,
     rate_level_histogram,
@@ -319,6 +321,48 @@ class TestDeadTimeFilter:
         assert fast <= loop
 
 
+def _inline_rate_level_means(config, setting, model, gamma, bin_width):
+    """The per-bin means as rate_level_histogram computed them inline,
+    before they were cached: the oracle for the cache."""
+    bw_ps = seconds_to_ps(bin_width)
+    window_ps = seconds_to_ps(config.tau_window)
+    neutral_mass = simulate._neutral_mass(model, gamma, config.tau_window)
+    n_bins = 2 * window_ps // bw_ps
+    centers = (-window_ps + bw_ps * (np.arange(n_bins) + 0.5)) / 1e12
+    density = forward_g2(setting, gamma, tpwf_eval(model, centers), 0.0)
+    pair_means = config.pair_rate * config.duration * density * bin_width / neutral_mass
+    accidental = config.singles_rate_a * config.singles_rate_b * bin_width * config.duration
+    return pair_means + accidental
+
+
+@st.composite
+def rate_level_inputs(draw):
+    """A rate-level config, setting, model, gamma and bin width with the
+    window a whole number of bins and at least ten correlation times."""
+    bw_ps = draw(st.sampled_from([250, 1000, 2000, 4000, 10_000]))
+    window_ps = bw_ps * draw(st.integers(5, 300))
+    window = window_ps / 1e12
+    rate = st.floats(0.0, 1e6)
+    config = SimConfig(
+        pair_rate=draw(rate),
+        singles_rate_a=draw(rate),
+        singles_rate_b=draw(rate),
+        duration=draw(st.floats(1e-3, 1e3)),
+        tau_window=window,
+        seed=draw(st.integers(0, 2**32)),
+    )
+    model = TpwfModel(
+        amplitude=draw(st.floats(0.05, 3.0)),
+        corr_time=window / 10.0 * draw(st.floats(0.02, 0.99)),
+        tau_offset=window / 20.0 * draw(st.floats(-1.0, 1.0)),
+        phase=draw(st.floats(-math.pi, math.pi)),
+    )
+    gamma_value = draw(st.floats(0.0, 3.0))
+    gamma = draw(st.sampled_from([gamma_value, ReferenceAmplitude(gamma_value)]))
+    setting = BALANCED(draw(st.floats(0.0, math.pi, exclude_max=True)))
+    return config, setting, model, gamma, bw_ps / 1e12
+
+
 class TestRateLevelHistogram:
     MODEL = TpwfModel(amplitude=1.0, corr_time=30e-9, phase=0.9)
 
@@ -338,6 +382,8 @@ class TestRateLevelHistogram:
         h1 = rate_level_histogram(self.cfg(), BALANCED(0.0), self.MODEL, 1.0, 4e-9)
         h2 = rate_level_histogram(self.cfg(), BALANCED(0.0), self.MODEL, 1.0, 4e-9)
         np.testing.assert_array_equal(h1.counts, h2.counts)
+        assert (h1.singles_a, h1.singles_b) == (h2.singles_a, h2.singles_b)
+        assert h1.mean_counts is not h2.mean_counts
 
     def test_flat_at_accidental_level_without_pairs(self):
         cfg = self.cfg(
@@ -385,6 +431,74 @@ class TestRateLevelHistogram:
         assert np.mean(np.abs(z) < 5.0) >= 0.99
         assert abs(z.mean()) < 4.0 / math.sqrt(z.size)
         assert 0.8 < z.std() < 1.25
+
+    # The means are computed once per inputs (simulate._rate_level_means);
+    # the histograms must be those of the inline computation.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rate_level_inputs())
+    def test_equals_inline_means(self, inputs):
+        config, setting, model, gamma, bin_width = inputs
+        expected = _inline_rate_level_means(config, setting, model, gamma, bin_width)
+        # The first call may fill the cache and the second hits it.
+        for _ in range(2):
+            h = rate_level_histogram(config, setting, model, gamma, bin_width)
+            assert h.mean_counts.dtype == expected.dtype
+            assert (h.mean_counts == expected).all()
+            rng = np.random.default_rng(config.seed)
+            assert (h.counts == rng.poisson(expected)).all()
+
+    def test_seeds_share_means_and_one_entry(self):
+        simulate._rate_level_means.cache_clear()
+        h1 = rate_level_histogram(self.cfg(seed=1), BALANCED(0.5), self.MODEL, 1.0, 4e-9)
+        h2 = rate_level_histogram(self.cfg(seed=2), BALANCED(0.5), self.MODEL, 1.0, 4e-9)
+        # jitter, dead time and the gate do not enter the means either
+        other = self.cfg(seed=3, jitter_sigma=1e-10, dead_time=1e-8, gate_period=1e-6)
+        h3 = rate_level_histogram(other, BALANCED(0.5), self.MODEL, ReferenceAmplitude(1.0), 4e-9)
+        assert (h1.mean_counts == h2.mean_counts).all()
+        assert (h1.mean_counts == h3.mean_counts).all()
+        assert not (h1.counts == h2.counts).all()
+        info = simulate._rate_level_means.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_returned_means_are_a_copy(self):
+        args = (self.cfg(), BALANCED(0.2), self.MODEL, 1.0, 4e-9)
+        h1 = rate_level_histogram(*args)
+        expected = h1.mean_counts.copy()
+        h1.mean_counts[:] = -1.0
+        h2 = rate_level_histogram(*args)
+        assert (h2.mean_counts == expected).all()
+        assert h2.mean_counts.flags.writeable
+        assert (h2.counts == h1.counts).all()
+
+    def test_cached_array_is_read_only(self):
+        rate_level_histogram(self.cfg(), BALANCED(0.2), self.MODEL, 1.0, 4e-9)
+        means = simulate._rate_level_means(
+            3000.0, 2000.0, 2000.0, 20.0, 300e-9, BALANCED(0.2), self.MODEL, 1.0, 4e-9
+        )
+        with pytest.raises(ValueError):
+            means[0] = 0.0
+
+    def test_cache_size_is_bounded(self):
+        simulate._rate_level_means.cache_clear()
+        for k in range(simulate._MEAN_CACHE_ENTRIES + 3):
+            rate_level_histogram(self.cfg(duration=1.0 + k), BALANCED(0.2), self.MODEL, 1.0, 4e-9)
+        assert simulate._rate_level_means.cache_info().currsize == simulate._MEAN_CACHE_ENTRIES
+
+    @pytest.mark.parametrize(
+        "kw, bin_width, error",
+        [
+            ({}, 0.0, ConfigError),
+            ({}, 7e-9, ConfigError),
+            ({"tau_window": 200e-9}, 4e-9, ConfigError),
+        ],
+    )
+    def test_bad_input_raises_on_every_call(self, kw, bin_width, error):
+        # the last case passes the binning checks and fails inside the
+        # cached function: a window of fewer than ten correlation times
+        model = TpwfModel(amplitude=1.0, corr_time=30e-9)
+        for _ in range(3):
+            with pytest.raises(error):
+                rate_level_histogram(self.cfg(**kw), BALANCED(0.0), model, 1.0, bin_width)
 
 
 class TestSegmentedGenerator:
