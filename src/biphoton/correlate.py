@@ -30,15 +30,22 @@ __all__ = [
 
 PS_PER_SECOND = 10**12
 
-# Upper bound on simultaneously materialized candidate pairs; keeps the
-# vectorized correlator's memory flat on dense streams.
-_PAIR_CHUNK = 4_000_000
+# Durations and tau_max stay below 2**62 ps (about 53 days), so that the
+# pair kernel's packed keys 2*t and its sums t + tau_max fit in int64.
+_LIMIT_PS = 2**62
 
 # Records per block of a time-tag stream: the unit in which tag files are
 # read and checked and in which streams are merged by cross_correlate.
 # 2**17 timestamps (1 MiB) keep a block and the pair kernel's index
 # arrays in cache.
 _BLOCK_RECORDS = 2**17
+
+# A tags per sub-chunk of the pair kernel: bounds its temporaries and
+# its buffer of binned pairs.  A step of the kernel's walk compares up to
+# _SUB_CHUNK // 16 pairs, split among the A tags still walking, so that
+# few A tags with many B partners each (a sparse A against a dense B)
+# take few steps.
+_SUB_CHUNK = 2**14
 
 
 def seconds_to_ps(t: float) -> int:
@@ -57,7 +64,17 @@ def check_binning(bin_width: float, tau_max: float) -> tuple[int, int]:
         raise ConfigError(f"bin_width must be >= 1 ps, got {bin_width}")
     if tmax_ps <= 0 or tmax_ps % bw_ps != 0:
         raise ConfigError("tau_max must be a positive multiple of bin_width")
+    if tmax_ps >= _LIMIT_PS:
+        raise ConfigError(f"tau_max must be below 2**62 ps, got {tau_max} s")
     return bw_ps, tmax_ps
+
+
+def _check_duration(duration: float) -> None:
+    """An acquisition's duration (s) must be positive and below 2**62 ps."""
+    if not duration > 0.0:
+        raise ConfigError(f"duration must be > 0, got {duration}")
+    if not duration * PS_PER_SECOND < _LIMIT_PS:
+        raise ConfigError(f"duration must be below 2**62 ps (about 53 days), got {duration} s")
 
 
 def check_acquisition(channel: str, duration: float, exposure: float | None) -> float:
@@ -65,8 +82,7 @@ def check_acquisition(channel: str, duration: float, exposure: float | None) -> 
     Returns the exposure, which defaults to the duration."""
     if channel not in ("A", "B"):
         raise ConfigError(f"channel must be 'A' or 'B', got {channel!r}")
-    if not duration > 0.0:
-        raise ConfigError(f"duration must be > 0, got {duration}")
+    _check_duration(duration)
     if exposure is None:
         exposure = duration
     if not 0.0 < exposure <= duration * (1.0 + 1e-12):
@@ -214,8 +230,10 @@ def cross_correlate(
     exposure, len() and blocks() (a file-backed one is io.TimeTagFile).
     Their blocks are merged in time: at most one A block is held, with
     the B tags that can still partner a pending A tag, and each A tag is
-    counted once all its partners are loaded.  Cost is O((N_a + N_b)
-    log(block) + pairs), and memory does not grow with the acquisition.
+    counted once all its partners are loaded.  Cost is O(N_a + N_b) for
+    the merges plus O(pairs).  Memory is bounded by the block and the
+    pair kernel's sub-chunk: it grows neither with the acquisition nor
+    with the pairs per tag.
     Every block of both streams is read, so a fault anywhere in either
     is raised.  Segment counts add: segments of a long acquisition may
     be processed independently (with tau_max overlap) and merged by
@@ -284,31 +302,63 @@ def _count_pairs(a, b, tmax_ps, bw_ps, counts) -> int:
     """Add the pairs of a against b with tau = a - b in [-T, T) to
     counts; return their number.
 
-    A binary search locates each A tag's B window, candidate pairs are
-    materialized at most _PAIR_CHUNK at a time, and bin indices are
-    accumulated with bincount.
+    a is taken _SUB_CHUNK tags at a time, against the B tags in the
+    sub-chunk's window (a[0] - T, a[-1] + T].  lo, the number of B tags
+    <= a - T, comes from one stable sort of the sorted runs 2*b and
+    2*(a - T) + 1, which timsort merges in one pass; at equal times the
+    B key sorts first.  Each A tag then walks forward through B from
+    b[lo] > a - T, so every pair it meets has tau < T, and stops at the
+    first b > a + T (sentinels stop it past the window).  While many
+    tags walk, each step takes one partner per tag; once few are left,
+    each takes a stride of partners, so that a sparse A against a dense
+    B costs few steps.  Cost is O(len(a) + len(b)) for the merges plus
+    O(pairs); every temporary, and the buffer of pairs not yet binned,
+    is bounded by the sub-chunk and b.
     """
-    if not b.size:
-        return 0
-    # tau in [-T, T)  <=>  b in (a - T, a + T]
-    lo = np.searchsorted(b, a - tmax_ps, side="right")
-    per_a = np.searchsorted(b, a + tmax_ps, side="right") - lo
-    cum = np.cumsum(per_a)
-    start = 0
-    while start < a.size:
-        base = cum[start - 1] if start > 0 else 0
-        stop = int(np.searchsorted(cum, base + _PAIR_CHUNK, side="left")) + 1
-        stop = min(max(stop, start + 1), a.size)
-        n_pairs = int(cum[stop - 1] - base)
-        if n_pairs:
-            seg_per = per_a[start:stop]
-            offsets = np.repeat(np.cumsum(seg_per) - seg_per, seg_per)
-            b_idx = np.repeat(lo[start:stop], seg_per) + (np.arange(n_pairs) - offsets)
-            tau = np.repeat(a[start:stop], seg_per) - b[b_idx]
-            k = (tau + tmax_ps) // bw_ps
-            counts += np.bincount(k, minlength=counts.size)
-        start = stop
-    return int(cum[-1])
+    # The widest stride; as many sentinels past the window stop any
+    # stride there.
+    widest = max(1, _SUB_CHUNK // 16)
+    total = held = 0
+    pending = []  # tau + T of the pairs not yet binned
+    for start in range(0, a.size, _SUB_CHUNK):
+        sub = a[start : start + _SUB_CHUNK]
+        window = b[
+            np.searchsorted(b, sub[0] - tmax_ps, side="right") :
+            np.searchsorted(b, sub[-1] + tmax_ps, side="right")
+        ]
+        keys = np.concatenate((window * 2, (sub - tmax_ps) * 2 + 1))
+        keys.sort(kind="stable")
+        j = np.flatnonzero(keys & 1)
+        j -= np.arange(sub.size)
+        partners = np.concatenate((window, np.full(widest, sub[-1] + tmax_ps + 1)))
+        shifted_a = sub + tmax_ps
+        while shifted_a.size:
+            stride = max(1, widest // shifted_a.size)
+            shifted = shifted_a[:, None] - partners[j[:, None] + np.arange(stride)]
+            inside = shifted >= 0  # a prefix of each row
+            found = shifted[inside]
+            go_on = np.flatnonzero(inside[:, -1])
+            if found.size:
+                pending.append(found)
+                held += found.size
+                if held >= _SUB_CHUNK:
+                    total += _bin_pending(pending, bw_ps, counts)
+                    held = 0
+            shifted_a = shifted_a[go_on]
+            j = j[go_on]
+            j += stride
+    if pending:
+        total += _bin_pending(pending, bw_ps, counts)
+    return total
+
+
+def _bin_pending(pending, bw_ps, counts) -> int:
+    """Add the pending tau + T values to counts, empty the list, and
+    return how many were added."""
+    shifted = np.concatenate(pending) if len(pending) > 1 else pending[0]
+    counts += np.bincount(shifted // bw_ps, minlength=counts.size)
+    pending.clear()
+    return shifted.size
 
 
 def normalize_g2(hist: CoincidenceHistogram):

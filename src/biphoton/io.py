@@ -169,14 +169,16 @@ def _check_header(path) -> tuple[int, int | None]:
     return n_records, (head[_HEADER.size] if n_records else None)
 
 
-def _record_blocks(path, n_records):
+def _record_blocks(path, n_records, code=None):
     """Yield (channels, timestamps_ps) arrays of a tag file whose header
     _check_header passed, block by block.
 
     Each block is checked before it is yielded: its channel bytes, then
     the timestamp order of each channel within the block and against the
-    last timestamp of the blocks before.  A fault raises DataError with
-    the byte offset of the first bad record.
+    last timestamp of the blocks before.  With a channel code, every
+    record must hold that channel; without one, each byte must be 0 or
+    1.  A fault raises DataError with the byte offset of the first bad
+    record.
     """
     size = _RECORD_DTYPE.itemsize
     last = {}  # channel code -> its last timestamp so far
@@ -194,19 +196,24 @@ def _record_blocks(path, n_records):
                 )
             channels = records["channel"]
             timestamps = records["timestamp"].astype(np.int64)
-            bad = np.flatnonzero(channels > 1)
+            bad = np.flatnonzero(channels > 1 if code is None else channels != code)
             if bad.size:
-                raise DataError(
-                    f"{path}: invalid channel byte {int(channels[bad[0]])}",
-                    byte_offset=offset + int(bad[0]) * size,
-                )
-            if np.all(channels == channels[0]):
+                byte = int(channels[bad[0]])
+                if byte in _CHANNEL_NAME:
+                    message = (f"expected a single-channel file of channel "
+                               f"{_CHANNEL_NAME[code]}, found a channel {_CHANNEL_NAME[byte]} record")
+                else:
+                    message = f"invalid channel byte {byte}"
+                raise DataError(f"{path}: {message}", byte_offset=offset + int(bad[0]) * size)
+            if code is not None:
+                groups = [(code, None)]
+            elif np.all(channels == channels[0]):
                 groups = [(int(channels[0]), None)]
             else:
-                groups = [(code, np.flatnonzero(channels == code)) for code in (0, 1)]
-            for code, idx in groups:
+                groups = [(c, np.flatnonzero(channels == c)) for c in (0, 1)]
+            for c, idx in groups:
                 ts = timestamps if idx is None else timestamps[idx]
-                if code in last and ts[0] < last[code]:
+                if c in last and ts[0] < last[c]:
                     drop = 0
                 else:
                     drops = np.flatnonzero(ts[1:] < ts[:-1])
@@ -214,10 +221,10 @@ def _record_blocks(path, n_records):
                 if drop is not None:
                     bad_record = drop if idx is None else int(idx[drop])
                     raise DataError(
-                        f"{path}: channel {_CHANNEL_NAME[code]} timestamps decrease",
+                        f"{path}: channel {_CHANNEL_NAME[c]} timestamps decrease",
                         byte_offset=offset + bad_record * size,
                     )
-                last[code] = ts[-1]
+                last[c] = ts[-1]
             yield channels, timestamps
             start += count
 
@@ -282,9 +289,7 @@ class TimeTagFile:
         """Yield the timestamps in checked blocks of at most _BLOCK_RECORDS."""
         code = _CHANNEL_CODE[self.channel]
         end_ps = self.duration * correlate.PS_PER_SECOND
-        for channels, timestamps in _record_blocks(self.path, self._n_records):
-            if np.any(channels != code):
-                raise DataError(f"{self.path}: expected a single-channel file")
+        for _, timestamps in _record_blocks(self.path, self._n_records, code):
             if timestamps[0] < 0:
                 raise DataError(f"{self.path}: timestamps must be >= 0")
             if timestamps[-1] >= end_ps:

@@ -28,6 +28,7 @@ from .correlate import (
     PS_PER_SECOND,
     CoincidenceHistogram,
     TimeTagStream,
+    _check_duration,
     _gate_open,
     _gate_period_ps,
     seconds_to_ps,
@@ -96,8 +97,7 @@ class SimConfig:
         for name in ("pair_rate", "singles_rate_a", "singles_rate_b"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0")
-        if not self.duration > 0.0:
-            raise ConfigError("duration must be > 0")
+        _check_duration(self.duration)
         if self.jitter_sigma < 0.0 or self.dead_time < 0.0:
             raise ConfigError("jitter_sigma and dead_time must be >= 0")
         if not self.tau_window > 0.0:

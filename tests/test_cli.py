@@ -443,6 +443,7 @@ class TestExitCodes:
             pytest.param("index", True, id="index-bool"),
             pytest.param("phi_rad", 4.0, id="phi_rad-out-of-range"),
             pytest.param("duration_s", -1.0, id="duration_s-negative"),
+            pytest.param("duration_s", 5e6, id="duration_s-above-2**62-ps"),
             pytest.param("exposure_s", 60.0, id="exposure_s-above-duration"),
         ],
     )
@@ -481,6 +482,18 @@ class TestExitCodes:
         finally:
             for path in set(run_dir.iterdir()) - before:
                 path.unlink()
+
+    def test_duration_above_2_62_ps_is_one_before_any_file(self, tmp_path):
+        # 60 days, at a pair rate low enough to pass the tag budget.
+        config = write_config(tmp_path, {
+            "sim.duration_s": 60 * 86400.0,
+            "sim.pair_rate_hz": 1e-6,
+            "sim.singles_rate_a_hz": 0.0,
+            "sim.singles_rate_b_hz": 0.0,
+        })
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 1
+        assert not out.exists()
 
     def test_zero_gamma_is_one(self, tmp_path):
         config = write_config(tmp_path, {"gamma": 0})

@@ -1,6 +1,7 @@
 """Correlator contracts: exact pair counting against a brute-force
 oracle, normalization, gating, and the histogram invariants."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -134,6 +135,30 @@ class TestCrossCorrelate:
         second = brute_force_counts(a[a >= cut], b, 4000, tmax_ps)
         np.testing.assert_array_equal(first + second, whole.counts)
 
+    def test_timestamps_just_below_the_int64_limit(self):
+        # 2 * t must fit in int64: tags up to 2**62 ps are counted exactly.
+        top = 2**62 - 10**4
+        duration = (top + 5000) / 1e12
+        assert duration * 1e12 < 2**62
+        a = top - np.array([20_000, 9000, 8000, 3000, 0])
+        b = top - np.array([17_000, 16_000, 8000, 2500, 0])
+        h = cross_correlate(stream("A", a, duration), stream("B", b, duration), 1e-9, 8e-9)
+        expected = brute_force_counts(a, b, 1000, 8000)
+        assert expected.sum() == 13  # with pairs at tau = -T (kept) and +T (dropped)
+        np.testing.assert_array_equal(h.counts, expected)
+
+    def test_duration_at_the_int64_limit_rejected(self):
+        duration = math.nextafter(2**62 / 1e12, math.inf)
+        assert duration * 1e12 >= 2**62
+        with pytest.raises(ConfigError, match="2\\*\\*62"):
+            stream("A", [0], duration)
+        with pytest.raises(ConfigError, match="2\\*\\*62"):
+            correlate.check_acquisition("B", duration, None)
+
+    def test_tau_max_at_the_int64_limit_rejected(self):
+        with pytest.raises(ConfigError, match="2\\*\\*62"):
+            correlate.check_binning(5e6, 5e6)
+
 
 # Sorted tag lists: 5 to 40 tags in a 20 ps span (dense, many equal
 # timestamps) or up to 120 in a 300 ps span, shifted by up to 300 ps so
@@ -147,8 +172,11 @@ TAGS_DURATION = 1e-9  # 1000 ps holds every drawn tag
 
 
 class TestStreamedCorrelation:
-    """The block-merged driver is exact at block edges, for in-memory
-    streams and for files, whatever the block size."""
+    """The block merge and the sub-chunked pair kernel are exact
+    at block and sub-chunk edges, for in-memory streams and for files,
+    whatever the block and sub-chunk sizes."""
+
+    WHOLE = correlate._SUB_CHUNK  # one sub-chunk per call of the kernel
 
     @settings(
         max_examples=250,
@@ -158,26 +186,44 @@ class TestStreamedCorrelation:
     )
     @given(
         block=st.integers(1, 4) | st.integers(1, 64),
+        sub=st.integers(1, 4) | st.integers(1, 64),
         a=TAGS,
         b=TAGS,
         bw=st.sampled_from([1, 2, 3, 7]),
         half_bins=st.integers(1, 40),
     )
     # equal timestamps on both sides of block edges
-    @example(block=2, a=[5] * 5, b=[5] * 3, bw=1, half_bins=1)
-    @example(block=3, a=[0, 4, 4, 4, 4, 9], b=[4, 4, 4, 4, 4, 4, 4], bw=1, half_bins=5)
+    @example(block=2, sub=WHOLE, a=[5] * 5, b=[5] * 3, bw=1, half_bins=1)
+    @example(block=3, sub=WHOLE, a=[0, 4, 4, 4, 4, 9], b=[4, 4, 4, 4, 4, 4, 4], bw=1, half_bins=5)
     # B tags equal to b_last at a + tau_max, the window's closed B edge
-    @example(block=1, a=[0], b=[4, 4], bw=1, half_bins=4)
+    @example(block=1, sub=WHOLE, a=[0], b=[4, 4], bw=1, half_bins=4)
     # an empty A or B file
-    @example(block=1, a=[], b=[1, 2, 3], bw=1, half_bins=4)
-    @example(block=1, a=[1, 2, 3], b=[], bw=1, half_bins=4)
+    @example(block=1, sub=WHOLE, a=[], b=[1, 2, 3], bw=1, half_bins=4)
+    @example(block=1, sub=WHOLE, a=[1, 2, 3], b=[], bw=1, half_bins=4)
     # B ends before A, and A before B
-    @example(block=2, a=[0, 1, 200, 250, 600], b=[0, 1, 2, 3], bw=1, half_bins=8)
-    @example(block=2, a=[0, 1, 2, 3], b=[0, 1, 200, 250, 600], bw=1, half_bins=8)
+    @example(block=2, sub=WHOLE, a=[0, 1, 200, 250, 600], b=[0, 1, 2, 3], bw=1, half_bins=8)
+    @example(block=2, sub=WHOLE, a=[0, 1, 2, 3], b=[0, 1, 200, 250, 600], bw=1, half_bins=8)
     # one window spanning many blocks
-    @example(block=1, a=[150], b=list(range(0, 300, 3)), bw=1, half_bins=120)
-    def test_matches_brute_force(self, tmp_path, monkeypatch, block, a, b, bw, half_bins):
+    @example(block=1, sub=WHOLE, a=[150], b=list(range(0, 300, 3)), bw=1, half_bins=120)
+    # tau = -T (kept) and tau = +T (dropped) on both sides of a sub-chunk edge
+    @example(block=64, sub=1, a=[10, 11], b=[6, 7, 14, 15], bw=1, half_bins=4)
+    @example(block=64, sub=2, a=[9, 10, 11, 12], b=[5, 6, 7, 8, 13, 14, 15, 16], bw=2, half_bins=2)
+    # equal A and B timestamps split across sub-chunks
+    @example(block=64, sub=2, a=[5] * 5, b=[5] * 3, bw=1, half_bins=1)
+    @example(block=2, sub=3, a=[5] * 4, b=[4, 5, 5, 6], bw=1, half_bins=1)
+    # a sub-chunk whose B window is empty
+    @example(block=64, sub=2, a=[0, 1, 100, 101, 200], b=[0, 2, 199, 201], bw=1, half_bins=4)
+    # B ends part-way through a walk
+    @example(block=64, sub=1, a=[10, 11], b=[3, 5, 8], bw=1, half_bins=8)
+    @example(block=64, sub=2, a=[0, 1, 2, 3], b=[0, 1, 2], bw=1, half_bins=8)
+    # an A burst with B tags inside (45, 55] and outside it
+    @example(block=64, sub=4, a=[50] * 6, b=[40, 45, 46, 50, 54, 55, 60], bw=1, half_bins=5)
+    # strides that end part-way past a B tag > a + T and past the window
+    @example(block=64, sub=64, a=[44, 50], b=[*range(40, 50), 50, 52, 54], bw=1, half_bins=5)
+    @example(block=64, sub=64, a=[50], b=list(range(41, 60)), bw=1, half_bins=5)
+    def test_matches_brute_force(self, tmp_path, monkeypatch, block, sub, a, b, bw, half_bins):
         monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
+        monkeypatch.setattr(correlate, "_SUB_CHUNK", sub)
         tmax = bw * half_bins
         expected = brute_force_counts(a, b, bw, tmax)
         mem_a = stream("A", a, TAGS_DURATION)
@@ -237,6 +283,16 @@ class TestStreamedMemory:
         small = traced_peak_of_file_correlation(tmp_path, 10**3, 10**5, 10**6, 100)
         large = traced_peak_of_file_correlation(tmp_path, 10**3, 8 * 10**5, 8 * 10**6, 100)
         assert large < 2 * small
+
+    def test_peak_does_not_grow_with_pairs_per_tag(self, tmp_path):
+        # The same 2e4 tags per stream at 1 ns and at 0.1 ns spacing: 16
+        # and 160 pairs per tag in the 8 ns window.
+        small = traced_peak_of_file_correlation(tmp_path, 2 * 10**4, 1000, 2 * 10**4, 1000)
+        large = traced_peak_of_file_correlation(tmp_path, 2 * 10**4, 100, 2 * 10**4, 100)
+        assert large < 2 * small
+        # A few 1 MiB blocks: no step of the walk compares more than a
+        # sub-chunk's worth of pairs.
+        assert large < 8 * 2**20
 
 
 class TestNormalize:

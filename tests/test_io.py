@@ -221,6 +221,22 @@ class TestBlockReader:
         assert_readers_fail_at(path, 16 + 9 * 9)
 
     @pytest.mark.parametrize("block", [1, 3, 4, 64])
+    def test_stray_channel_record_in_a_single_channel_file(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
+        path = tmp_path / "tags.bttg"
+        write_records(path, [(0, t) for t in range(5)] + [(1, 5)] + [(0, t) for t in range(6, 9)])
+        single_channel_readers = [
+            lambda p: bio.read_timetag_stream(p, duration=1.0, channel="A"),
+            lambda p: list(bio.TimeTagFile(p, "A", 1.0).blocks()),
+        ]
+        for read in single_channel_readers:
+            with pytest.raises(DataError, match="found a channel B record") as err:
+                read(path)
+            assert err.value.byte_offset == 16 + 5 * 9
+        channels, _ = bio.read_timetags(path)  # valid as a mixed-channel file
+        assert list(channels) == [0] * 5 + [1] + [0] * 3
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 64])
     def test_truncated_tail(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
         path = tmp_path / "tags.bttg"
