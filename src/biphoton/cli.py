@@ -93,6 +93,11 @@ class PipelineConfig:
     phase_threshold: float = 0.1
 
     def __post_init__(self):
+        for section, key, field, coerce, _ in _CONFIG_KEYS:
+            value = getattr(self.model if section == "model" else self, field)
+            if coerce is float and value is not None and not math.isfinite(value):
+                name = key if section is None else f"{section}.{key}"
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.gamma > 0.0:
             raise ConfigError(f"gamma must be > 0 (the inversion divides by it), got {self.gamma}")
         if self.background_mode not in BACKGROUND_MODES:
@@ -205,7 +210,7 @@ def _simulate_setting(config: PipelineConfig, index: int, out_dir: str) -> dict:
         "n_tags_a": writer_a.n_records,
         "n_tags_b": writer_b.n_records,
         "duration_s": sim.duration,
-        "exposure_s": sim.exposure(),
+        "exposure_s": sim.duration,
     }
 
 

@@ -139,12 +139,6 @@ class TimeTagStream:
         for start in range(0, ts.size, step):
             yield ts[start : start + step]
 
-    def shifted(self, offset_ps: int) -> "TimeTagStream":
-        """Same clicks translated by offset_ps, duration grown to fit."""
-        ts = self.timestamps_ps + np.int64(offset_ps)
-        duration = self.duration + max(offset_ps, 0) / PS_PER_SECOND
-        return TimeTagStream(self.channel, ts, duration, self.exposure)
-
 
 @dataclass
 class CoincidenceHistogram:
@@ -384,27 +378,17 @@ def apply_gate(stream: TimeTagStream, period: float, open_fraction: float) -> Ti
     the effective acquisition time by open_fraction so downstream
     normalization stays consistent.
     """
-    period_ps = _gate_period_ps(period, open_fraction)
-    if open_fraction == 1.0:
-        return stream
-    return TimeTagStream._from_checked(
-        stream.channel,
-        stream.timestamps_ps[_gate_open(stream.timestamps_ps, period_ps, open_fraction)],
-        stream.duration,
-        stream.exposure * open_fraction,
-    )
-
-
-def _gate_period_ps(period: float, open_fraction: float) -> int:
-    """Check a gate's period (s) and open fraction; return the period in ps."""
     if not 0.0 < open_fraction <= 1.0:
         raise ConfigError(f"open_fraction must be in (0, 1], got {open_fraction}")
     period_ps = seconds_to_ps(period)
     if period_ps <= 0:
         raise ConfigError(f"period must be >= 1 ps, got {period}")
-    return period_ps
-
-
-def _gate_open(timestamps_ps: np.ndarray, period_ps: int, open_fraction: float) -> np.ndarray:
-    """Mask of the timestamps that fall in the open part of their period."""
-    return (timestamps_ps % period_ps) < open_fraction * period_ps
+    if open_fraction == 1.0:
+        return stream
+    ts = stream.timestamps_ps
+    return TimeTagStream._from_checked(
+        stream.channel,
+        ts[(ts % period_ps) < open_fraction * period_ps],
+        stream.duration,
+        stream.exposure * open_fraction,
+    )

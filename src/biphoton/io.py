@@ -319,6 +319,10 @@ def read_timetag_stream(
 
 # --- JSON ------------------------------------------------------------
 
+# Spaces per nesting level in every JSON file written.
+_JSON_INDENT = 2
+
+
 def _format_float(x: float) -> str:
     if math.isnan(x):
         return "NaN"
@@ -341,9 +345,9 @@ def _encode_flat(arr: np.ndarray):
     return None
 
 
-def _encode(obj, indent, level):
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _encode(obj, level):
+    pad = " " * (_JSON_INDENT * level)
+    inner = " " * (_JSON_INDENT * (level + 1))
     if obj is None:
         return "null"
     if obj is True:
@@ -365,21 +369,21 @@ def _encode(obj, indent, level):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_encode(v, indent, level + 1) for v in obj]
+        items = [_encode(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{json.dumps(str(k))}: {_encode(v, indent, level + 1)}" for k, v in obj.items()
+            f"{json.dumps(str(k))}: {_encode(v, level + 1)}" for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
+def dumps_json(obj) -> str:
     """Serialize with floats at 17 significant digits (lossless)."""
-    return _encode(obj, indent, 0) + "\n"
+    return _encode(obj, 0) + "\n"
 
 
 def write_json(path, obj):

@@ -324,11 +324,11 @@ def reconstruct_values(
 ) -> ReconstructedTpwf:
     """Reconstruct from normalized rate arrays (the histogram-free core).
 
-    counts arrays enable Poisson error propagation; without them every
-    sigma is zero (exact input).  wing_level feeds the background
-    subtraction when background_mode is 'wing_subtract': the flat term is
-    separated from the reference level by two fixed-point iterations of
-    subtract -> re-estimate gamma.
+    The three counts arrays, given together, enable Poisson error
+    propagation; without them every sigma is zero (exact input).
+    wing_level feeds the background subtraction when background_mode is
+    'wing_subtract': the flat term is separated from the reference level
+    by two fixed-point iterations of subtract -> re-estimate gamma.
     """
     if background_mode not in BACKGROUND_MODES:
         raise ConfigError(f"unknown background_mode {background_mode!r}")
@@ -340,7 +340,10 @@ def reconstruct_values(
         if v.shape != tau.shape:
             raise ConfigError("rate arrays must match tau in shape")
 
-    have_counts = counts0 is not None and counts1 is not None and counts2 is not None
+    given = [c is not None for c in (counts0, counts1, counts2)]
+    if any(given) and not all(given):
+        raise ConfigError("give all three counts arrays or none")
+    have_counts = all(given)
     if have_counts:
         var_y = np.array(
             [

@@ -29,8 +29,7 @@ from .correlate import (
     CoincidenceHistogram,
     TimeTagStream,
     _check_duration,
-    _gate_open,
-    _gate_period_ps,
+    check_binning,
     seconds_to_ps,
 )
 from .errors import ConfigError, NumericalError
@@ -65,6 +64,10 @@ _JITTER_BOUND_SIGMAS = 8.0
 # Rate-level mean arrays kept by _rate_level_means; a many-seed study of
 # one config needs one per analyzer setting.
 _MEAN_CACHE_ENTRIES = 8
+# Bound on a config's expected click total (SimConfig.validate_budget), so
+# that a bad config can neither exhaust memory in generate_stream, which
+# holds the whole acquisition, nor fill the disk through generate_blocks.
+_MAX_EXPECTED_TAGS = 5e7
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,7 @@ class SimConfig:
     coincidence rate averaged over the analyzer period; individual
     settings collect more or fewer pairs as the interference dictates.
     tau_window is the half-width of the pair-delay truncation window.
-    max_expected_tags bounds the expected total click count, so that a
-    bad config can neither exhaust memory in generate_stream, which
-    holds the whole acquisition, nor fill the disk through
-    generate_blocks.
+    The live time (exposure) of a run is its duration.
     """
 
     pair_rate: float
@@ -89,9 +89,6 @@ class SimConfig:
     dead_time: float = 0.0
     tau_window: float = 400e-9
     seed: int = 0
-    gate_period: float | None = None
-    gate_open_fraction: float = 1.0
-    max_expected_tags: float = 5e7
 
     def __post_init__(self):
         for name in ("pair_rate", "singles_rate_a", "singles_rate_b"):
@@ -102,27 +99,17 @@ class SimConfig:
             raise ConfigError("jitter_sigma and dead_time must be >= 0")
         if not self.tau_window > 0.0:
             raise ConfigError("tau_window must be > 0")
-        if self.gate_period is not None and not self.gate_period > 0.0:
-            raise ConfigError("gate_period must be > 0 when set")
-        if not 0.0 < self.gate_open_fraction <= 1.0:
-            raise ConfigError("gate_open_fraction must be in (0, 1]")
 
     def expected_tags(self) -> float:
         """Expected click total over both channels before dead time."""
         per_channel = 2.0 * self.pair_rate + self.singles_rate_a + self.singles_rate_b
         return per_channel * self.duration
 
-    def exposure(self) -> float:
-        """Live time: the duration, scaled by the gate's open fraction."""
-        if self.gate_period is None:
-            return self.duration
-        return self.duration * self.gate_open_fraction
-
     def validate_budget(self):
-        if self.expected_tags() > self.max_expected_tags:
+        if self.expected_tags() > _MAX_EXPECTED_TAGS:
             raise ConfigError(
                 f"expected tag count {self.expected_tags():.3g} exceeds the "
-                f"memory budget of {self.max_expected_tags:.3g}"
+                f"memory budget of {_MAX_EXPECTED_TAGS:.3g}"
             )
 
 
@@ -140,7 +127,7 @@ def _trapezoid(values: np.ndarray, dx: float) -> float:
     return float((0.5 * (values[1:] + values[:-1]) * dx).sum())
 
 
-def _neutral_mass(model: TpwfModel, gamma, window: float, grid_points: int = _CDF_GRID_POINTS) -> float:
+def _neutral_mass(model: TpwfModel, gamma, window: float) -> float:
     """Interference-free pair-delay mass: the trapezoid of
     gamma^2 + |psi|^2 over the sampler grid on [-window, window].
 
@@ -156,7 +143,7 @@ def _neutral_mass(model: TpwfModel, gamma, window: float, grid_points: int = _CD
             f"tau_window {window:.3g} s is below {_MIN_WINDOW_CORR_TIMES} "
             f"correlation times ({model.corr_time:.3g} s)"
         )
-    grid = np.linspace(-window, window, grid_points)
+    grid = np.linspace(-window, window, _CDF_GRID_POINTS)
     interference_free = _gamma_value(gamma) ** 2 + np.abs(tpwf_eval(model, grid)) ** 2
     return _trapezoid(interference_free, grid[1] - grid[0])
 
@@ -170,16 +157,9 @@ class PairDelaySampler:
     rejection-sampling worst case because the density is smooth.
     """
 
-    def __init__(
-        self,
-        setting: AnalyzerSetting,
-        model: TpwfModel,
-        gamma,
-        window: float,
-        grid_points: int = _CDF_GRID_POINTS,
-    ):
-        neutral_mass = _neutral_mass(model, gamma, window, grid_points)
-        grid = np.linspace(-window, window, grid_points)
+    def __init__(self, setting: AnalyzerSetting, model: TpwfModel, gamma, window: float):
+        neutral_mass = _neutral_mass(model, gamma, window)
+        grid = np.linspace(-window, window, _CDF_GRID_POINTS)
         dx = grid[1] - grid[0]
         density = forward_g2(setting, gamma, tpwf_eval(model, grid), 0.0)
         total = _trapezoid(density, dx)
@@ -354,19 +334,16 @@ def generate_blocks(
     segment and are merged in order.  Final clicks then pass the
     non-paralyzable dead time, whose state across a boundary is the last
     kept timestamp (prepended to the block, which the filter always
-    keeps, and dropped again), and the gate.  Memory is bounded by the
-    segment size, not by the duration.  Identical inputs and seed give
-    bit-identical blocks.
+    keeps, and dropped again).  Memory is bounded by the segment size,
+    not by the duration.  Identical inputs and seed give bit-identical
+    blocks.
     """
     config.validate_budget()
     sampler = PairDelaySampler(setting, model, gamma, config.tau_window)
-    period_ps = None
-    if config.gate_period is not None:
-        period_ps = _gate_period_ps(config.gate_period, config.gate_open_fraction)
-    return _blocks(config, sampler, period_ps)
+    return _blocks(config, sampler)
 
 
-def _blocks(config: SimConfig, sampler: PairDelaySampler, period_ps):
+def _blocks(config: SimConfig, sampler: PairDelaySampler):
     edges = _segment_edges(config)
     dead_ps = seconds_to_ps(config.dead_time)
     # Largest distance from an event to its click, plus a margin for the
@@ -374,7 +351,6 @@ def _blocks(config: SimConfig, sampler: PairDelaySampler, period_ps):
     spill = 0.5 * config.tau_window + _JITTER_BOUND_SIGMAS * config.jitter_sigma
     spill += 4.0 * np.finfo(float).eps * (config.duration + config.tau_window)
     spill_ps = math.ceil(spill * PS_PER_SECOND) + 1
-    gated = period_ps is not None and config.gate_open_fraction < 1.0
     carry = [np.empty(0, dtype=np.int64)] * 2
     # A start value dead_ps before 0 lets the first click through.
     last_kept = [-dead_ps, -dead_ps]
@@ -392,8 +368,6 @@ def _blocks(config: SimConfig, sampler: PairDelaySampler, period_ps):
                 ts = _dead_time_filter(np.concatenate(([last_kept[ch]], ts)), dead_ps)[1:]
                 if ts.size:
                     last_kept[ch] = ts[-1]
-            if gated:
-                ts = ts[_gate_open(ts, period_ps, config.gate_open_fraction)]
             block.append(ts)
         yield tuple(block)
 
@@ -407,7 +381,7 @@ def generate_stream(
     """Simulate one acquisition, returning the (A, B) click streams.
 
     The clicks are those of generate_blocks, concatenated; the exposure is
-    config.exposure().  Identical inputs and seed give bit-identical
+    config.duration.  Identical inputs and seed give bit-identical
     streams.
     """
     blocks = list(generate_blocks(config, setting, model, gamma))
@@ -416,7 +390,6 @@ def generate_stream(
             channel,
             np.concatenate([block[ch] for block in blocks]),
             config.duration,
-            config.exposure(),
         )
         for ch, channel in enumerate("AB")
     )
@@ -440,12 +413,7 @@ def rate_level_histogram(
     The means do not depend on the seed and are computed once per inputs
     (_rate_level_means); only the Poisson draws are made per call.
     """
-    bw_ps = seconds_to_ps(bin_width)
-    if bw_ps <= 0:
-        raise ConfigError(f"bin_width must be >= 1 ps, got {bin_width}")
-    window_ps = seconds_to_ps(config.tau_window)
-    if window_ps % bw_ps != 0:
-        raise ConfigError("tau_window must be an integer multiple of bin_width")
+    bw_ps, window_ps = check_binning(bin_width, config.tau_window)
     means = _rate_level_means(
         config.pair_rate,
         config.singles_rate_a,
@@ -495,8 +463,8 @@ def _rate_level_means(
     """Per-bin expected coincidence counts of rate_level_histogram, as a
     read-only array.
 
-    Keyed on the inputs the means depend on: the seed, jitter, dead time
-    and gate do not enter, so the three settings of a many-seed study
+    Keyed on the inputs the means depend on: the seed, jitter and dead
+    time do not enter, so the three settings of a many-seed study
     take three entries however many seeds it runs.  gamma is the float
     of _gamma_value, so a float and the equal ReferenceAmplitude share an
     entry; the cache is typed, so an int rate and the equal float, whose

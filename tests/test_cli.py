@@ -10,15 +10,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import io as bio
-from biphoton.cli import MANIFEST_NAME, PipelineConfig, main
+from biphoton.cli import _CONFIG_KEYS, MANIFEST_NAME, PipelineConfig, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 MISSING = object()
+
+# (section, key, field) of every float value of the config format.
+FLOAT_KEYS = [(section, key, field) for section, key, field, coerce, _ in _CONFIG_KEYS
+              if coerce is float]
 
 FAST_CONFIG = {
     "seed": 97,
@@ -124,6 +128,8 @@ class TestPipelineConfig:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(obj=config_dicts())
+    @example(obj={"model": {"phase_rad": math.nan}})
+    @example(obj={"sim": {"jitter_sigma_ps": math.inf}})
     def test_any_json_dict_loads_or_raises_config_error(self, obj):
         from biphoton import ConfigError
 
@@ -132,6 +138,9 @@ class TestPipelineConfig:
         except ConfigError:
             return
         assert isinstance(config, PipelineConfig)
+        for section, key, field in FLOAT_KEYS:
+            value = getattr(config.model if section == "model" else config, field)
+            assert value is None or math.isfinite(value), key
 
 
 class TestPipeline:
@@ -493,6 +502,17 @@ class TestExitCodes:
         })
         out = tmp_path / "o"
         assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("key", [key if section is None else f"{section}.{key}"
+                                     for section, key, _ in FLOAT_KEYS])
+    def test_non_finite_value_is_one_before_any_file(self, tmp_path, capsys, key, value):
+        # json writes Infinity and NaN, which json loads as floats.
+        config = write_config(tmp_path, {key: value})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
     def test_zero_gamma_is_one(self, tmp_path):

@@ -106,7 +106,7 @@ class TestCrossCorrelate:
         h0 = cross_correlate(stream("A", a, 1.0), stream("B", b, 1.0), 4e-9, 40e-9)
         shift = 123_456_789
         h1 = cross_correlate(
-            stream("A", a + shift, 1.0).shifted(0),
+            stream("A", a + shift, 1.0),
             stream("B", b + shift, 1.0),
             4e-9,
             40e-9,

@@ -459,6 +459,16 @@ class TestReconstructValues:
         with pytest.raises(ConfigError):
             reconstruct_values(tau, ones, ones, ones, gamma_mode="bogus")
 
+    @pytest.mark.parametrize("missing", [0, 1, 2])
+    def test_partial_counts_rejected(self, missing):
+        # Two counts arrays of three would propagate no error at all.
+        tau = np.zeros(3)
+        ones = np.ones(3)
+        counts = [np.full(3, 100)] * 3
+        counts[missing] = None
+        with pytest.raises(ConfigError):
+            reconstruct_values(tau, ones, ones, ones, *counts)
+
 
 class TestReconstructCurve:
     MODEL = TpwfModel(amplitude=0.9, corr_time=39.3e-9, phase=0.9)

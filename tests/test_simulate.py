@@ -219,10 +219,9 @@ class TestGenerateStream:
             duration=1.0,
             tau_window=300e-9,
             seed=12,
-            gate_period=1e-3,
-            gate_open_fraction=0.25,
         )
-        a, b = generate_stream(cfg, BALANCED(0.0), self.MODEL, 1.0)
+        streams = generate_stream(cfg, BALANCED(0.0), self.MODEL, 1.0)
+        a, b = (apply_gate(s, 1e-3, 0.25) for s in streams)
         assert a.exposure == pytest.approx(0.25)
         assert np.all((a.timestamps_ps % 10**9) < 0.25e9)
         assert abs(len(a) - 12_500) < 5 * math.sqrt(12_500)
@@ -451,8 +450,8 @@ class TestRateLevelHistogram:
         simulate._rate_level_means.cache_clear()
         h1 = rate_level_histogram(self.cfg(seed=1), BALANCED(0.5), self.MODEL, 1.0, 4e-9)
         h2 = rate_level_histogram(self.cfg(seed=2), BALANCED(0.5), self.MODEL, 1.0, 4e-9)
-        # jitter, dead time and the gate do not enter the means either
-        other = self.cfg(seed=3, jitter_sigma=1e-10, dead_time=1e-8, gate_period=1e-6)
+        # jitter and dead time do not enter the means either
+        other = self.cfg(seed=3, jitter_sigma=1e-10, dead_time=1e-8)
         h3 = rate_level_histogram(other, BALANCED(0.5), self.MODEL, ReferenceAmplitude(1.0), 4e-9)
         assert (h1.mean_counts == h2.mean_counts).all()
         assert (h1.mean_counts == h3.mean_counts).all()
@@ -490,10 +489,12 @@ class TestRateLevelHistogram:
             ({}, 0.0, ConfigError),
             ({}, 7e-9, ConfigError),
             ({"tau_window": 200e-9}, 4e-9, ConfigError),
+            ({}, math.nan, ConfigError),
+            ({}, math.inf, ConfigError),
         ],
     )
     def test_bad_input_raises_on_every_call(self, kw, bin_width, error):
-        # the last case passes the binning checks and fails inside the
+        # the 200 ns window passes the binning checks and fails inside the
         # cached function: a window of fewer than ten correlation times
         model = TpwfModel(amplitude=1.0, corr_time=30e-9)
         for _ in range(3):
@@ -637,27 +638,6 @@ class TestSegmentedGenerator:
             want = np.sort(np.concatenate([d[ch] for d in draws]))
             assert want.size > 100
             np.testing.assert_array_equal(got[ch], want)
-
-    def test_gate_on_blocks(self, monkeypatch):
-        # Gating block by block keeps what apply_gate keeps on the whole
-        # stream.
-        monkeypatch.setattr(simulate, "_SEGMENT_CLICKS", 2**10)
-        base = dict(
-            pair_rate=0.0,
-            singles_rate_a=5e4,
-            singles_rate_b=5e4,
-            duration=0.5,
-            tau_window=300e-9,
-            seed=31,
-        )
-        gated = generate_stream(
-            SimConfig(gate_period=1e-3, gate_open_fraction=0.25, **base), BALANCED(0.0), self.MODEL, 1.0
-        )
-        plain = generate_stream(SimConfig(**base), BALANCED(0.0), self.MODEL, 1.0)
-        for got, raw in zip(gated, plain):
-            want = apply_gate(raw, 1e-3, 0.25)
-            np.testing.assert_array_equal(got.timestamps_ps, want.timestamps_ps)
-            assert got.exposure == want.exposure == pytest.approx(0.125)
 
     def test_memory_flat_in_duration(self, tmp_path):
         # Generator plus tag writers: the traced peak at 4x the duration
