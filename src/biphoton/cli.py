@@ -26,7 +26,13 @@ from .model import RECONSTRUCTION_PHASES, AnalyzerSetting, TpwfModel
 from .reconstruct import BACKGROUND_MODES, GAMMA_MODES, PhaseTriple, reconstruct_curve
 # generate_stream is not called here; perfbench/child.py wraps it as an
 # attribute of this module, so the name stays importable from it.
-from .simulate import SimConfig, derive_setting_seed, generate_blocks, generate_stream  # noqa: F401
+from .simulate import (  # noqa: F401
+    SimConfig,
+    _neutral_mass,
+    derive_setting_seed,
+    generate_blocks,
+    generate_stream,
+)
 
 __all__ = ["PipelineConfig", "main"]
 
@@ -106,6 +112,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown gamma_mode {self.gamma_mode!r}")
         check_binning(self.bin_width, self.tau_max)
         self.sim_config(0)  # validates rates, durations, window
+        _neutral_mass(self.model, self.gamma, self.tau_window)  # the density stays finite
 
     def sim_config(self, setting_index: int) -> SimConfig:
         return SimConfig(

@@ -13,8 +13,9 @@ Time-tag binary layout (fixed width, seekable, trivially parseable):
 
 JSON documents carry explicit units in their field names and serialize
 floats with 17 significant digits, which round-trips IEEE doubles
-exactly.  All writes go through a temp file and rename, so readers never
-see a partial file.
+exactly.  A JSON file is written one array at a time, so no more than
+one array's text is held.  All writes go through a temp file and rename,
+so readers never see a partial file.
 """
 
 from __future__ import annotations
@@ -59,19 +60,6 @@ _CHANNEL_NAME = {0: "A", 1: "B"}
 HISTOGRAM_FORMAT = "coincidence-histogram/1"
 RECON_FORMAT = "tpwf-reconstruction/1"
 FIT_FORMAT = "fit-result/1"
-
-
-def _atomic_write_bytes(path, data: bytes):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 class TimeTagWriter:
@@ -178,12 +166,15 @@ def _record_blocks(path, n_records, code=None):
     last timestamp of the blocks before.  With a channel code, every
     record must hold that channel; without one, each byte must be 0 or
     1.  A fault raises DataError with the byte offset of the first bad
-    record.
+    record.  With a channel code, channels is None, so that a suspended
+    reader holds one block of timestamps and not the records it was read
+    from.
     """
     size = _RECORD_DTYPE.itemsize
     last = {}  # channel code -> its last timestamp so far
     start = 0
-    with open(path, "rb") as fh:
+    # Unbuffered: np.fromfile reads through a descriptor of its own.
+    with open(path, "rb", buffering=0) as fh:
         fh.seek(_HEADER.size)
         while start < n_records:
             count = min(correlate._BLOCK_RECORDS, n_records - start)
@@ -225,6 +216,9 @@ def _record_blocks(path, n_records, code=None):
                         byte_offset=offset + bad_record * size,
                     )
                 last[c] = ts[-1]
+            records = None
+            if code is not None:
+                channels = None
             yield channels, timestamps
             start += count
 
@@ -331,23 +325,27 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _encode_flat(arr: np.ndarray):
-    """The items of a 1-d bool, int or float array as _encode writes them
-    one by one, in one pass; None for any other array."""
+def _encode_flat(arr: np.ndarray, sep: str):
+    """The items of a 1-d bool, int or float array as _encode_scalar
+    writes them, joined by sep, in one pass; None for any other array."""
     kind = arr.dtype.kind
     if kind == "b":
-        return ["true" if v else "false" for v in arr.tolist()]
+        return sep.join(["true" if v else "false" for v in arr.tolist()])
     if kind in "iu":
-        return [str(v) for v in arr.tolist()]
+        return sep.join(map(str, arr.tolist()))
     # Wider floats come out of tolist() as np.longdouble, not float.
     if kind == "f" and arr.itemsize <= 8:
-        return [_format_float(v) for v in arr.tolist()]
+        values = arr.tolist()
+        specs = ["%.17g"] * len(values)
+        # "%.17g" writes nan and inf, which JSON spells NaN and Infinity.
+        for i in np.flatnonzero(~np.isfinite(arr)).tolist():
+            specs[i] = "%s"
+            values[i] = _format_float(values[i])
+        return sep.join(specs) % tuple(values)
     return None
 
 
-def _encode(obj, level):
-    pad = " " * (_JSON_INDENT * level)
-    inner = " " * (_JSON_INDENT * (level + 1))
+def _encode_scalar(obj) -> str:
     if obj is None:
         return "null"
     if obj is True:
@@ -360,34 +358,68 @@ def _encode(obj, level):
         return _format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _encode(obj, level):
+    """Yield the JSON text of obj, nested level deep, in pieces; the
+    items of a 1-d bool, int or float array are one piece."""
+    pad = " " * (_JSON_INDENT * level)
+    inner = pad + " " * _JSON_INDENT
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.size:
-            items = _encode_flat(obj)
-            if items is not None:
-                return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        if obj.ndim == 0:
+            raise TypeError(f"cannot serialize a 0-d {obj.dtype} array")
+        items = _encode_flat(obj, ",\n" + inner) if obj.ndim == 1 and obj.size else None
+        if items is not None:
+            yield "[\n" + inner
+            yield items
+            yield "\n" + pad + "]"
+            return
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = [_encode(v, level + 1) for v in obj]
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
+            yield "[]"
+            return
+        sep = "[\n"
+        for value in obj:
+            yield sep + inner
+            yield from _encode(value, level + 1)
+            sep = ",\n"
+        yield "\n" + pad + "]"
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [
-            f"{json.dumps(str(k))}: {_encode(v, level + 1)}" for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            yield "{}"
+            return
+        sep = "{\n"
+        for key, value in obj.items():
+            yield f"{sep}{inner}{json.dumps(str(key))}: "
+            yield from _encode(value, level + 1)
+            sep = ",\n"
+        yield "\n" + pad + "}"
+    else:
+        yield _encode_scalar(obj)
 
 
 def dumps_json(obj) -> str:
     """Serialize with floats at 17 significant digits (lossless)."""
-    return _encode(obj, 0) + "\n"
+    return "".join(_encode(obj, 0)) + "\n"
 
 
 def write_json(path, obj):
-    _atomic_write_bytes(path, dumps_json(obj).encode("utf-8"))
+    """Write dumps_json(obj) to path piece by piece, so that no more than
+    one array's text is held.  The text goes to a temp file in the
+    target directory, renamed to path once it is complete."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(_encode(obj, 0))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_json(path):
@@ -410,8 +442,8 @@ def _setting_from_dict(obj):
     return AnalyzerSetting(theta=float(obj["theta_rad"]), phi=float(obj["phi_rad"]))
 
 
-# The *_to_dict documents hold their arrays as ndarrays, which dumps_json
-# writes in one pass.
+# The *_to_dict documents hold their arrays as ndarrays, which the JSON
+# encoder writes each in one pass.
 def histogram_to_dict(hist: CoincidenceHistogram) -> dict:
     return {
         "format": HISTOGRAM_FORMAT,

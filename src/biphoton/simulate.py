@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlate import (
+    _LIMIT_PS,
     PS_PER_SECOND,
     CoincidenceHistogram,
     TimeTagStream,
@@ -61,6 +62,10 @@ _SEGMENT_MIN_WINDOWS = 64
 # Timing jitter is clipped at this many sigmas (a two-sided tail of
 # 1.2e-15), which bounds how far a click lands from its event.
 _JITTER_BOUND_SIGMAS = 8.0
+# Bound on the interference-free pair-delay density: the interference
+# density is at most twice it, and the trapezoid adds two neighbours, so
+# the sampler's sums stay finite below it.
+_MAX_DENSITY = np.finfo(float).max / 4
 # Rate-level mean arrays kept by _rate_level_means; a many-seed study of
 # one config needs one per analyzer setting.
 _MEAN_CACHE_ENTRIES = 8
@@ -99,6 +104,16 @@ class SimConfig:
             raise ConfigError("jitter_sigma and dead_time must be >= 0")
         if not self.tau_window > 0.0:
             raise ConfigError("tau_window must be > 0")
+        if not self.click_spill() * PS_PER_SECOND < _LIMIT_PS:
+            raise ConfigError(
+                "tau_window / 2 plus the jitter bound "
+                f"({_JITTER_BOUND_SIGMAS:g} jitter sigmas) must be below 2**62 ps"
+            )
+
+    def click_spill(self) -> float:
+        """Largest distance (s) from an event to one of its clicks:
+        half the pair-delay window plus the clipped jitter."""
+        return 0.5 * self.tau_window + _JITTER_BOUND_SIGMAS * self.jitter_sigma
 
     def expected_tags(self) -> float:
         """Expected click total over both channels before dead time."""
@@ -136,16 +151,25 @@ def _neutral_mass(model: TpwfModel, gamma, window: float) -> float:
     phi-independent reference keeps one common scale across the three
     settings (it equals the mean of the per-setting masses over the
     analyzer period).  The window must span _MIN_WINDOW_CORR_TIMES
-    correlation times.
+    correlation times, and the density must stay below _MAX_DENSITY, so
+    that neither this mass nor the sampler's overflows.
     """
     if window < _MIN_WINDOW_CORR_TIMES * model.corr_time:
         raise ConfigError(
             f"tau_window {window:.3g} s is below {_MIN_WINDOW_CORR_TIMES} "
             f"correlation times ({model.corr_time:.3g} s)"
         )
+    g = _gamma_value(gamma)
+    too_large = "gamma and model.amplitude are too large: the pair-delay density overflows"
+    if not g < math.sqrt(_MAX_DENSITY):
+        raise ConfigError(too_large)
     grid = np.linspace(-window, window, _CDF_GRID_POINTS)
-    interference_free = _gamma_value(gamma) ** 2 + np.abs(tpwf_eval(model, grid)) ** 2
-    return _trapezoid(interference_free, grid[1] - grid[0])
+    with np.errstate(over="ignore"):
+        interference_free = g**2 + np.abs(tpwf_eval(model, grid)) ** 2
+        mass = _trapezoid(interference_free, grid[1] - grid[0])
+    if not (interference_free.max() < _MAX_DENSITY and math.isfinite(2.0 * mass)):
+        raise ConfigError(too_large)
+    return mass
 
 
 class PairDelaySampler:
@@ -348,7 +372,7 @@ def _blocks(config: SimConfig, sampler: PairDelaySampler):
     dead_ps = seconds_to_ps(config.dead_time)
     # Largest distance from an event to its click, plus a margin for the
     # floating-point rounding of the click time.
-    spill = 0.5 * config.tau_window + _JITTER_BOUND_SIGMAS * config.jitter_sigma
+    spill = config.click_spill()
     spill += 4.0 * np.finfo(float).eps * (config.duration + config.tau_window)
     spill_ps = math.ceil(spill * PS_PER_SECOND) + 1
     carry = [np.empty(0, dtype=np.int64)] * 2

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -512,6 +513,31 @@ class TestExitCodes:
         config = write_config(tmp_path, {key: value})
         out = tmp_path / "o"
         assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("model.amplitude", 1e160), ("model.amplitude", 1e300), ("gamma", 1e300)],
+    )
+    def test_overflowing_density_is_one_before_any_file(self, tmp_path, capsys, key, value):
+        # Finite, but the pair-delay density gamma^2 + |psi|^2 overflows.
+        config = write_config(tmp_path, {key: value, "sim.duration_s": 0.05})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["sim.jitter_sigma_ps", "sim.tau_window_ns"])
+    def test_click_spill_above_2_62_ps_is_one_before_any_file(self, tmp_path, capsys, key):
+        # Finite, but a click could land beyond the int64 timestamp range.
+        config = write_config(tmp_path, {key: 1e300, "sim.duration_s": 0.05})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 

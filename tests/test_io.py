@@ -6,6 +6,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,8 +23,12 @@ from biphoton import (
     TimeTagStream,
     TpwfModel,
     RECONSTRUCTION_PHASES,
+    PhaseTriple,
     ReconstructedTpwf,
+    SimConfig,
     fit_double_exponential,
+    rate_level_histogram,
+    reconstruct_curve,
     reconstruct_values,
     tpwf_eval,
 )
@@ -286,6 +291,31 @@ class TestBlockReader:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+class TestReaderMemory:
+    """A suspended single-channel reader holds the block of timestamps it
+    yielded, not the records it was read from."""
+
+    @pytest.mark.parametrize("block", [None, 2**12])
+    def test_reader_holds_one_block(self, tmp_path, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
+        n = 3 * correlate._BLOCK_RECORDS
+        path = tmp_path / "tags.bttg"
+        bio.write_timetags(path, stream("A", np.arange(n) * 10))
+        source = bio.TimeTagFile(path, "A", 1.0)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            blocks = source.blocks()
+            first = next(blocks)
+            held = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        blocks.close()
+        assert first.size == correlate._BLOCK_RECORDS
+        assert held < 1.25 * first.nbytes
+
+
 class TestJson:
     def test_seventeen_significant_digits(self):
         text = bio.dumps_json({"x": 0.1})
@@ -454,6 +484,53 @@ class TestArrayEncoding:
             assert bio.dumps_json(doc).encode() == (run / f"hist_phi{k}.json").read_bytes()
         doc = bio.recon_to_dict(recon)
         assert bio.dumps_json(doc) == _reference_encode(doc) + "\n"
+
+
+def _fine_recon_document():
+    """The document of a 20,000-bin reconstruction from rate-level
+    histograms, with a few hundred invalid (NaN) bins."""
+    model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
+    config = SimConfig(pair_rate=2e5, singles_rate_a=2e5, singles_rate_b=2e5, duration=2.0, seed=5)
+    hists = [rate_level_histogram(config, AnalyzerSetting.balanced(phi), model, 1.0, 0.04e-9)
+             for phi in RECONSTRUCTION_PHASES]
+    recon = reconstruct_curve(PhaseTriple(*hists))
+    assert recon.valid.size == 20_000 and 0 < np.count_nonzero(~recon.valid)
+    return bio.recon_to_dict(recon)
+
+
+class TestStreamedJson:
+    """write_json writes the bytes of dumps_json, one array at a time."""
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+    def test_file_holds_the_dumps_json_bytes(self, tmp_path, name):
+        arr = ARRAY_CASES[name]
+        path = tmp_path / "doc.json"
+        for obj in (arr, {"a": arr, "b": [arr, {"c": arr}]}):
+            try:
+                text = bio.dumps_json(obj)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    bio.write_json(path, obj)
+                assert os.listdir(tmp_path) == []
+            else:
+                bio.write_json(path, obj)
+                assert path.read_bytes() == text.encode()
+                path.unlink()
+
+    def test_reconstruction_is_written_within_its_size(self, tmp_path):
+        doc = _fine_recon_document()
+        path = tmp_path / "reconstruction.json"
+        tracemalloc.start()
+        try:
+            bio.write_json(path, doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = path.read_bytes()
+        assert data == bio.dumps_json(doc).encode()
+        assert b"NaN" in data
+        # Every array's text at once would be about 3 times the file.
+        assert peak < len(data)
 
 
 class TestDocuments:
