@@ -15,7 +15,8 @@ JSON documents carry explicit units in their field names and serialize
 floats with 17 significant digits, which round-trips IEEE doubles
 exactly.  A JSON file is written one array at a time, so no more than
 one array's text is held.  All writes go through a temp file and rename,
-so readers never see a partial file.
+so readers never see a partial file; the file gets the mode that
+open() would give it, 0o666 less the umask.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -62,6 +63,21 @@ RECON_FORMAT = "tpwf-reconstruction/1"
 FIT_FORMAT = "fit-result/1"
 
 
+def _create_temp(path):
+    """Create an empty temp file, open for writing, beside path; return
+    its descriptor and name.
+
+    The kernel gives it mode 0o666 less the process umask, as for
+    open(path, "w"), and os.replace keeps that mode.  (tempfile.mkstemp
+    would give 0600.)  The umask is never read or set, so writers in
+    several threads do not race on it.
+    """
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    return os.open(tmp, flags, 0o666), tmp
+
+
 class TimeTagWriter:
     """Writes one channel's clicks to a binary time-tag file, block by
     block, so that no more than one block is held.
@@ -79,8 +95,7 @@ class TimeTagWriter:
         self.n_records = 0
         self._code = _CHANNEL_CODE[channel]
         self._last = None
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, self._tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+        fd, self._tmp = _create_temp(path)
         self._fh = os.fdopen(fd, "wb")
         try:
             self._fh.write(_HEADER.pack(TIMETAG_MAGIC, TIMETAG_VERSION, 1))
@@ -409,8 +424,7 @@ def write_json(path, obj):
     """Write dumps_json(obj) to path piece by piece, so that no more than
     one array's text is held.  The text goes to a temp file in the
     target directory, renamed to path once it is complete."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    fd, tmp = _create_temp(path)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(_encode(obj, 0))

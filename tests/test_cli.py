@@ -167,6 +167,30 @@ class TestPipeline:
         assert env["params"]["fwhm"] == pytest.approx(math.log(2) * 39.3e-9, rel=0.25)
         assert abs(ph["params"]["phase"] - 0.9) < 4.0 * ph["sigmas"]["phase"]
 
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask_022", "umask_077"]
+    )
+    def test_output_files_follow_the_umask(self, tmp_path, umask, mode):
+        # Every file of a run is created as open() would create it: mode
+        # 0o666 less the umask.  A subprocess keeps the umask out of this
+        # test session.
+        config = write_config(tmp_path, {"sim.duration_s": 0.5})
+        out = tmp_path / "run"
+        env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "biphoton.cli", "pipeline", "--config", config,
+             "--output-dir", str(out)],
+            env=env, capture_output=True, text=True, umask=umask,
+        )
+        assert done.returncode == 0, done.stderr
+        names = sorted(os.listdir(out))
+        expected = [f"tags_phi{k}_{ch}.bttg" for k in range(3) for ch in "AB"]
+        expected += [f"hist_phi{k}.json" for k in range(3)]
+        expected += ["reconstruction.json", "fits.json", MANIFEST_NAME]
+        assert names == sorted(expected)
+        for name in names:
+            assert (out / name).stat().st_mode & 0o777 == mode, name
+
     def test_rerun_from_intermediates_matches(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"

@@ -689,3 +689,150 @@ class TestSegmentedGenerator:
         dx = grid[1] - grid[0]
         assert got == sampler.neutral_mass
         assert got == float((0.5 * (values[1:] + values[:-1]) * dx).sum())
+
+
+def _reference_draw_segment(config, sampler, rng, start, stop):
+    """simulate._draw_segment as it was before each segment was drawn in
+    place: the oracle for it."""
+    span = stop - start
+    n_pairs = rng.poisson(config.pair_rate * span * sampler.rate_factor)
+    midpoints = start + rng.random(n_pairs) * span
+    delays = sampler.quantile(np.sort(rng.random(n_pairs)))
+    pair_a = midpoints + 0.5 * delays
+    pair_b = midpoints - 0.5 * delays
+    compensation = config.pair_rate * (1.0 - sampler.rate_factor)
+    eff_rate_a = max(config.singles_rate_a + compensation, 0.0)
+    eff_rate_b = max(config.singles_rate_b + compensation, 0.0)
+    singles_a = start + rng.random(rng.poisson(eff_rate_a * span)) * span
+    singles_b = start + rng.random(rng.poisson(eff_rate_b * span)) * span
+    duration_ps = seconds_to_ps(config.duration)
+    clicks = []
+    for times_s in (np.concatenate((pair_a, singles_a)), np.concatenate((pair_b, singles_b))):
+        if config.jitter_sigma > 0.0 and times_s.size:
+            bound = simulate._JITTER_BOUND_SIGMAS * config.jitter_sigma
+            jitter = rng.normal(0.0, config.jitter_sigma, times_s.size)
+            times_s += np.clip(jitter, -bound, bound, out=jitter)
+        ts = np.rint(times_s * 1e12).astype(np.int64)
+        clicks.append(ts[(ts >= 0) & (ts < duration_ps)])
+    return clicks
+
+
+def _reference_blocks(config, sampler):
+    """simulate._blocks as it was before each channel was merged into one
+    slotted buffer, drawing with _reference_draw_segment."""
+    edges = simulate._segment_edges(config)
+    dead_ps = seconds_to_ps(config.dead_time)
+    spill = config.click_spill()
+    spill += 4.0 * np.finfo(float).eps * (config.duration + config.tau_window)
+    spill_ps = math.ceil(spill * 1e12) + 1
+    carry = [np.empty(0, dtype=np.int64)] * 2
+    last_kept = [-dead_ps, -dead_ps]
+    n_segments = edges.size - 1
+    for k in range(n_segments):
+        rng = simulate._segment_rng(config, k)
+        clicks = _reference_draw_segment(config, sampler, rng, edges[k], edges[k + 1])
+        cut = seconds_to_ps(edges[k + 1]) - spill_ps
+        block = []
+        for ch in (0, 1):
+            ts = np.concatenate((carry[ch], clicks[ch]))
+            ts.sort()
+            split = ts.size if k == n_segments - 1 else int(np.searchsorted(ts, cut))
+            ts, carry[ch] = ts[:split], ts[split:]
+            if dead_ps > 0 and ts.size:
+                ts = _dead_time_filter(np.concatenate(([last_kept[ch]], ts)), dead_ps)[1:]
+                if ts.size:
+                    last_kept[ch] = ts[-1]
+            block.append(ts)
+        yield tuple(block)
+
+
+class TestGeneratorOracle:
+    """generate_blocks gives, block by block, the bytes of the generator
+    before it drew in place (_reference_blocks)."""
+
+    MODEL = TpwfModel(amplitude=1.0, corr_time=30e-9, phase=0.5)
+    DENSE = dict(
+        pair_rate=1e6,
+        singles_rate_a=1e6,
+        singles_rate_b=1e6,
+        duration=0.1,
+        jitter_sigma=50e-12,
+        dead_time=20e-9,
+        tau_window=400e-9,
+        seed=41,
+    )
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            {"jitter_sigma": 0.0, "dead_time": 0.0},
+            {"singles_rate_a": 0.0, "singles_rate_b": 0.0},
+            {"pair_rate": 0.0},
+            {"duration": 0.01},
+            {"duration": 0.0777, "singles_rate_b": 3e5},
+        ],
+        ids=["dense", "no_jitter_no_dead_time", "zero_singles", "zero_pairs",
+             "one_segment", "uneven_duration"],
+    )
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 3, 2 * math.pi / 3])
+    def test_blocks_match_reference(self, changes, phi):
+        cfg = SimConfig(**{**self.DENSE, **changes})
+        setting = BALANCED(phi)
+        sampler = PairDelaySampler(setting, self.MODEL, 1.0, cfg.tau_window)
+        got = list(generate_blocks(cfg, setting, self.MODEL, 1.0))
+        want = list(_reference_blocks(cfg, sampler))
+        assert len(got) == len(want) == simulate._segment_edges(cfg).size - 1
+        if "duration" not in changes:
+            assert len(got) > 1
+        for got_block, want_block in zip(got, want):
+            for g, w in zip(got_block, want_block):
+                assert g.dtype == w.dtype == np.int64
+                np.testing.assert_array_equal(g, w)
+        assert sum(block[0].size for block in got) > 0
+
+    def test_many_short_segments_match_reference(self, monkeypatch):
+        # Segments of ~64 clicks: the carry and the dead-time state cross
+        # every boundary.
+        monkeypatch.setattr(simulate, "_SEGMENT_CLICKS", 64)
+        cfg = SimConfig(**{**self.DENSE, "duration": 0.002, "dead_time": 500e-9})
+        setting = BALANCED(0.4)
+        sampler = PairDelaySampler(setting, self.MODEL, 1.0, cfg.tau_window)
+        got = list(generate_blocks(cfg, setting, self.MODEL, 1.0))
+        want = list(_reference_blocks(cfg, sampler))
+        assert len(got) == len(want) > 30
+        for got_block, want_block in zip(got, want):
+            for g, w in zip(got_block, want_block):
+                np.testing.assert_array_equal(g, w)
+
+
+class TestGeneratorMemory:
+    MODEL = TpwfModel(amplitude=1.0, corr_time=30e-9, phase=0.5)
+
+    @pytest.mark.parametrize("dead_time, jitter", [(20e-9, 50e-12), (0.0, 0.0)])
+    def test_peak_is_bounded_by_the_blocks(self, dead_time, jitter):
+        # The dense detector config over about seven segments: the traced
+        # peak while the blocks are consumed stays below 5x the largest
+        # (A, B) block pair.
+        cfg = SimConfig(
+            pair_rate=1e6,
+            singles_rate_a=1e6,
+            singles_rate_b=1e6,
+            duration=0.2,
+            dead_time=dead_time,
+            jitter_sigma=jitter,
+            tau_window=400e-9,
+            seed=43,
+        )
+        # numpy.random is imported on first use; keep it out of the peak.
+        list(generate_blocks(SimConfig(pair_rate=1e3, duration=0.01), BALANCED(0.3), self.MODEL, 1.0))
+        largest = 0
+        tracemalloc.start()
+        try:
+            for block_a, block_b in generate_blocks(cfg, BALANCED(0.3), self.MODEL, 1.0):
+                largest = max(largest, block_a.nbytes + block_b.nbytes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert largest > 500_000
+        assert peak < 5 * largest
