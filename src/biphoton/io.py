@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import secrets
 import struct
 
 import numpy as np
@@ -73,7 +72,7 @@ def _create_temp(path):
     several threads do not race on it.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     return os.open(tmp, flags, 0o666), tmp
 
@@ -442,6 +441,8 @@ def read_json(path):
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise DataError(f"{path}: JSON nested too deeply") from exc
 
 
 def _setting_to_dict(setting: AnalyzerSetting | None):

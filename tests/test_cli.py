@@ -70,6 +70,13 @@ def write_config(tmp_path, overrides=None):
     return str(path)
 
 
+def run_cli(args, **kwargs):
+    """Run the CLI in a fresh interpreter; return the CompletedProcess."""
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "biphoton.cli", *args],
+                          env=env, capture_output=True, text=True, **kwargs)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
@@ -176,12 +183,7 @@ class TestPipeline:
         # test session.
         config = write_config(tmp_path, {"sim.duration_s": 0.5})
         out = tmp_path / "run"
-        env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
-        done = subprocess.run(
-            [sys.executable, "-m", "biphoton.cli", "pipeline", "--config", config,
-             "--output-dir", str(out)],
-            env=env, capture_output=True, text=True, umask=umask,
-        )
+        done = run_cli(["pipeline", "--config", config, "--output-dir", str(out)], umask=umask)
         assert done.returncode == 0, done.stderr
         names = sorted(os.listdir(out))
         expected = [f"tags_phi{k}_{ch}.bttg" for k in range(3) for ch in "AB"]
@@ -190,6 +192,26 @@ class TestPipeline:
         assert names == sorted(expected)
         for name in names:
             assert (out / name).stat().st_mode & 0o777 == mode, name
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sim.duration_s": 2.0},
+            {"sim.pair_rate_hz": 2e5, "sim.singles_rate_a_hz": 1e5, "sim.singles_rate_b_hz": 1e5,
+             "sim.duration_s": 0.5, "correlate.bin_width_ns": 0.02, "correlate.tau_max_ns": 100.0},
+        ],
+        ids=["4ns", "0.02ns"],
+    )
+    def test_pipeline_fits_match_the_fit_command(self, tmp_path, overrides):
+        # pipeline fits the reconstruction it holds; fit reads it back
+        # from reconstruction.json.  The JSON round trip is exact.
+        config = write_config(tmp_path, overrides)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 0
+        refit = tmp_path / "fits.json"
+        assert main(["fit", "--config", config, "--recon", str(out / "reconstruction.json"),
+                     "--output", str(refit)]) == 0
+        assert refit.read_bytes() == (out / "fits.json").read_bytes()
 
     def test_rerun_from_intermediates_matches(self, tmp_path):
         config = write_config(tmp_path)
@@ -348,6 +370,87 @@ class TestStreamingSimulate:
             [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestReadOnlyStages:
+    @staticmethod
+    def simulate(tmp_path):
+        config = write_config(tmp_path, {"sim.duration_s": 0.5})
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--config", config, "--output-dir", str(run_dir)]) == 0
+        return config, run_dir
+
+    def test_no_rng_or_crypto_modules_are_loaded(self, tmp_path):
+        # Only simulate draws numbers, and nothing needs a cryptographic
+        # hash, so correlate, reconstruct and fit load neither
+        # numpy.random nor secrets and the libcrypto behind _hashlib.
+        config, run_dir = self.simulate(tmp_path)
+        code = (
+            "import sys\n"
+            "from biphoton.cli import main\n"
+            "config, run = sys.argv[1:]\n"
+            "for args in (['correlate', '--input-dir', run],\n"
+            "             ['reconstruct', '--input-dir', run],\n"
+            "             ['fit', '--recon', run + '/reconstruction.json',\n"
+            "              '--output', run + '/fits.json']):\n"
+            "    assert main([*args, '--config', config]) == 0, args\n"
+            "    loaded = [m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules]\n"
+            "    assert not loaded, (args[0], loaded)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+        done = subprocess.run([sys.executable, "-c", code, config, str(run_dir)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["simulate", "correlate", "reconstruct", "fit", "pipeline"])
+    def test_negative_seed_is_one_before_any_file(self, tmp_path, capsys, command, source):
+        if source == "flag":
+            args = ["--config", write_config(tmp_path), "--seed", "-1"]
+        else:
+            args = ["--config", write_config(tmp_path, {"seed": -1})]
+        out = tmp_path / "o"
+        args += {
+            "simulate": ["--output-dir", str(out)],
+            "pipeline": ["--output-dir", str(out)],
+            "correlate": ["--input-dir", str(out)],
+            "reconstruct": ["--input-dir", str(out)],
+            "fit": ["--recon", str(out / "recon.json"), "--output", str(out / "fits.json")],
+        }[command]
+        assert main([command, *args]) == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_is_checked_without_a_seed_sequence(self, seed):
+        from biphoton import ConfigError
+
+        with pytest.raises(ConfigError):
+            PipelineConfig(seed=seed)
+
+    def test_correlate_does_not_depend_on_threads(self, tmp_path, monkeypatch, capsys):
+        import biphoton.cli as cli
+
+        config, run_dir = self.simulate(tmp_path)
+        hists = {}
+        for threads in (1, 3):
+            monkeypatch.setattr(cli, "_CORRELATE_THREADS", threads)
+            assert main(["correlate", "--config", config, "--input-dir", str(run_dir)]) == 0
+            hists[threads] = [(run_dir / f"hist_phi{k}.json").read_bytes() for k in range(3)]
+            for k in range(3):
+                (run_dir / f"hist_phi{k}.json").unlink()
+        assert hists[1] == hists[3]
+
+        capsys.readouterr()
+        path = run_dir / "tags_phi2_B.bttg"
+        path.write_bytes(path.read_bytes()[:-3])
+        errors = {}
+        for threads in (1, 3):
+            monkeypatch.setattr(cli, "_CORRELATE_THREADS", threads)
+            assert main(["correlate", "--config", config, "--input-dir", str(run_dir)]) == 2
+            errors[threads] = capsys.readouterr().err
+        assert errors[1] == errors[3]
+        assert "tags_phi2_B.bttg: truncated record" in errors[1]
 
 
 class TestCorrelateCommand:
@@ -605,6 +708,35 @@ class TestExitCodes:
         for k in range(3):
             (tmp_path / f"hist_phi{k}.json").write_text("[1, 2]")
         assert main(["reconstruct", "--input-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, names, text, code",
+        [
+            ("correlate", ["config.json"], "[" * 200_000, 1),
+            ("correlate", ["config.json"], "{bad", 1),
+            ("correlate", [MANIFEST_NAME], "[" * 200_000, 2),
+            ("reconstruct", [f"hist_phi{k}.json" for k in range(3)], "[" * 200_000, 2),
+            ("fit", ["reconstruction.json"], '{"a": ' * 100_000 + "1" + "}" * 100_000, 2),
+        ],
+        ids=["deep-config", "unparseable-config", "deep-manifest", "deep-histogram",
+             "deep-reconstruction"],
+    )
+    def test_deep_or_unparseable_json_exits_without_a_traceback(self, tmp_path, command, names,
+                                                               text, code):
+        for name in names:
+            (tmp_path / name).write_text(text)
+        args = {
+            "correlate": ["--input-dir", str(tmp_path)],
+            "reconstruct": ["--input-dir", str(tmp_path)],
+            "fit": ["--recon", str(tmp_path / "reconstruction.json"),
+                    "--output", str(tmp_path / "fits.json")],
+        }[command]
+        if names == ["config.json"]:
+            args += ["--config", str(tmp_path / "config.json")]
+        done = run_cli([command, *args])
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: config file:" if code == 1 else "data error")
 
     def test_missing_file_is_two(self, tmp_path):
         assert main(["correlate", "--input-dir", str(tmp_path / "nowhere")]) == 2
