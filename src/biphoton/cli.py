@@ -191,7 +191,7 @@ def _load_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         try:
             obj = bio.read_json(args.config)
-        except DataError as exc:
+        except (DataError, OSError) as exc:
             raise ConfigError(f"config file: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -283,14 +283,14 @@ def _check_manifest_entry(entry) -> AnalyzerSetting:
         raise DataError(f"manifest setting {index}: {exc}") from exc
 
 
-def _correlate_files(config, tags_a, tags_b, duration, exposure, setting, out_path) -> str:
+def _correlate_files(config, tags_a, tags_b, duration, exposure, setting, out_path):
     """Correlate the tag files of channels A and B into a histogram file,
-    streaming both from disk."""
+    streaming both from disk.  Returns the histogram."""
     stream_a = bio.TimeTagFile(tags_a, "A", duration, exposure)
     stream_b = bio.TimeTagFile(tags_b, "B", duration, exposure)
     hist = cross_correlate(stream_a, stream_b, config.bin_width, config.tau_max, setting)
     bio.write_json(out_path, bio.histogram_to_dict(hist))
-    return out_path
+    return hist
 
 
 # Settings correlated at once.  The pair kernel makes many small numpy
@@ -303,15 +303,17 @@ def _correlate_files(config, tags_a, tags_b, duration, exposure, setting, out_pa
 _CORRELATE_THREADS = os.cpu_count() or 1
 
 
-def run_correlate(run_dir: str, config: PipelineConfig, manifest: dict) -> list:
+def run_correlate(run_dir: str, config: PipelineConfig, manifest: dict) -> tuple[list, list]:
     """Correlate every setting recorded in a manifest, at most
-    _CORRELATE_THREADS at once."""
+    _CORRELATE_THREADS at once.  Returns the histogram paths written and
+    the histograms, in manifest order."""
     entries = manifest.get("settings") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise DataError("manifest has no 'settings' list")
     settings = [_check_manifest_entry(entry) for entry in entries]
+    paths = [os.path.join(run_dir, _hist_name(entry["index"])) for entry in entries]
 
-    def one(entry, setting):
+    def one(entry, setting, path):
         return _correlate_files(
             config,
             os.path.join(run_dir, entry["tags_a"]),
@@ -319,15 +321,14 @@ def run_correlate(run_dir: str, config: PipelineConfig, manifest: dict) -> list:
             entry["duration_s"],
             entry.get("exposure_s"),
             setting,
-            os.path.join(run_dir, _hist_name(entry["index"])),
+            path,
         )
 
     with ThreadPoolExecutor(max_workers=max(min(len(entries), _CORRELATE_THREADS), 1)) as pool:
-        return list(pool.map(one, entries, settings))
+        return paths, list(pool.map(one, entries, settings, paths))
 
 
-def run_reconstruct(hist_paths, config: PipelineConfig, out_path: str):
-    hists = [bio.histogram_from_dict(bio.read_json(p)) for p in hist_paths]
+def run_reconstruct(hists, config: PipelineConfig, out_path: str):
     triple = PhaseTriple(*hists)
     recon = reconstruct_curve(
         triple,
@@ -373,7 +374,7 @@ def _cmd_correlate(args) -> int:
     config = _load_config(args)
     if args.input_dir:
         manifest = bio.read_json(os.path.join(args.input_dir, MANIFEST_NAME))
-        paths = run_correlate(args.input_dir, config, manifest)
+        paths, _ = run_correlate(args.input_dir, config, manifest)
         for p in paths:
             print(f"wrote {p}")
         return 0
@@ -401,7 +402,8 @@ def _cmd_reconstruct(args) -> int:
             )
         hist_paths = [args.hist0, args.hist1, args.hist2]
         out = args.output
-    recon = run_reconstruct(hist_paths, config, out)
+    hists = [bio.histogram_from_dict(bio.read_json(p)) for p in hist_paths]
+    recon = run_reconstruct(hists, config, out)
     print(f"reconstructed {recon.n_valid}/{len(recon.tau)} valid bins -> {out}")
     return 0
 
@@ -425,8 +427,8 @@ def _cmd_pipeline(args) -> int:
     config = _load_config(args)
     out_dir = args.output_dir
     manifest = run_simulate(config, out_dir)
-    hist_paths = run_correlate(out_dir, config, manifest)
-    recon = run_reconstruct(hist_paths, config, os.path.join(out_dir, "reconstruction.json"))
+    _, hists = run_correlate(out_dir, config, manifest)
+    recon = run_reconstruct(hists, config, os.path.join(out_dir, "reconstruction.json"))
     doc = run_fit(recon, config, os.path.join(out_dir, "fits.json"))
     env = doc["fits"]["envelope"]["params"]
     ph = doc["fits"]["phase"]["params"]

@@ -168,7 +168,7 @@ class CoincidenceHistogram:
             raise ConfigError("bin_width must be positive")
         if self.counts.ndim != 1 or self.counts.size == 0:
             raise ConfigError("counts must be a non-empty 1-d array")
-        if np.any(self.counts < 0):
+        if (self.counts < 0).any():
             raise DataError("counts must be non-negative")
         if not self.acquisition_time > 0.0:
             raise ConfigError("acquisition_time must be > 0")

@@ -72,24 +72,32 @@ def _levenberg(residual_jac, p0, scales, feasible=None):
     """
     p = np.asarray(p0, dtype=float).copy()
     scales = np.asarray(scales, dtype=float)
+    scale_row = scales[np.newaxis, :]
+    n = p.size
     r, J = residual_jac(p)
     chi2 = float(r @ r)
     lam = 1e-3
     converged = False
     message = "iteration budget exhausted"
     for _ in range(_MAX_ITER):
-        Js = J * scales[np.newaxis, :]
+        Js = J * scale_row
         A = Js.T @ Js
         g = Js.T @ r
-        if not np.isfinite(A).all() or not np.isfinite(g).all():
+        # The normal equations are a few parameters wide, so they are
+        # checked, and their damping diagonal formed, on Python floats:
+        # a numpy call on them costs more than its arithmetic.
+        a_flat = A.ravel().tolist()
+        if not (all(map(math.isfinite, a_flat)) and all(map(math.isfinite, g.tolist()))):
             message = "non-finite normal equations"
             break
         stepped = False
-        damping = np.diag(np.maximum(np.diag(A), 1e-300))
+        damping = np.zeros((n, n))
+        damping.ravel()[:: n + 1] = [max(d, 1e-300) for d in a_flat[:: n + 1]]
+        minus_g = -g
         for _ in range(25):
             damped = A + lam * damping
             try:
-                delta = np.linalg.solve(damped, -g)
+                delta = np.linalg.solve(damped, minus_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -116,13 +124,13 @@ def _levenberg(residual_jac, p0, scales, feasible=None):
         if converged:
             break
 
-    Js = J * scales[np.newaxis, :]
+    Js = J * scale_row
     A = Js.T @ Js
     try:
         cov_scaled = np.linalg.inv(A)
         cov = cov_scaled * np.outer(scales, scales)
     except np.linalg.LinAlgError:
-        cov = np.full((p.size, p.size), np.nan)
+        cov = np.full((n, n), np.nan)
         converged = False
         message = "singular covariance at optimum"
     return p, cov, chi2, converged, message, r
@@ -151,9 +159,10 @@ class _PowerData:
         # the directional variance term vanishes with it, so any unit
         # vector works.
         p = np.hypot(re, im)
-        safe = np.where(p > 0.0, p, 1.0)
-        cos_t = np.where(p > 0.0, re / safe, math.sqrt(0.5))
-        sin_t = np.where(p > 0.0, im / safe, math.sqrt(0.5))
+        nonzero = p > 0.0
+        safe = np.where(nonzero, p, 1.0)
+        cos_t = np.where(nonzero, re / safe, math.sqrt(0.5))
+        sin_t = np.where(nonzero, im / safe, math.sqrt(0.5))
         # Bins with a non-finite (co)variance are dropped by the fits; NaN
         # in place of inf keeps inf - inf from being formed.
         finite = np.isfinite(var_re) & np.isfinite(var_im) & np.isfinite(cov)
@@ -161,31 +170,54 @@ class _PowerData:
         self.directional = cos_t**2 * vr + 2.0 * cos_t * sin_t * c + sin_t**2 * vi
         self.var_floor = 2.0 * (var_re**2 + var_im**2 + 2.0 * cov**2)
 
-    def variance_at(self, power, points=slice(None)):
-        """Var(q) at the selected points, with the mean vector set to the
-        given |psi|^2 along the measured direction."""
-        return 4.0 * np.clip(power, 0.0, None) * self.directional[points] + self.var_floor[points]
+    def variance_at(self, power):
+        """Var(q) with the mean vector set to the given |psi|^2 along the
+        measured direction."""
+        return 4.0 * np.maximum(power, 0.0) * self.directional + self.var_floor
+
+    def keep(self, points):
+        """Restrict variance_at to the selected points."""
+        self.directional = self.directional[points]
+        self.var_floor = self.var_floor[points]
 
 
 def _envelope_residual_jac(tau, y, w, fixed_tc=None):
     """residual_jac for _levenberg: the weighted residuals of
     A^2 * exp(-2|tau - tau0| / Tc) against y and their Jacobian, at
-    p = (A, tau0, Tc), or at p = (A, tau0) with Tc = fixed_tc."""
+    p = (A, tau0, Tc), or at p = (A, tau0) with Tc = fixed_tc.
+
+    The Jacobian columns are built in place, from |u| and the model
+    values computed once.  Each is the product f * (2 sign(u) / Tc) * w,
+    and so on, evaluated left to right (up to swapping two factors,
+    which is exact), so every value is that of the plain expression bit
+    for bit."""
     n_free = 3 if fixed_tc is None else 2
+    # Doubling is exact, so 2*tau - 2*tau0 is 2*(tau - tau0) bit for bit.
+    two_tau = 2.0 * tau
 
     def residual_jac(p):
         a, t_off = p[0], p[1]
         tc = p[2] if fixed_tc is None else fixed_tc
-        u = tau - t_off
-        abs_u = np.abs(u)
-        env = np.exp(-2.0 * abs_u / tc)
-        f = a * a * env
-        r = (f - y) * w
         J = np.empty((tau.size, n_free))
-        J[:, 0] = 2.0 * a * env * w
-        J[:, 1] = f * (2.0 * np.sign(u) / tc) * w
-        if fixed_tc is None:
-            J[:, 2] = f * (2.0 * abs_u / tc**2) * w
+        two_u = two_tau - 2.0 * t_off
+        two_abs_u = np.abs(two_u)
+        # x / -tc is -(x / tc) exactly.
+        env = np.divide(two_abs_u, -tc)
+        np.exp(env, out=env)
+        f = a * a * env
+        r = f - y
+        r *= w
+        env *= 2.0 * a
+        np.multiply(env, w, out=J[:, 0])
+        slope = np.sign(two_u, out=two_u)
+        slope *= 2.0
+        slope /= tc
+        slope *= f
+        np.multiply(slope, w, out=J[:, 1])
+        if n_free == 3:
+            two_abs_u /= tc**2
+            two_abs_u *= f
+            np.multiply(two_abs_u, w, out=J[:, 2])
         return r, J
 
     return residual_jac
@@ -207,28 +239,31 @@ def fit_double_exponential(
     data = _PowerData(recon)
     var0 = data.variance_at(data.q)
     usable = data.valid & np.isfinite(data.q)
-    noiseless = bool(np.all(var0[usable] == 0.0)) if usable.any() else False
+    noiseless = bool((var0[usable] == 0.0).all()) if usable.any() else False
     if not noiseless:
         usable &= np.isfinite(var0) & (var0 > 0.0)
-    if int(usable.sum()) < 8:
-        raise DataError(f"need at least 8 valid bins, got {int(usable.sum())}")
+    n = int(np.count_nonzero(usable))
+    if n < 8:
+        raise DataError(f"need at least 8 valid bins, got {n}")
 
     tau = recon.tau[usable]
     y = data.q[usable]
     var0 = var0[usable]
+    data.keep(usable)
 
-    q_pos = np.clip(y, 0.0, None)
+    q_pos = np.maximum(y, 0.0)
     peak = float(q_pos.max())
     if peak <= 0.0:
         raise NumericalError("no positive signal to fit")
     a0 = math.sqrt(peak)
-    t0 = float(np.sum(q_pos * tau) / np.sum(q_pos))
+    q_sum = q_pos.sum()
+    t0 = float((q_pos * tau).sum() / q_sum)
     if fix_corr_time is not None:
         if not fix_corr_time > 0.0:
             raise ConfigError("fix_corr_time must be > 0")
         tc0 = float(fix_corr_time)
     else:
-        second = float(np.sum(q_pos * (tau - t0) ** 2) / np.sum(q_pos))
+        second = float((q_pos * (tau - t0) ** 2).sum() / q_sum)
         tc0 = math.sqrt(2.0 * max(second, 1e-30))
 
     free_tc = fix_corr_time is None
@@ -256,15 +291,15 @@ def fit_double_exponential(
         )
         if i == n_passes - 1:
             break
-        var_model = data.variance_at(envelope(p), usable)
-        if not (np.all(np.isfinite(var_model)) and np.all(var_model > 0.0)):
+        var_model = data.variance_at(envelope(p))
+        if not (np.isfinite(var_model).all() and (var_model > 0.0).all()):
             break
         w = 1.0 / np.sqrt(var_model)
 
     a_fit = abs(float(p[0]))
     tau0_fit = float(p[1])
     tc_fit = float(p[2]) if free_tc else tc0
-    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    sig = np.sqrt(np.maximum(cov.diagonal(), 0.0))
     sigma_tc = float(sig[2]) if free_tc else 0.0
     fwhm = math.log(2.0) * tc_fit
 
@@ -285,14 +320,13 @@ def fit_double_exponential(
     # The finest spacing, not np.median: with NumPy 2.4 on an AVX-512
     # x86-64 CPU, complex exp calls made after np.median ran about 3x
     # slower, and the many-seed calibration loop 25-30% slower.
-    spacing = float(np.min(np.abs(np.diff(recon.tau))))
+    spacing = float(np.abs(np.diff(recon.tau)).min())
     if not all(math.isfinite(v) for v in (*params.values(), *sigmas.values())):
         converged = False
         message = f"{message}; non-finite parameter or error"
     elif fwhm < spacing:
         converged = False
         message = f"{message}; FWHM {fwhm:.3g} s is below one bin spacing ({spacing:.3g} s)"
-    n = int(usable.sum())
     n_free = 3 if free_tc else 2
     return FitResult(
         params=params,
@@ -328,7 +362,7 @@ def fit_constant_phase(
     usable = recon.valid & np.isfinite(power)
     if not usable.any():
         raise DataError("no valid bins for the phase fit")
-    peak = float(np.nanmax(power[usable]))
+    peak = float(power[usable].max())
     usable &= power >= weight_threshold * peak
     if not usable.any():
         raise DataError("no bins above the phase weight threshold")
@@ -336,7 +370,7 @@ def fit_constant_phase(
     re = recon.re_psi[usable]
     im = recon.im_psi[usable]
     cov = recon.cov_re_im[usable]
-    p2 = re**2 + im**2
+    p2 = power[usable]
     var_phi = (
         im**2 * recon.sigma_re[usable] ** 2
         + re**2 * recon.sigma_im[usable] ** 2
@@ -347,7 +381,7 @@ def fit_constant_phase(
     finite = np.isfinite(var_phi)
     if not finite.any():
         raise DataError("no bins with finite phase errors")
-    if np.all(var_phi[finite] == 0.0):
+    if (var_phi[finite] == 0.0).all():
         weights = np.ones_like(phases)
         sigma_mean = 0.0
     else:
@@ -359,13 +393,13 @@ def fit_constant_phase(
         weights = 1.0 / var_phi
         sigma_mean = float(1.0 / math.sqrt(weights.sum()))
 
-    c = float(np.sum(weights * np.cos(phases)))
-    s = float(np.sum(weights * np.sin(phases)))
+    c = float((weights * np.cos(phases)).sum())
+    s = float((weights * np.sin(phases)).sum())
     if c == 0.0 and s == 0.0:
         raise NumericalError("circular mean undefined: zero resultant")
     mean_phase = math.atan2(s, c)
     dev = _wrap_angle(phases - mean_phase)
-    chi2 = float(np.sum(weights * dev**2)) if sigma_mean > 0.0 else 0.0
+    chi2 = float((weights * dev**2).sum()) if sigma_mean > 0.0 else 0.0
     n = int(phases.size)
     return FitResult(
         params={"phase": mean_phase},

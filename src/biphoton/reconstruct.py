@@ -85,19 +85,21 @@ def _invert_arrays(y0, y1, y2, root="larger"):
     ybar = (y0 + y1 + y2) / 3.0
     num_re, num_im = _numerators(y0, y1, y2)
 
-    radicand = 3.0 * ybar**2 - (2.0 / 3.0) * (y0**2 + y1**2 + y2**2)
-    valid = radicand >= -RADICAND_REL_TOL * ybar**2
-    root_term = np.sqrt(np.clip(radicand, 0.0, None))
+    ybar_sq = ybar**2
+    radicand = 3.0 * ybar_sq - (2.0 / 3.0) * (y0**2 + y1**2 + y2**2)
+    valid = radicand >= -RADICAND_REL_TOL * ybar_sq
+    root_term = np.sqrt(np.maximum(radicand, 0.0))
     if root == "larger":
         gamma_sq = 0.5 * (ybar + root_term)
     else:
         gamma_sq = 0.5 * (ybar - root_term)
-    gamma = np.sqrt(np.clip(gamma_sq, 0.0, None))
+    gamma = np.sqrt(np.maximum(gamma_sq, 0.0))
     valid = valid & (gamma > 0.0)
 
+    two_gamma = 2.0 * gamma
     with np.errstate(divide="ignore", invalid="ignore"):
-        re_psi = np.where(valid, num_re / (2.0 * gamma), np.nan)
-        im_psi = np.where(valid, num_im / (2.0 * gamma), np.nan)
+        re_psi = np.where(valid, num_re / two_gamma, np.nan)
+        im_psi = np.where(valid, num_im / two_gamma, np.nan)
     gamma = np.where(valid, gamma, np.nan)
     return re_psi, im_psi, gamma, valid
 
@@ -142,27 +144,35 @@ def _jacobian(y0, y1, y2, root="larger", inversion=None):
     ybar = (y[0] + y[1] + y[2]) / 3.0
     grad = _NUM_GRAD.reshape(_NUM_GRAD.shape + (1,) * ybar.ndim)
     J = np.empty((3, 3) + ybar.shape, dtype=float)
+    two_gamma = 2.0 * gamma
     with np.errstate(divide="ignore", invalid="ignore"):
         s = 2.0 * gamma**2 - ybar
-        J[2] = (1.0 / 3.0 + (2.0 * ybar - (4.0 / 3.0) * y) / (2.0 * s)) / (4.0 * gamma)
-        J[0] = (grad[0] - 2.0 * re * J[2]) / (2.0 * gamma)
-        J[1] = (grad[1] - 2.0 * im * J[2]) / (2.0 * gamma)
+        np.divide(1.0 / 3.0 + (2.0 * ybar - (4.0 / 3.0) * y) / (2.0 * s), 4.0 * gamma, out=J[2])
+        np.divide(grad[0] - 2.0 * re * J[2], two_gamma, out=J[0])
+        np.divide(grad[1] - 2.0 * im * J[2], two_gamma, out=J[1])
     return J
 
 
 def _sigma_arrays(J, var_y):
     """First-order propagation of independent rate variances var_y[k]
-    through J (as returned by _jacobian).  Returns (sigma_re, sigma_im,
-    sigma_gamma, cov_re_im)."""
+    through J (as returned by _jacobian, or a (3, 3) J shared by every
+    bin).  Returns (sigma_re, sigma_im, sigma_gamma, cov_re_im).
 
-    def propagate(a, b):
+    The three variances and the covariance are summed at once over the
+    rate axis, each in the order 0 + term_0 + term_1 + term_2."""
+    prod = np.empty((4,) + J.shape[1:])
+    np.multiply(J, J, out=prod[:3])
+    np.multiply(J[0], J[1], out=prod[3])
+    # A J shared by every bin broadcasts over them.
+    prod = prod.reshape(prod.shape + (1,) * (np.ndim(var_y) - prod.ndim + 1))
+    with np.errstate(invalid="ignore"):
+        terms = prod * var_y
         # A rate that an output does not depend on adds nothing to its
         # error, even when that rate's variance is infinite (zero counts).
-        with np.errstate(invalid="ignore"):
-            return sum(np.where(a[k] * b[k] == 0.0, 0.0, a[k] * b[k] * var_y[k]) for k in range(3))
-
-    var = [propagate(J[i], J[i]) for i in range(3)]
-    return np.sqrt(var[0]), np.sqrt(var[1]), np.sqrt(var[2]), propagate(J[0], J[1])
+        np.copyto(terms, 0.0, where=prod == 0.0)
+        total = 0 + terms[:, 0] + terms[:, 1] + terms[:, 2]
+    sigma = np.sqrt(total[:3])
+    return sigma[0], sigma[1], sigma[2], total[3]
 
 
 def propagate_errors(y, counts):
@@ -256,8 +266,7 @@ class ReconstructedTpwf:
             if np.shape(getattr(self, name)) != (n,):
                 raise ConfigError(f"field {name} does not match the bin count")
         self.valid = np.asarray(self.valid, dtype=bool)
-        g = self.gamma[self.valid]
-        if g.size and np.any(g < 0.0):
+        if (self.gamma[self.valid] < 0.0).any():
             raise NumericalError("reconstructed gamma must be >= 0 on valid bins")
 
     @property
@@ -335,7 +344,7 @@ def reconstruct_values(
     if gamma_mode not in GAMMA_MODES:
         raise ConfigError(f"unknown gamma_mode {gamma_mode!r}")
     tau = np.asarray(tau, dtype=float)
-    ys = [np.asarray(v, dtype=float).copy() for v in (y0, y1, y2)]
+    ys = [np.asarray(v, dtype=float) for v in (y0, y1, y2)]
     for v in ys:
         if v.shape != tau.shape:
             raise ConfigError("rate arrays must match tau in shape")
@@ -345,12 +354,11 @@ def reconstruct_values(
         raise ConfigError("give all three counts arrays or none")
     have_counts = all(given)
     if have_counts:
-        var_y = np.array(
-            [
-                np.where(np.asarray(c) > 0, v**2 / np.maximum(c, 1), np.inf)
-                for v, c in zip(ys, (counts0, counts1, counts2))
-            ]
-        )
+        counts = [np.asarray(c) for c in (counts0, counts1, counts2)]
+        if any(c.shape != tau.shape for c in counts):
+            raise ConfigError("counts arrays must match tau in shape")
+        counts = np.array(counts)
+        var_y = np.where(counts > 0, np.square(ys) / np.maximum(counts, 1), np.inf)
     else:
         var_y = np.zeros((3,) + tau.shape)
 

@@ -213,6 +213,33 @@ class TestPipeline:
                      "--output", str(refit)]) == 0
         assert refit.read_bytes() == (out / "fits.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sim.duration_s": 2.0},
+            {"sim.pair_rate_hz": 2e5, "sim.singles_rate_a_hz": 1e5, "sim.singles_rate_b_hz": 1e5,
+             "sim.duration_s": 0.5, "correlate.bin_width_ns": 0.02, "correlate.tau_max_ns": 100.0},
+        ],
+        ids=["4ns", "0.02ns"],
+    )
+    def test_pipeline_reconstructs_the_histograms_it_holds(self, tmp_path, monkeypatch,
+                                                          overrides):
+        # pipeline reconstructs the histograms that correlate returned,
+        # without reading hist_phi*.json back; reconstruct --input-dir
+        # reads them.  The JSON round trip is exact.
+        config = write_config(tmp_path, overrides)
+        out = tmp_path / "run"
+        def read_back(obj):
+            raise AssertionError("pipeline read a histogram file back")
+
+        with monkeypatch.context() as m:
+            m.setattr(bio, "histogram_from_dict", read_back)
+            assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 0
+        redo = tmp_path / "reconstruction.json"
+        assert main(["reconstruct", "--config", config, "--input-dir", str(out),
+                     "--output", str(redo)]) == 0
+        assert redo.read_bytes() == (out / "reconstruction.json").read_bytes()
+
     def test_rerun_from_intermediates_matches(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -737,6 +764,28 @@ class TestExitCodes:
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: config file:" if code == 1 else "data error")
+
+    @pytest.mark.parametrize("command", ["correlate", "fit"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_missing_or_directory_config_is_one(self, tiny_run, tmp_path, command, kind):
+        # Reading a config file that is not there, or is a directory,
+        # is a configuration error, like a config that cannot be parsed.
+        run_dir, _ = tiny_run
+        config = tmp_path / ("nowhere.json" if kind == "missing" else "somedir")
+        if kind == "directory":
+            config.mkdir()
+        out = tmp_path / "out"
+        args = {
+            "correlate": ["--input-dir", str(run_dir)],
+            "fit": ["--recon", str(tmp_path / "x.json"), "--output", str(out / "fits.json")],
+        }[command]
+        before = sorted(os.listdir(run_dir))
+        done = run_cli([command, "--config", str(config), *args])
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: config file:")
+        assert "Traceback" not in done.stderr
+        assert sorted(os.listdir(run_dir)) == before
+        assert not out.exists()
 
     def test_missing_file_is_two(self, tmp_path):
         assert main(["correlate", "--input-dir", str(tmp_path / "nowhere")]) == 2

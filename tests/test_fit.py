@@ -385,6 +385,134 @@ class TestEnvelopeFitBitIdentical:
             assert (fit.residuals == ref.residuals).all()
 
 
+def _bits(x):
+    """The bytes of a float or float array: NaN payloads and the sign of
+    zero count."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_same_levenberg_result(got, ref):
+    (p, cov, chi2, converged, message, r), (p_ref, cov_ref, chi2_ref, *flags_ref, r_ref) = got, ref
+    for a, b in ((p, p_ref), (cov, cov_ref), (r, r_ref), (chi2, chi2_ref)):
+        assert np.shape(a) == np.shape(b)
+        assert _bits(a) == _bits(b)
+    assert [converged, message] == flags_ref
+
+
+def _narrow_envelope_problem():
+    """An envelope with Tc = 10 ns fitted from Tc = 100 ns: the first
+    Gauss-Newton step proposes Tc <= 0, and the fit takes more than two
+    steps."""
+    tau = np.linspace(-200e-9, 200e-9, 101)
+    y = np.exp(-2.0 * np.abs(tau) / 10e-9)
+    residual_jac = fit_module._envelope_residual_jac(tau, y, np.ones_like(y))
+    return residual_jac, [1.0, 0.0, 100e-9], [1.0, 100e-9, 100e-9]
+
+
+class TestLevenbergBranches:
+    """Each exit and retry branch of fit._levenberg against the oracle
+    _reference_levenberg, bit for bit."""
+
+    def test_singular_damped_matrix_is_retried(self, monkeypatch):
+        # np.linalg.solve reports the first two damped matrices singular.
+        solve = np.linalg.solve
+        results, calls = [], []
+        for lm in (fit_module._levenberg, _reference_levenberg):
+            calls.clear()
+
+            def flaky_solve(a, b):
+                calls.append(None)
+                if len(calls) <= 2:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return solve(a, b)
+
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", flaky_solve)
+                results.append(lm(*_narrow_envelope_problem(), lambda p: p[2] > 0.0))
+            assert len(calls) > 2
+        _assert_same_levenberg_result(*results)
+        assert results[0][4] == "chi2 converged"
+
+    def test_infeasible_trial_is_rejected(self):
+        results, refused = [], []
+        for lm in (fit_module._levenberg, _reference_levenberg):
+            refused.clear()
+
+            def feasible(p):
+                if p[2] > 0.0:
+                    return True
+                refused.append(p[2])
+                return False
+
+            results.append(lm(*_narrow_envelope_problem(), feasible))
+            assert refused
+        _assert_same_levenberg_result(*results)
+        assert results[0][4] == "chi2 converged"
+
+    def test_non_finite_normal_equations(self):
+        def residual_jac(p):
+            return np.array([1.0, 2.0, 3.0]) - p[0], np.array([[np.inf], [1.0], [1.0]])
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = fit_module._levenberg(residual_jac, [0.5], [1.0])
+            ref = _reference_levenberg(residual_jac, [0.5], [1.0])
+        _assert_same_levenberg_result(got, ref)
+        assert got[3:5] == (False, "non-finite normal equations")
+
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(fit_module, "_MAX_ITER", 2)
+        got = fit_module._levenberg(*_narrow_envelope_problem(), lambda p: p[2] > 0.0)
+        ref = _reference_levenberg(*_narrow_envelope_problem(), lambda p: p[2] > 0.0)
+        _assert_same_levenberg_result(got, ref)
+        assert got[3:5] == (False, "iteration budget exhausted")
+
+    def test_no_downhill_step(self):
+        # The residual grows steeply away from p = 0 in both directions,
+        # but the Jacobian given is 1: every step it points to, however
+        # damped, goes uphill.
+        def residual_jac(p):
+            return np.array([1.0 + 1e10 * abs(p[0])]), np.array([[1.0]])
+
+        got = fit_module._levenberg(residual_jac, [0.0], [1.0])
+        ref = _reference_levenberg(residual_jac, [0.0], [1.0])
+        _assert_same_levenberg_result(got, ref)
+        assert got[3:5] == (True, "no downhill step found (at a minimum)")
+
+    def test_singular_covariance_at_optimum(self):
+        # The second parameter barely enters the residuals: the square of
+        # its column underflows to zero, so its damping is the 1e-300
+        # floor, and the covariance at the optimum is singular.
+        X = np.array([[1.0, 1e-170], [2.0, 0.0], [3.0, 1e-170]])
+        y = np.array([1.0, 2.0, 2.0])
+
+        def residual_jac(p):
+            return X @ p - y, X
+
+        got = fit_module._levenberg(residual_jac, [0.0, 1.0], [1.0, 1.0])
+        ref = _reference_levenberg(residual_jac, [0.0, 1.0], [1.0, 1.0])
+        _assert_same_levenberg_result(got, ref)
+        assert got[3:5] == (False, "singular covariance at optimum")
+        assert np.isnan(got[1]).all()
+
+    def test_fit_results_over_calibration_seeds(self, monkeypatch):
+        # The per-seed reconstruction and envelope fit of the many-seed
+        # calibration study, over 50 of its seeds.
+        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
+        for seed in range(500, 550):
+            recon = simulated_recon(model, 1.0, seed, duration=100.0, pair_rate=2000.0,
+                                    singles_rate=1000.0, gamma_mode="per_bin")
+            fit = fit_double_exponential(recon)
+            with monkeypatch.context() as m:
+                m.setattr(fit_module, "_levenberg", _reference_levenberg)
+                m.setattr(fit_module, "_envelope_residual_jac", _column_stack_residual_jac)
+                ref = fit_double_exponential(recon)
+            assert fit.params == ref.params
+            assert fit.sigmas == ref.sigmas
+            assert (fit.chi2, fit.ndof, fit.n_points) == (ref.chi2, ref.ndof, ref.n_points)
+            assert (fit.converged, fit.message) == (ref.converged, ref.message)
+            assert _bits(fit.residuals) == _bits(ref.residuals)
+
+
 class TestConstantPhaseFit:
     def test_zero_phase(self):
         model = TpwfModel(amplitude=1.0, corr_time=30e-9, phase=0.0)

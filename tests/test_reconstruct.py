@@ -379,6 +379,101 @@ def synthetic_triple(model, gamma, n_bins=100, exposure=4e7, background=0.0, see
     return PhaseTriple(*hists), centers, psi
 
 
+def _reference_sigma_arrays(J, var_y):
+    """reconstruct._sigma_arrays as it was before the propagation was
+    taken over the rate axis at once: the oracle for it."""
+
+    def propagate(a, b):
+        with np.errstate(invalid="ignore"):
+            return sum(np.where(a[k] * b[k] == 0.0, 0.0, a[k] * b[k] * var_y[k]) for k in range(3))
+
+    var = [propagate(J[i], J[i]) for i in range(3)]
+    return np.sqrt(var[0]), np.sqrt(var[1]), np.sqrt(var[2]), propagate(J[0], J[1])
+
+
+def _assert_identical(got, ref):
+    """Equal shapes, NaN at the same places, the same sign bits and the
+    same values elsewhere."""
+    for a, b in zip(got, ref, strict=True):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape
+        assert (np.isnan(a) == np.isnan(b)).all()
+        assert (np.signbit(a) == np.signbit(b)).all()
+        assert (a[~np.isnan(a)] == b[~np.isnan(b)]).all()
+
+
+class TestSigmaArraysOracle:
+    """_sigma_arrays against the frozen per-rate form, exactly."""
+
+    @staticmethod
+    def rates_and_variances(seed, n=300):
+        # Rates near and past the root crossing give invalid (NaN) bins,
+        # and zero counts give infinite variances.
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(0.0, 0.6, n) + 1j * rng.normal(0.0, 0.6, n)
+        ys = forward_triple(1.0, psi) + rng.normal(0.0, 0.05, (3, n))
+        counts = rng.poisson(3.0, (3, n))
+        var_y = np.where(counts > 0, ys**2 / np.maximum(counts, 1), np.inf)
+        return ys, var_y
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_bin_jacobian(self, seed):
+        ys, var_y = self.rates_and_variances(seed)
+        J = _jacobian(*ys)
+        # Exact zeros of either sign, next to infinite variances.
+        J[0, 1, ::7] = 0.0
+        J[1, 2, 3::11] = -0.0
+        J[2, 0, 5::13] = 0.0
+        # Zero variances with anti-correlated re and im derivatives: each
+        # covariance term is -0.0, and their sum is +0.0 (0 + ...).
+        J[0, :, 1::17] = 1.0
+        J[1, :, 1::17] = -1.0
+        var_y[:, 1::17] = 0.0
+        assert J.shape == (3, 3, ys.shape[1])
+        assert np.isnan(J).any() and np.isinf(var_y).any()
+        _assert_identical(reconstruct_module._sigma_arrays(J, var_y),
+                          _reference_sigma_arrays(J, var_y))
+
+    @pytest.mark.parametrize("pooled_gamma", [0.8, 1.3])
+    def test_pooled_jacobian(self, pooled_gamma):
+        # The pooled-mode J is (3, 3), shared by every bin; its gamma row
+        # and the d(Im)/dy0 entry are zero.
+        _, var_y = self.rates_and_variances(7)
+        J = np.zeros((3, 3))
+        J[:2] = reconstruct_module._NUM_GRAD / (2.0 * pooled_gamma)
+        _assert_identical(reconstruct_module._sigma_arrays(J, var_y),
+                          _reference_sigma_arrays(J, var_y))
+
+    def test_reconstructions_with_zero_count_bins(self, monkeypatch):
+        ys, _ = self.rates_and_variances(11)
+        counts = np.random.default_rng(12).poisson(3.0, ys.shape)
+        assert (counts == 0).any()
+        tau = np.arange(ys.shape[1], dtype=float)
+        for mode in ("per_bin", "pooled"):
+            got = reconstruct_values(tau, *ys, *counts, gamma_mode=mode)
+            with monkeypatch.context() as m:
+                m.setattr(reconstruct_module, "_sigma_arrays", _reference_sigma_arrays)
+                ref = reconstruct_values(tau, *ys, *counts, gamma_mode=mode)
+            _assert_identical(
+                [got.sigma_re, got.sigma_im, got.sigma_gamma, got.cov_re_im],
+                [ref.sigma_re, ref.sigma_im, ref.sigma_gamma, ref.cov_re_im],
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scalar_propagate_errors(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            psi = complex(rng.normal(0.0, 0.5), rng.normal(0.0, 0.5))
+            y = [float(v) for v in forward_triple(1.0, psi)]
+            counts = rng.integers(1, 1000, 3)
+            got = propagate_errors(y, counts)
+            with monkeypatch.context() as m:
+                m.setattr(reconstruct_module, "_sigma_arrays", _reference_sigma_arrays)
+                ref = propagate_errors(y, counts)
+            assert all(type(v) is float for v in got)
+            _assert_identical(got, ref)
+
+
 class TestReconstructValues:
     def test_noiseless_round_trip(self):
         model = TpwfModel(amplitude=0.8, corr_time=39.3e-9, tau_offset=3e-9, phase=0.9)
@@ -467,6 +562,14 @@ class TestReconstructValues:
         counts = [np.full(3, 100)] * 3
         counts[missing] = None
         with pytest.raises(ConfigError):
+            reconstruct_values(tau, ones, ones, ones, *counts)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (1,), ()])
+    def test_counts_of_another_shape_rejected(self, shape):
+        tau = np.zeros(3)
+        ones = np.ones(3)
+        counts = [np.full(3, 100), np.full(shape, 100), np.full(3, 100)]
+        with pytest.raises(ConfigError, match="counts arrays must match tau"):
             reconstruct_values(tau, ones, ones, ones, *counts)
 
 
