@@ -220,6 +220,8 @@ def _simulate_setting(config: PipelineConfig, index: int, out_dir: str) -> dict:
         for block_a, block_b in blocks:
             writer_a.append(block_a)
             writer_b.append(block_b)
+            # Hold no block while the next one is simulated.
+            del block_a, block_b
     return {
         "index": index,
         "phi_rad": phi,
@@ -234,11 +236,15 @@ def _simulate_setting(config: PipelineConfig, index: int, out_dir: str) -> dict:
     }
 
 
+# Settings simulated at once: one per setting (see _CORRELATE_THREADS).
+_SIMULATE_THREADS = 3
+
+
 def run_simulate(config: PipelineConfig, out_dir: str, only_setting: int | None = None) -> dict:
     """Simulate the analyzer settings (concurrently) and write a manifest."""
     os.makedirs(out_dir, exist_ok=True)
     indices = [only_setting] if only_setting is not None else [0, 1, 2]
-    with ThreadPoolExecutor(max_workers=len(indices)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(indices), _SIMULATE_THREADS)) as pool:
         entries = list(pool.map(lambda k: _simulate_setting(config, k, out_dir), indices))
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -293,14 +299,28 @@ def _correlate_files(config, tags_a, tags_b, duration, exposure, setting, out_pa
     return hist
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, so that taskset or a cpuset counts, else every CPU
+    of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # Settings correlated at once.  The pair kernel makes many small numpy
 # calls, each of which takes the GIL back, so no more threads than CPUs
 # run at once.  On 2 CPUs, the three settings of 10 s of tags at 2e5
 # clicks/s per channel, 0.02 ns bins, took 0.79-0.86 s one after another,
 # 0.63-0.89 s on two threads and 0.62-0.82 s on three; the third thread
 # added 3.4 MB to the peak RSS of the correlate child.  (The simulate pool
-# keeps one thread per setting: its RNG draws and sorts release the GIL.)
-_CORRELATE_THREADS = os.cpu_count() or 1
+# keeps one thread per setting: its RNG draws and sorts release the GIL.
+# Capping it at one per CPU was measured on 2 CPUs, before each simulate
+# thread's working set was cut from about 2.9 to 1.5 MB: the dense
+# `pipeline` peak RSS went 49.1-50.1 -> 46.9-47.9 MB in 6 of 6 perfbench
+# pairs, but perfbench `reanalyze_fine` setup_s, its three `simulate`
+# children, went 0.744 -> 0.854 s, median of 4 pairs.)
+_CORRELATE_THREADS = _usable_cpus()
 
 
 def run_correlate(run_dir: str, config: PipelineConfig, manifest: dict) -> tuple[list, list]:

@@ -289,6 +289,8 @@ def _merge_blocks(blocks_a, blocks_b, tmax_ps, bw_ps, counts) -> int:
             elif block.size:
                 b = np.concatenate((b, block)) if b.size else block
                 b_last = block[-1]
+            # A concatenated b is a copy: hold it, not the block too.
+            del block
     if blocks_b is not None:
         for _ in blocks_b:  # read to the end: a fault in B's tail still raises
             pass

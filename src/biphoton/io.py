@@ -62,6 +62,14 @@ RECON_FORMAT = "tpwf-reconstruction/1"
 FIT_FORMAT = "fit-result/1"
 
 
+def _raw_records(n: int) -> np.ndarray:
+    """A raw record buffer for tag file i/o: n records, at most an
+    eighth of a block (72 KiB at 2**16 records), so that a reader or
+    writer holds 9/64 of a block besides the timestamps it is given or
+    yields."""
+    return np.empty(max(1, min(n, correlate._BLOCK_RECORDS // 8)), dtype=_RECORD_DTYPE)
+
+
 def _create_temp(path):
     """Create an empty temp file, open for writing, beside path; return
     its descriptor and name.
@@ -82,7 +90,8 @@ class TimeTagWriter:
     block, so that no more than one block is held.
 
     The header goes to a temp file in the target directory on creation;
-    append() adds records with ndarray.tofile and counts them (n_records).
+    append() packs records into a raw record buffer (_raw_records) and
+    writes them from it, and counts them (n_records).
     Each block must continue the channel's non-decreasing timestamp
     order, or append() raises DataError.  close() renames the temp file
     to path, so readers never see a partial file; used as a context
@@ -108,10 +117,12 @@ class TimeTagWriter:
             return
         if (self._last is not None and ts[0] < self._last) or np.any(ts[1:] < ts[:-1]):
             raise DataError(f"{self.path}: timestamps must be non-decreasing")
-        records = np.empty(ts.size, dtype=_RECORD_DTYPE)
+        records = _raw_records(ts.size)
         records["channel"] = self._code
-        records["timestamp"] = ts
-        records.tofile(self._fh)
+        for start in range(0, ts.size, records.size):
+            part = records[: min(records.size, ts.size - start)]
+            part["timestamp"] = ts[start : start + part.size]
+            self._fh.write(part)
         self.n_records += ts.size
         self._last = ts[-1]
 
@@ -171,70 +182,94 @@ def _check_header(path) -> tuple[int, int | None]:
     return n_records, (head[_HEADER.size] if n_records else None)
 
 
+def _check_block(path, offset, channels, timestamps, code, last):
+    """Check one block of records that starts at byte offset: its channel
+    bytes, then the timestamp order of each channel within the block and
+    against last, which maps a channel code to its last timestamp so far
+    and is updated.  A fault raises DataError with the byte offset of
+    the first bad record; a block that passes costs one boolean
+    reduction per check."""
+    size = _RECORD_DTYPE.itemsize
+    bad = channels > 1 if code is None else channels != code
+    if bad.any():
+        first = int(bad.argmax())
+        byte = int(channels[first])
+        if byte in _CHANNEL_NAME:
+            message = (f"expected a single-channel file of channel "
+                       f"{_CHANNEL_NAME[code]}, found a channel {_CHANNEL_NAME[byte]} record")
+        else:
+            message = f"invalid channel byte {byte}"
+        raise DataError(f"{path}: {message}", byte_offset=offset + first * size)
+    if code is not None:
+        groups = [(code, None)]
+    elif (channels == channels[0]).all():
+        groups = [(int(channels[0]), None)]
+    else:
+        groups = [(c, np.flatnonzero(channels == c)) for c in (0, 1)]
+    for c, idx in groups:
+        ts = timestamps if idx is None else timestamps[idx]
+        if c in last and ts[0] < last[c]:
+            drop = 0
+        else:
+            decrease = ts[1:] < ts[:-1]
+            drop = int(decrease.argmax()) + 1 if decrease.any() else None
+        if drop is not None:
+            bad_record = drop if idx is None else int(idx[drop])
+            raise DataError(
+                f"{path}: channel {_CHANNEL_NAME[c]} timestamps decrease",
+                byte_offset=offset + bad_record * size,
+            )
+        last[c] = ts[-1]
+
+
+def _read_block(fh, raw, path, start, count, code, last):
+    """Read the count records from record start on, through the raw
+    record buffer, and return them checked (_check_block) as
+    (channels, timestamps); channels is None with a channel code."""
+    size = _RECORD_DTYPE.itemsize
+    offset = _HEADER.size + start * size
+    raw_bytes = raw.view(np.uint8)
+    channels = np.empty(count, dtype=np.uint8)
+    timestamps = np.empty(count, dtype=np.int64)
+    filled = 0
+    while filled < count:
+        n_bytes = fh.readinto(raw_bytes[: min(raw.size, count - filled) * size])
+        n = n_bytes // size
+        if not n:
+            raise DataError(
+                f"{path}: file shrank while being read",
+                byte_offset=offset + filled * size,
+            )
+        channels[filled : filled + n] = raw["channel"][:n]
+        timestamps[filled : filled + n] = raw["timestamp"][:n]
+        filled += n
+        # A read may end inside a record; read its bytes again.
+        if n_bytes % size:
+            fh.seek(-(n_bytes % size), os.SEEK_CUR)
+    _check_block(path, offset, channels, timestamps, code, last)
+    return (channels if code is None else None), timestamps
+
+
 def _record_blocks(path, n_records, code=None):
     """Yield (channels, timestamps_ps) arrays of a tag file whose header
-    _check_header passed, block by block.
+    _check_header passed, block by block, each checked (_check_block)
+    before it is yielded.  With a channel code, every record must hold
+    that channel and channels is None; without one, each byte must be 0
+    or 1.
 
-    Each block is checked before it is yielded: its channel bytes, then
-    the timestamp order of each channel within the block and against the
-    last timestamp of the blocks before.  With a channel code, every
-    record must hold that channel; without one, each byte must be 0 or
-    1.  A fault raises DataError with the byte offset of the first bad
-    record.  With a channel code, channels is None, so that a suspended
-    reader holds one block of timestamps and not the records it was read
-    from.
+    The records are read into one raw record buffer (_raw_records),
+    reused for the whole file, and unpacked from it into the block's
+    arrays.  No block is bound while the reader is suspended, so it
+    holds 9/64 of a block besides the blocks its consumer holds.
     """
-    size = _RECORD_DTYPE.itemsize
     last = {}  # channel code -> its last timestamp so far
-    start = 0
-    # Unbuffered: np.fromfile reads through a descriptor of its own.
+    raw = _raw_records(n_records)
+    # Unbuffered: every read goes straight into raw.
     with open(path, "rb", buffering=0) as fh:
         fh.seek(_HEADER.size)
-        while start < n_records:
+        for start in range(0, n_records, correlate._BLOCK_RECORDS):
             count = min(correlate._BLOCK_RECORDS, n_records - start)
-            records = np.fromfile(fh, dtype=_RECORD_DTYPE, count=count)
-            offset = _HEADER.size + start * size
-            if records.size < count:
-                raise DataError(
-                    f"{path}: file shrank while being read",
-                    byte_offset=offset + records.size * size,
-                )
-            channels = records["channel"]
-            timestamps = records["timestamp"].astype(np.int64)
-            bad = np.flatnonzero(channels > 1 if code is None else channels != code)
-            if bad.size:
-                byte = int(channels[bad[0]])
-                if byte in _CHANNEL_NAME:
-                    message = (f"expected a single-channel file of channel "
-                               f"{_CHANNEL_NAME[code]}, found a channel {_CHANNEL_NAME[byte]} record")
-                else:
-                    message = f"invalid channel byte {byte}"
-                raise DataError(f"{path}: {message}", byte_offset=offset + int(bad[0]) * size)
-            if code is not None:
-                groups = [(code, None)]
-            elif np.all(channels == channels[0]):
-                groups = [(int(channels[0]), None)]
-            else:
-                groups = [(c, np.flatnonzero(channels == c)) for c in (0, 1)]
-            for c, idx in groups:
-                ts = timestamps if idx is None else timestamps[idx]
-                if c in last and ts[0] < last[c]:
-                    drop = 0
-                else:
-                    drops = np.flatnonzero(ts[1:] < ts[:-1])
-                    drop = int(drops[0]) + 1 if drops.size else None
-                if drop is not None:
-                    bad_record = drop if idx is None else int(idx[drop])
-                    raise DataError(
-                        f"{path}: channel {_CHANNEL_NAME[c]} timestamps decrease",
-                        byte_offset=offset + bad_record * size,
-                    )
-                last[c] = ts[-1]
-            records = None
-            if code is not None:
-                channels = None
-            yield channels, timestamps
-            start += count
+            yield _read_block(fh, raw, path, start, count, code, last)
 
 
 def read_timetags(path):
@@ -295,14 +330,20 @@ class TimeTagFile:
 
     def blocks(self):
         """Yield the timestamps in checked blocks of at most _BLOCK_RECORDS."""
-        code = _CHANNEL_CODE[self.channel]
-        end_ps = self.duration * correlate.PS_PER_SECOND
-        for _, timestamps in _record_blocks(self.path, self._n_records, code):
-            if timestamps[0] < 0:
-                raise DataError(f"{self.path}: timestamps must be >= 0")
-            if timestamps[-1] >= end_ps:
-                raise DataError(f"{self.path}: timestamps must lie within [0, duration)")
-            yield timestamps
+        # map binds no block here, so a suspended reader holds none that
+        # its consumer has dropped (a correlated B block, once copied).
+        yield from map(self._in_range, _record_blocks(self.path, self._n_records,
+                                                      _CHANNEL_CODE[self.channel]))
+
+    def _in_range(self, block):
+        """The timestamps of a (channels, timestamps) block, checked to
+        lie within [0, duration)."""
+        timestamps = block[1]
+        if timestamps[0] < 0:
+            raise DataError(f"{self.path}: timestamps must be >= 0")
+        if timestamps[-1] >= self.duration * correlate.PS_PER_SECOND:
+            raise DataError(f"{self.path}: timestamps must lie within [0, duration)")
+        return timestamps
 
 
 def read_timetag_stream(

@@ -59,6 +59,10 @@ _ZERO_DENSITY = "pair-delay density integrates to zero (gamma = 0 and amplitude 
 # small share of it.
 _SEGMENT_CLICKS = 2**16
 _SEGMENT_MIN_WINDOWS = 64
+# Elements per chunk of the passes over a segment's clicks that would
+# otherwise make full-size temporaries (jitter, integer conversion, the
+# dead-time gap test, compaction): each such temporary is 64 KiB.
+_CHUNK = 2**13
 # Timing jitter is clipped at this many sigmas (a two-sided tail of
 # 1.2e-15), which bounds how far a click lands from its event.
 _JITTER_BOUND_SIGMAS = 8.0
@@ -224,12 +228,26 @@ def sample_pair_delay(
     return PairDelaySampler(setting, model, gamma, window).sample(rng, size)
 
 
+def _compact(ts: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move ts[keep] to the front of ts in place, one _CHUNK at a time,
+    and return them as the view ts[:n]."""
+    n = 0
+    for i in range(0, ts.size, _CHUNK):
+        kept = ts[i : i + _CHUNK][keep[i : i + _CHUNK]]
+        ts[n : n + kept.size] = kept
+        n += kept.size
+    return ts[:n]
+
+
 def _dead_time_filter(ts: np.ndarray, dead_ps: int) -> np.ndarray:
     """Non-paralyzable dead time: a counted click blinds the channel for
     dead_ps; clicks inside the blind interval are dropped and do not
     extend it (Mueller, NIM 112, 47 (1973)).
 
-    ts must be sorted.  Exact and vectorized in three steps:
+    ts must be sorted, and is overwritten: the kept clicks are moved to
+    its front and returned as a view of it, so that the filter makes no
+    full-size temporary beyond a bool mask.  Exact and vectorized in
+    three steps:
 
     1. Clusters.  A click at least dead_ps after the previous raw click
        is always kept, since the last kept click is no later than that
@@ -249,12 +267,18 @@ def _dead_time_filter(ts: np.ndarray, dead_ps: int) -> np.ndarray:
     # Cluster starts, which are always kept.
     keep = np.empty(ts.size, dtype=bool)
     keep[0] = True
-    np.greater_equal(ts[1:] - ts[:-1], dead_ps, out=keep[1:])
+    gap = np.empty(min(ts.size - 1, _CHUNK), dtype=np.int64)
+    for i in range(1, ts.size, _CHUNK):
+        j = min(i + _CHUNK, ts.size)
+        np.subtract(ts[i:j], ts[i - 1 : j - 1], out=gap[: j - i])
+        np.greater_equal(gap[: j - i], dead_ps, out=keep[i:j])
+    del gap
     # A click is in a multi-click cluster unless it and its successor
     # both start clusters.
     single = keep.copy()
     single[:-1] &= keep[1:]
     multi = np.flatnonzero(~single)
+    del single
     if multi.size:
         t = ts[multi]
         kept = keep[multi]
@@ -270,7 +294,7 @@ def _dead_time_filter(ts: np.ndarray, dead_ps: int) -> np.ndarray:
             kept[reached] = True
             step = step[step]
         keep[multi] = kept
-    return ts[keep]
+    return _compact(ts, keep) if multi.size else ts
 
 
 def _segment_edges(config: SimConfig) -> np.ndarray:
@@ -298,13 +322,24 @@ def _uniform(rng, out, start, span):
     out += start
 
 
-def _draw_segment(config, sampler, rng, start, stop):
-    """The clicks [A, B] of the events in [start, stop) s: unsorted int64
-    picosecond timestamps, cropped to [0, duration).
+def _spill_ps(config: SimConfig) -> int:
+    """Bound (ps) on the distance from an event to one of its clicks:
+    click_spill plus a margin for the floating-point rounding of the
+    click time."""
+    spill = config.click_spill()
+    spill += 4.0 * np.finfo(float).eps * (config.duration + config.tau_window)
+    return math.ceil(spill * PS_PER_SECOND) + 1
+
+
+def _draw_segment(config, sampler, rng, start, stop, spare):
+    """The clicks [A, B] of the events in [start, stop) s: per channel an
+    int64 array whose first spare entries are left for the caller,
+    followed by the channel's unsorted picosecond timestamps, cropped to
+    [0, duration).
 
     Each channel's click times are built in one array, pair clicks first
-    and then singles, and every later step works in place, so that about
-    one segment's clicks are held at a time.
+    and then singles, and every later step works in place, chunk by
+    chunk, so that about one segment's clicks are held at a time.
     """
     span = stop - start
     n_pairs = rng.poisson(config.pair_rate * span * sampler.rate_factor)
@@ -324,37 +359,43 @@ def _draw_segment(config, sampler, rng, start, stop):
     # singles_rate_a at every setting.
     compensation = config.pair_rate * (1.0 - sampler.rate_factor)
     n_singles = rng.poisson(max(config.singles_rate_a + compensation, 0.0) * span)
-    times_a = np.empty(n_pairs + n_singles)
-    np.add(midpoints, half_delays, out=times_a[:n_pairs])
-    _uniform(rng, times_a[n_pairs:], start, span)
+    times_a = np.empty(spare + n_pairs + n_singles)
+    np.add(midpoints, half_delays, out=times_a[spare : spare + n_pairs])
+    _uniform(rng, times_a[spare + n_pairs :], start, span)
     midpoints -= half_delays  # now the B pair clicks
     del half_delays
     n_singles = rng.poisson(max(config.singles_rate_b + compensation, 0.0) * span)
-    times_b = np.empty(n_pairs + n_singles)
-    times_b[:n_pairs] = midpoints
+    times_b = np.empty(spare + n_pairs + n_singles)
+    times_b[spare : spare + n_pairs] = midpoints
     del midpoints
-    _uniform(rng, times_b[n_pairs:], start, span)
+    _uniform(rng, times_b[spare + n_pairs :], start, span)
 
+    # Only the segments within a click spill of either end can hold
+    # clicks outside [0, duration): the first and the last, unless the
+    # spill is longer than a segment.
     duration_ps = seconds_to_ps(config.duration)
+    spill_ps = _spill_ps(config)
+    crop = (seconds_to_ps(start) < spill_ps
+            or seconds_to_ps(stop) + spill_ps >= duration_ps)
     bound = _JITTER_BOUND_SIGMAS * config.jitter_sigma
-    # Each temporary is freed before the next one of its size is made:
-    # the float times are popped, and dropped once they are int64.
-    times = [times_a, times_b]
-    del times_a, times_b
     clicks = []
-    while times:
-        times_s = times.pop(0)
-        if config.jitter_sigma > 0.0 and times_s.size:
-            jitter = rng.normal(0.0, config.jitter_sigma, times_s.size)
-            times_s += np.clip(jitter, -bound, bound, out=jitter)
-            del jitter
-        times_s *= PS_PER_SECOND
-        ts = np.rint(times_s, out=times_s).astype(np.int64)
-        del times_s
-        # Only the first and last segments have clicks to crop.
-        inside = (ts >= 0) & (ts < duration_ps)
-        clicks.append(ts if inside.all() else ts[inside])
-        del ts, inside
+    for times_s in (times_a, times_b):
+        # The float times become int64 in the same buffer, one chunk at a
+        # time; the jitter draws in chunks are those of one draw.
+        ts = times_s.view(np.int64)
+        for i in range(spare, times_s.size, _CHUNK):
+            part = times_s[i : i + _CHUNK]
+            if config.jitter_sigma > 0.0:
+                jitter = rng.normal(0.0, config.jitter_sigma, part.size)
+                part += np.clip(jitter, -bound, bound, out=jitter)
+            part *= PS_PER_SECOND
+            ts[i : i + _CHUNK] = np.rint(part, out=part)
+        if crop:
+            inside = ts[spare:] >= 0
+            inside &= ts[spare:] < duration_ps
+            if not inside.all():
+                ts = ts[: spare + _compact(ts[spare:], inside).size]
+        clicks.append(ts)
     return clicks
 
 
@@ -403,41 +444,39 @@ def generate_blocks(
 def _blocks(config: SimConfig, sampler: PairDelaySampler):
     edges = _segment_edges(config)
     dead_ps = seconds_to_ps(config.dead_time)
-    # Largest distance from an event to its click, plus a margin for the
-    # floating-point rounding of the click time.
-    spill = config.click_spill()
-    spill += 4.0 * np.finfo(float).eps * (config.duration + config.tau_window)
-    spill_ps = math.ceil(spill * PS_PER_SECOND) + 1
+    spill_ps = _spill_ps(config)
     carry = [np.empty(0, dtype=np.int64)] * 2
     # A start value dead_ps before 0 lets the first click through.
     last_kept = [-dead_ps, -dead_ps]
     n_segments = edges.size - 1
     for k in range(n_segments):
-        clicks = _draw_segment(config, sampler, _segment_rng(config, k), edges[k], edges[k + 1])
+        # Each channel's buffer ends with its new clicks.  The carry goes
+        # right before them and the dead-time state in the slot before
+        # the carry, and they are merged in place.
+        spare = 1 + max(carry[0].size, carry[1].size)
+        bufs = _draw_segment(config, sampler, _segment_rng(config, k), edges[k], edges[k + 1], spare)
         cut = seconds_to_ps(edges[k + 1]) - spill_ps
         block = []
         for ch in (0, 1):
-            # Slot 0 holds the dead-time state; the carry and the new
-            # clicks follow it, merged in place.
-            n_carry = carry[ch].size
-            buf = np.empty(1 + n_carry + clicks[ch].size, dtype=np.int64)
-            buf[1 : 1 + n_carry] = carry[ch]
-            buf[1 + n_carry :] = clicks[ch]
-            clicks[ch] = None
-            ts = buf[1:]
+            buf = bufs[ch]
+            head = spare - carry[ch].size
+            buf[head:spare] = carry[ch]
+            ts = buf[head:]
             ts.sort()
             split = ts.size if k == n_segments - 1 else int(np.searchsorted(ts, cut))
             carry[ch] = ts[split:].copy()
             if dead_ps > 0 and split:
-                buf[0] = last_kept[ch]
-                ts = _dead_time_filter(buf[: 1 + split], dead_ps)[1:]
+                buf[head - 1] = last_kept[ch]
+                ts = _dead_time_filter(buf[head - 1 : head + split], dead_ps)[1:]
                 if ts.size:
                     last_kept[ch] = ts[-1]
             else:
                 ts = ts[:split]
-            del buf
             block.append(ts)
+        del bufs, buf, ts
         yield tuple(block)
+        # Hold no block while the next segment is drawn.
+        del block
 
 
 def generate_stream(

@@ -377,6 +377,22 @@ class TestStreamingSimulate:
         size = (full / entry["tags_a"]).stat().st_size
         assert entry["n_tags_a"] > 50_000 and size == 16 + 9 * entry["n_tags_a"]
 
+    def test_pipeline_does_not_depend_on_simulate_threads(self, tmp_path, monkeypatch):
+        # The settings simulated one after another on one thread, or at
+        # once on three, each drawing into buffers of its own: the same
+        # bytes in every file of the run.
+        import biphoton.cli as cli
+
+        config = write_config(tmp_path, {**self.DENSE, "sim.duration_s": 0.2})
+        files = {}
+        for threads in (1, 3):
+            monkeypatch.setattr(cli, "_SIMULATE_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 0
+            files[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(files[1]) == 12  # manifest, 6 tag files, 3 histograms, reconstruction, fits
+        assert files[1] == files[3]
+
     def test_over_budget_is_one_before_any_tag_file(self, tmp_path):
         config = write_config(tmp_path, {"sim.pair_rate_hz": 1e8})
         out = tmp_path / "o"
@@ -478,6 +494,24 @@ class TestReadOnlyStages:
             errors[threads] = capsys.readouterr().err
         assert errors[1] == errors[3]
         assert "tags_phi2_B.bttg: truncated record" in errors[1]
+
+
+class TestUsableCpus:
+    def test_counts_the_affinity_mask(self, monkeypatch):
+        import biphoton.cli as cli
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._usable_cpus() == 2
+
+    def test_without_affinity_counts_every_cpu(self, monkeypatch):
+        import biphoton.cli as cli
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert cli._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
 
 
 class TestCorrelateCommand:

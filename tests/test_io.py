@@ -315,6 +315,23 @@ class TestReaderMemory:
         assert first.size == correlate._BLOCK_RECORDS
         assert held < 1.25 * first.nbytes
 
+    def test_reader_holds_no_dropped_block(self, tmp_path):
+        # Once its consumer drops a block, a suspended reader holds only
+        # its record buffer, an eighth of a block of 9-byte records.
+        n = 3 * correlate._BLOCK_RECORDS
+        path = tmp_path / "tags.bttg"
+        bio.write_timetags(path, stream("A", np.arange(n) * 10))
+        blocks = bio.TimeTagFile(path, "A", 1.0).blocks()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            size = next(blocks).nbytes
+            held = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        blocks.close()
+        assert held < 0.2 * size
+
 
 class TestJson:
     def test_seventeen_significant_digits(self):
