@@ -34,7 +34,7 @@ from .reconstruct import (
 # attribute of this module, so the name stays importable from it.
 from .simulate import (  # noqa: F401
     SimConfig,
-    _neutral_mass,
+    _density_grid,
     derive_setting_seed,
     generate_blocks,
     generate_stream,
@@ -122,7 +122,7 @@ class PipelineConfig:
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         SimConfig(seed=0, **self._sim_fields())  # validates rates, durations, window
-        _neutral_mass(self.model, self.gamma, self.tau_window)  # the density stays finite
+        _density_grid(self.model, self.gamma, self.tau_window)  # the density stays finite
 
     def _sim_fields(self) -> dict:
         return {field: getattr(self, field) for section, _, field, _, _ in _CONFIG_KEYS

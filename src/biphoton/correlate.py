@@ -72,6 +72,12 @@ def check_binning(bin_width: float, tau_max: float) -> tuple[int, int]:
     return bw_ps, tmax_ps
 
 
+def _bin_centers(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
+    """Centres (s) of n_bins bins of bin_width_ps from tau_min_ps on."""
+    edges = tau_min_ps + bin_width_ps * np.arange(n_bins, dtype=np.int64)
+    return (edges + 0.5 * bin_width_ps) / PS_PER_SECOND
+
+
 def _check_duration(duration: float) -> None:
     """An acquisition's duration (s) must be positive and below 2**62 ps."""
     if not duration > 0.0:
@@ -93,14 +99,40 @@ def check_acquisition(channel: str, duration: float, exposure: float | None) -> 
     return exposure
 
 
+def _tag_fault(timestamps, last, end_ps):
+    """The tag-stream rule for one block: integer picoseconds (else
+    DataError), non-decreasing within the block and from last (the block
+    before's last timestamp, or None) on, and within [0, end_ps) unless
+    end_ps is None.  Returns the block as int64 and the index of its
+    first fault, or None; only a failing block is searched for it."""
+    ts = np.asarray(timestamps)
+    kind = ts.dtype.kind
+    if ts.size and not (kind == "i" or (kind == "u" and ts.max() < 2**63)):
+        raise DataError(f"timestamps must be integer picoseconds, got {ts.dtype} values")
+    ts = ts.astype(np.int64, copy=False)
+    if not ts.size:
+        return ts, None
+    bad = np.empty(ts.size, dtype=bool)
+    bad[0] = last is not None and ts[0] < last
+    np.less(ts[1:], ts[:-1], out=bad[1:])
+    # A sorted block lies within range if its ends do.
+    if not bad.any() and (end_ps is None or (ts[0] >= 0 and ts[-1] < end_ps)):
+        return ts, None
+    if end_ps is not None:
+        bad |= ts < 0
+        bad |= ts >= end_ps
+    return ts, int(bad.argmax())
+
+
 @dataclass(frozen=True)
 class TimeTagStream:
     """Sorted click record of one detector channel.
 
     timestamps_ps is a non-decreasing int64 array of picosecond
-    timestamps in [0, duration).  duration is the wall-clock acquisition
-    span in seconds; exposure is the effective live time used for rate
-    normalization (gating shrinks it, default equal to duration).
+    timestamps in [0, duration), given as integers (_tag_fault).
+    duration is the wall-clock acquisition span in seconds; exposure is
+    the effective live time used for rate normalization (gating shrinks
+    it, default equal to duration).
     """
 
     channel: str
@@ -111,15 +143,13 @@ class TimeTagStream:
     def __post_init__(self):
         exposure = check_acquisition(self.channel, self.duration, self.exposure)
         object.__setattr__(self, "exposure", exposure)
-        ts = np.asarray(self.timestamps_ps, dtype=np.int64)
+        end_ps = self.duration * PS_PER_SECOND
+        ts, fault = _tag_fault(self.timestamps_ps, None, end_ps)
         object.__setattr__(self, "timestamps_ps", ts)
-        if ts.size:
-            if ts[0] < 0:
-                raise DataError("timestamps must be >= 0")
-            if np.any(ts[1:] < ts[:-1]):
-                raise DataError(f"channel {self.channel} timestamps are not sorted")
-            if ts[-1] >= self.duration * PS_PER_SECOND:
+        if fault is not None:
+            if not 0 <= ts[fault] < end_ps:
                 raise DataError("timestamps must lie within [0, duration)")
+            raise DataError(f"channel {self.channel} timestamps are not sorted")
 
     @classmethod
     def _from_checked(cls, channel, timestamps_ps, duration, exposure=None) -> "TimeTagStream":
@@ -203,8 +233,7 @@ class CoincidenceHistogram:
 
     def bin_centers(self) -> np.ndarray:
         """Bin-center tau values in seconds."""
-        edges = self.tau_min_ps + self.bin_width_ps * np.arange(self.n_bins, dtype=np.int64)
-        return (edges + 0.5 * self.bin_width_ps) / PS_PER_SECOND
+        return _bin_centers(self.tau_min_ps, self.bin_width_ps, self.n_bins)
 
     def same_binning(self, other: "CoincidenceHistogram") -> bool:
         return (

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import struct
+from operator import itemgetter
 
 import numpy as np
 
@@ -92,8 +93,9 @@ class TimeTagWriter:
     The header goes to a temp file in the target directory on creation;
     append() packs records into a raw record buffer (_raw_records) and
     writes them from it, and counts them (n_records).
-    Each block must continue the channel's non-decreasing timestamp
-    order, or append() raises DataError.  close() renames the temp file
+    Each block must hold integers that continue the channel's
+    non-decreasing timestamp order (correlate._tag_fault), or append()
+    raises DataError.  close() renames the temp file
     to path, so readers never see a partial file; used as a context
     manager, an exception discards the temp file instead.
     """
@@ -112,11 +114,11 @@ class TimeTagWriter:
             raise
 
     def append(self, timestamps_ps: np.ndarray):
-        ts = np.asarray(timestamps_ps, dtype=np.int64)
+        ts, fault = correlate._tag_fault(timestamps_ps, self._last, None)
+        if fault is not None:
+            raise DataError(f"{self.path}: timestamps must be non-decreasing")
         if not ts.size:
             return
-        if (self._last is not None and ts[0] < self._last) or np.any(ts[1:] < ts[:-1]):
-            raise DataError(f"{self.path}: timestamps must be non-decreasing")
         records = _raw_records(ts.size)
         records["channel"] = self._code
         for start in range(0, ts.size, records.size):
@@ -182,12 +184,12 @@ def _check_header(path) -> tuple[int, int | None]:
     return n_records, (head[_HEADER.size] if n_records else None)
 
 
-def _check_block(path, offset, channels, timestamps, code, last):
+def _check_block(path, offset, channels, timestamps, code, last, end_ps):
     """Check one block of records that starts at byte offset: its channel
-    bytes, then the timestamp order of each channel within the block and
-    against last, which maps a channel code to its last timestamp so far
-    and is updated.  A fault raises DataError with the byte offset of
-    the first bad record; a block that passes costs one boolean
+    bytes, then each channel's timestamps by correlate._tag_fault, against
+    last, which maps a channel code to its last timestamp so far and is
+    updated, and end_ps.  A fault raises DataError with the byte offset
+    of the first bad record; a block that passes costs one boolean
     reduction per check."""
     size = _RECORD_DTYPE.itemsize
     bad = channels > 1 if code is None else channels != code
@@ -208,21 +210,18 @@ def _check_block(path, offset, channels, timestamps, code, last):
         groups = [(c, np.flatnonzero(channels == c)) for c in (0, 1)]
     for c, idx in groups:
         ts = timestamps if idx is None else timestamps[idx]
-        if c in last and ts[0] < last[c]:
-            drop = 0
-        else:
-            decrease = ts[1:] < ts[:-1]
-            drop = int(decrease.argmax()) + 1 if decrease.any() else None
-        if drop is not None:
-            bad_record = drop if idx is None else int(idx[drop])
-            raise DataError(
-                f"{path}: channel {_CHANNEL_NAME[c]} timestamps decrease",
-                byte_offset=offset + bad_record * size,
-            )
+        fault = correlate._tag_fault(ts, last.get(c), end_ps)[1]
+        if fault is not None:
+            if end_ps is not None and not 0 <= ts[fault] < end_ps:
+                message = "timestamps must lie within [0, duration)"
+            else:
+                message = f"channel {_CHANNEL_NAME[c]} timestamps decrease"
+            bad_record = fault if idx is None else int(idx[fault])
+            raise DataError(f"{path}: {message}", byte_offset=offset + bad_record * size)
         last[c] = ts[-1]
 
 
-def _read_block(fh, raw, path, start, count, code, last):
+def _read_block(fh, raw, path, start, count, code, last, end_ps):
     """Read the count records from record start on, through the raw
     record buffer, and return them checked (_check_block) as
     (channels, timestamps); channels is None with a channel code."""
@@ -246,16 +245,16 @@ def _read_block(fh, raw, path, start, count, code, last):
         # A read may end inside a record; read its bytes again.
         if n_bytes % size:
             fh.seek(-(n_bytes % size), os.SEEK_CUR)
-    _check_block(path, offset, channels, timestamps, code, last)
+    _check_block(path, offset, channels, timestamps, code, last, end_ps)
     return (channels if code is None else None), timestamps
 
 
-def _record_blocks(path, n_records, code=None):
+def _record_blocks(path, n_records, code, end_ps):
     """Yield (channels, timestamps_ps) arrays of a tag file whose header
     _check_header passed, block by block, each checked (_check_block)
     before it is yielded.  With a channel code, every record must hold
-    that channel and channels is None; without one, each byte must be 0
-    or 1.
+    that channel and channels is None; without one (None), each byte must
+    be 0 or 1.  end_ps is as in _check_block.
 
     The records are read into one raw record buffer (_raw_records),
     reused for the whole file, and unpacked from it into the block's
@@ -269,7 +268,7 @@ def _record_blocks(path, n_records, code=None):
         fh.seek(_HEADER.size)
         for start in range(0, n_records, correlate._BLOCK_RECORDS):
             count = min(correlate._BLOCK_RECORDS, n_records - start)
-            yield _read_block(fh, raw, path, start, count, code, last)
+            yield _read_block(fh, raw, path, start, count, code, last, end_ps)
 
 
 def read_timetags(path):
@@ -283,7 +282,7 @@ def read_timetags(path):
     channels = np.empty(n_records, dtype=np.uint8)
     timestamps = np.empty(n_records, dtype=np.int64)
     start = 0
-    for block_channels, block_timestamps in _record_blocks(path, n_records):
+    for block_channels, block_timestamps in _record_blocks(path, n_records, None, None):
         stop = start + block_timestamps.size
         channels[start:stop] = block_channels
         timestamps[start:stop] = block_timestamps
@@ -332,18 +331,9 @@ class TimeTagFile:
         """Yield the timestamps in checked blocks of at most _BLOCK_RECORDS."""
         # map binds no block here, so a suspended reader holds none that
         # its consumer has dropped (a correlated B block, once copied).
-        yield from map(self._in_range, _record_blocks(self.path, self._n_records,
-                                                      _CHANNEL_CODE[self.channel]))
-
-    def _in_range(self, block):
-        """The timestamps of a (channels, timestamps) block, checked to
-        lie within [0, duration)."""
-        timestamps = block[1]
-        if timestamps[0] < 0:
-            raise DataError(f"{self.path}: timestamps must be >= 0")
-        if timestamps[-1] >= self.duration * correlate.PS_PER_SECOND:
-            raise DataError(f"{self.path}: timestamps must lie within [0, duration)")
-        return timestamps
+        yield from map(itemgetter(1), _record_blocks(
+            self.path, self._n_records, _CHANNEL_CODE[self.channel],
+            self.duration * correlate.PS_PER_SECOND))
 
 
 def read_timetag_stream(

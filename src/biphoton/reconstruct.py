@@ -28,6 +28,7 @@ that turns rate variances into sigmas and the re/im covariance.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,30 +64,33 @@ MAX_INVALID_FRACTION = 0.5
 _NUM_GRAD = np.array([[-2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], [0.0, 1.0 / SQRT3, -1.0 / SQRT3]])
 
 
-def _numerators(y0, y1, y2):
-    """(2*gamma*Re psi, 2*gamma*Im psi), in forms in which a common
-    additive shift of (y0, y1, y2) cancels exactly in floating point, not
-    only algebraically."""
-    return (y1 + y2 - 2.0 * y0) / 3.0, (y1 - y2) / SQRT3
+#: What _invert_arrays returns: the results (re, im, gamma, valid) and
+#: the terms of the rates it computes them from (_rate_terms).
+_Inversion = namedtuple("_Inversion", "re im gamma valid y ybar num_re num_im")
+
+
+def _rate_terms(y0, y1, y2):
+    """The stacked rates y, their mean ybar, and the numerators
+    (2*gamma*Re psi, 2*gamma*Im psi), in forms in which a common additive
+    shift of (y0, y1, y2) cancels exactly in floating point, not only
+    algebraically."""
+    y = np.array([y0, y1, y2], dtype=float)
+    ybar = (y[0] + y[1] + y[2]) / 3.0
+    return y, ybar, (y[1] + y[2] - 2.0 * y[0]) / 3.0, (y[1] - y[2]) / SQRT3
 
 
 def _invert_arrays(y0, y1, y2, root="larger"):
     """Vectorized closed-form inversion.
 
-    Returns (re_psi, im_psi, gamma, valid).  Invalid bins (radicand below
-    tolerance, or gamma = 0) carry NaN results and valid = False.
+    Returns an _Inversion.  Invalid bins (radicand below tolerance, or
+    gamma = 0) carry NaN results and valid = False.
     """
     if root not in ("larger", "smaller"):
         raise ConfigError(f"root must be 'larger' or 'smaller', got {root!r}")
-    y0 = np.asarray(y0, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-
-    ybar = (y0 + y1 + y2) / 3.0
-    num_re, num_im = _numerators(y0, y1, y2)
+    y, ybar, num_re, num_im = _rate_terms(y0, y1, y2)
 
     ybar_sq = ybar**2
-    radicand = 3.0 * ybar_sq - (2.0 / 3.0) * (y0**2 + y1**2 + y2**2)
+    radicand = 3.0 * ybar_sq - (2.0 / 3.0) * (y[0] ** 2 + y[1] ** 2 + y[2] ** 2)
     valid = radicand >= -RADICAND_REL_TOL * ybar_sq
     root_term = np.sqrt(np.maximum(radicand, 0.0))
     if root == "larger":
@@ -101,7 +105,7 @@ def _invert_arrays(y0, y1, y2, root="larger"):
         re_psi = np.where(valid, num_re / two_gamma, np.nan)
         im_psi = np.where(valid, num_im / two_gamma, np.nan)
     gamma = np.where(valid, gamma, np.nan)
-    return re_psi, im_psi, gamma, valid
+    return _Inversion(re_psi, im_psi, gamma, valid, y, ybar, num_re, num_im)
 
 
 def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
@@ -112,7 +116,7 @@ def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
     """
     if y0 < 0.0 or y1 < 0.0 or y2 < 0.0:
         raise ConfigError("rates must be non-negative")
-    re, im, gamma, valid = _invert_arrays(y0, y1, y2, root=root)
+    re, im, gamma, valid = _invert_arrays(y0, y1, y2, root=root)[:4]
     if not bool(valid):
         raise InvalidBinError(
             f"(y0, y1, y2) = ({y0}, {y1}, {y2}) cannot be inverted: negative "
@@ -128,6 +132,7 @@ def _jacobian(y0, y1, y2, root="larger", inversion=None):
     the derivative of output i w.r.t. input k, NaN on invalid bins.
     inversion is what _invert_arrays(y0, y1, y2, root) returns, passed by
     a caller that has it already; without it the rates are inverted here.
+    The rates and their mean are taken from it.
 
     With s = 2*gamma^2 - ybar, which is +sqrt(R) for the larger root and
     -sqrt(R) for the smaller one, and dR/dy_k = 2*ybar - (4/3)*y_k,
@@ -139,9 +144,7 @@ def _jacobian(y0, y1, y2, root="larger", inversion=None):
     """
     if inversion is None:
         inversion = _invert_arrays(y0, y1, y2, root=root)
-    re, im, gamma, _ = inversion
-    y = np.array([y0, y1, y2], dtype=float)
-    ybar = (y[0] + y[1] + y[2]) / 3.0
+    re, im, gamma, _, y, ybar, _, _ = inversion
     grad = _NUM_GRAD.reshape(_NUM_GRAD.shape + (1,) * ybar.ndim)
     J = np.empty((3, 3) + ybar.shape, dtype=float)
     two_gamma = 2.0 * gamma
@@ -379,7 +382,7 @@ def reconstruct_values(
         ys = [v - background for v in ys]
 
     inversion = _invert_arrays(*ys)
-    re, im, gamma, valid = inversion
+    re, im, gamma, valid = inversion[:4]
     n_bins = tau.size
     if n_bins and (n_bins - int(valid.sum())) > MAX_INVALID_FRACTION * n_bins:
         raise NumericalError(
@@ -399,9 +402,8 @@ def reconstruct_values(
         pooled_gamma, pooled_sigma = _pool_gamma(gamma, sigma_gamma, valid)
         if pooled_gamma <= 0.0:
             raise NumericalError("pooled gamma is not positive")
-        num_re, num_im = _numerators(*ys)
-        re = np.where(valid, num_re / (2.0 * pooled_gamma), np.nan)
-        im = np.where(valid, num_im / (2.0 * pooled_gamma), np.nan)
+        re = np.where(valid, inversion.num_re / (2.0 * pooled_gamma), np.nan)
+        im = np.where(valid, inversion.num_im / (2.0 * pooled_gamma), np.nan)
         gamma = np.where(valid, pooled_gamma, np.nan)
         # The numerators are linear in the rates, so the propagation is
         # exact with the pooled gamma held fixed (its own error is
@@ -440,9 +442,7 @@ def _estimate_background(ys, var_y, wing_level):
     slope; B follows as wing_level - gamma^2.  Without signal variation
     the two are unidentifiable and the background is taken as zero.
     """
-    y0, y1, y2 = ys
-    ybar = (y0 + y1 + y2) / 3.0
-    num_re, num_im = _numerators(y0, y1, y2)
+    _, ybar, num_re, num_im = _rate_terms(*ys)
     # Weight by the ybar error, Var(ybar) = sum(var_y) / 9, and debias the
     # quadratic by (Var num_re + Var num_im) / 4, which is the same sum / 9.
     var_m = var_y.sum(axis=0) / 9.0
@@ -479,16 +479,16 @@ def reconstruct_curve(
     the bins cannot be inverted.
     """
     hists = triple.histograms
-    normalized = [normalize_g2(h) for h in hists]
+    rates = [normalize_g2(h)[0] for h in hists]
     wing_level = None
     if background_mode == "wing_subtract":
         levels = [background_estimate(h, wing_fraction)[0] for h in hists]
         wing_level = float(np.mean(levels))
     recon = reconstruct_values(
         tau=hists[0].bin_centers(),
-        y0=normalized[0][0],
-        y1=normalized[1][0],
-        y2=normalized[2][0],
+        y0=rates[0],
+        y1=rates[1],
+        y2=rates[2],
         counts0=hists[0].counts,
         counts1=hists[1].counts,
         counts2=hists[2].counts,

@@ -29,6 +29,7 @@ from .correlate import (
     PS_PER_SECOND,
     CoincidenceHistogram,
     TimeTagStream,
+    _bin_centers,
     _check_duration,
     check_binning,
     seconds_to_ps,
@@ -142,13 +143,15 @@ def derive_setting_seed(seed: int, setting_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _trapezoid(values: np.ndarray, dx: float) -> float:
-    return float((0.5 * (values[1:] + values[:-1]) * dx).sum())
+def _trapezoid_steps(values: np.ndarray, dx: float) -> np.ndarray:
+    """The trapezoid rule's mass on each step of a uniform grid."""
+    return 0.5 * (values[1:] + values[:-1]) * dx
 
 
-def _neutral_mass(model: TpwfModel, gamma, window: float) -> float:
-    """Interference-free pair-delay mass: the trapezoid of
-    gamma^2 + |psi|^2 over the sampler grid on [-window, window].
+def _density_grid(model: TpwfModel, gamma, window: float):
+    """The sampler grid on [-window, window], psi on it, and the
+    interference-free pair-delay mass: the trapezoid of gamma^2 + |psi|^2
+    over the grid.
 
     The analyzer phase redistributes pair amplitude, so the detected pair
     rate scales with the density integral; quoting rates against this
@@ -168,12 +171,13 @@ def _neutral_mass(model: TpwfModel, gamma, window: float) -> float:
     if not g < math.sqrt(_MAX_DENSITY):
         raise ConfigError(too_large)
     grid = np.linspace(-window, window, _CDF_GRID_POINTS)
+    psi = tpwf_eval(model, grid)
     with np.errstate(over="ignore"):
-        interference_free = g**2 + np.abs(tpwf_eval(model, grid)) ** 2
-        mass = _trapezoid(interference_free, grid[1] - grid[0])
+        interference_free = g**2 + np.abs(psi) ** 2
+        mass = float(_trapezoid_steps(interference_free, grid[1] - grid[0]).sum())
     if not (interference_free.max() < _MAX_DENSITY and math.isfinite(2.0 * mass)):
         raise ConfigError(too_large)
-    return mass
+    return grid, psi, mass
 
 
 class PairDelaySampler:
@@ -186,14 +190,11 @@ class PairDelaySampler:
     """
 
     def __init__(self, setting: AnalyzerSetting, model: TpwfModel, gamma, window: float):
-        neutral_mass = _neutral_mass(model, gamma, window)
-        grid = np.linspace(-window, window, _CDF_GRID_POINTS)
-        dx = grid[1] - grid[0]
-        density = forward_g2(setting, gamma, tpwf_eval(model, grid), 0.0)
-        total = _trapezoid(density, dx)
+        grid, psi, neutral_mass = _density_grid(model, gamma, window)
+        mass_steps = _trapezoid_steps(forward_g2(setting, gamma, psi, 0.0), grid[1] - grid[0])
+        total = float(mass_steps.sum())
         if total <= 0.0:
             raise NumericalError(_ZERO_DENSITY)
-        mass_steps = 0.5 * (density[1:] + density[:-1]) * dx
         cdf = np.concatenate(([0.0], np.cumsum(mass_steps))) / total
         cdf[-1] = 1.0
         self.grid = grid
@@ -584,11 +585,10 @@ def _rate_level_means(
     window_ps = seconds_to_ps(tau_window)
     # The sampler's normalization, so event-level and rate-level runs
     # scale the pair mass identically.
-    neutral_mass = _neutral_mass(model, gamma, tau_window)
+    _, _, neutral_mass = _density_grid(model, gamma, tau_window)
     if neutral_mass <= 0.0:
         raise NumericalError(_ZERO_DENSITY)
-    n_bins = 2 * window_ps // bw_ps
-    centers = (-window_ps + bw_ps * (np.arange(n_bins) + 0.5)) / PS_PER_SECOND
+    centers = _bin_centers(-window_ps, bw_ps, 2 * window_ps // bw_ps)
     density = forward_g2(setting, gamma, tpwf_eval(model, centers), 0.0)
 
     pair_means = pair_rate * duration * density * bin_width / neutral_mass

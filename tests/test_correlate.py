@@ -88,6 +88,24 @@ class TestCrossCorrelate:
         with pytest.raises(DataError):
             stream("A", [10, 5])
 
+    @pytest.mark.parametrize("ts", [
+        np.array([1e-9, 2e-9, 0.5]),  # seconds: a cast to int64 gave [0, 0, 0]
+        np.array([0.0, 5.0]),
+        np.array([False, True]),
+        np.array([5, 2**63], dtype=np.uint64),
+        [5, 2**64],
+    ])
+    def test_non_integer_timestamps_rejected(self, ts):
+        with pytest.raises(DataError, match="integer picoseconds"):
+            TimeTagStream("A", ts, 1.0)
+
+    @pytest.mark.parametrize("ts", [[0, 5], np.array([0, 5], dtype=np.uint64),
+                                    np.array([0, 5], dtype=np.int32), []])
+    def test_integer_timestamps_are_held_as_int64(self, ts):
+        held = TimeTagStream("A", ts, 1.0).timestamps_ps
+        assert held.dtype == np.int64
+        np.testing.assert_array_equal(held, ts)
+
     def test_bad_binning_rejected(self):
         a, b = stream("A", [0]), stream("B", [0])
         with pytest.raises(ConfigError):

@@ -5,9 +5,12 @@ import gc
 import json
 import math
 import os
+import pathlib
 import struct
+import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -127,6 +130,18 @@ class TestTimetagBinary:
         with pytest.raises(DataError):
             bio.read_timetag_stream(path, duration=1.0, channel="B")
 
+    @pytest.mark.parametrize("ts", [
+        np.array([0.1, 0.25, 0.5]),  # a cast to int64 wrote three zero records
+        np.array([False, True]),
+        np.array([5, 2**63], dtype=np.uint64),
+    ])
+    def test_writer_rejects_non_integer_timestamps(self, tmp_path, ts):
+        path = tmp_path / "tags.bttg"
+        with pytest.raises(DataError, match="integer picoseconds"):
+            with bio.TimeTagWriter(path, "A") as writer:
+                writer.append(ts)
+        assert os.listdir(tmp_path) == []
+
     def test_no_temp_files_left(self, tmp_path):
         path = tmp_path / "tags.bttg"
         bio.write_timetags(path, stream("A", [1, 2]))
@@ -196,6 +211,79 @@ def assert_readers_fail_at(path, byte_offset, channel="A"):
         with pytest.raises(DataError) as err:
             read(path)
         assert err.value.byte_offset == byte_offset
+
+
+def _data_error(call):
+    """The DataError that call() raises, or None."""
+    try:
+        call()
+    except DataError as exc:
+        return exc
+    return None
+
+
+class TestTagStreamBoundaries:
+    """TimeTagStream, TimeTagWriter.append and the file reader apply one
+    tag-stream rule: non-decreasing timestamps (across appends and
+    blocks too) within [0, duration); the writer checks the order only."""
+
+    DURATION = 1.0
+    END_PS = 10**12
+
+    @staticmethod
+    def first_fault(values, end_ps=None):
+        """Index of the first value below its predecessor, or outside
+        [0, end_ps) when end_ps is given; None when there is none."""
+        for i, t in enumerate(values):
+            if (i and t < values[i - 1]) or (end_ps is not None and not 0 <= t < end_ps):
+                return i
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(-3, 3), st.integers(END_PS - 3, END_PS + 3),
+                      st.integers(0, END_PS)),
+            max_size=12,
+        ),
+        sort=st.booleans(),
+        nudge=st.integers(0, 11),
+        block=st.integers(1, 5),
+        pieces=st.integers(1, 4),
+    )
+    def test_boundaries_agree(self, values, sort, nudge, block, pieces):
+        if sort:
+            # Sorted, but for one value moved down by 1: the smallest
+            # order fault, or one just below 0.
+            values = sorted(values)
+            if nudge < len(values):
+                values[nudge] -= 1
+        ts = np.array(values, dtype=np.int64)
+        fault = self.first_fault(values, self.END_PS)
+        order_fault = self.first_fault(values)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(correlate, "_BLOCK_RECORDS", block):
+            written = pathlib.Path(tmp) / "written.bttg"
+
+            def write():
+                with bio.TimeTagWriter(written, "A") as writer:
+                    for piece in np.array_split(ts, pieces):
+                        writer.append(piece)
+
+            stream_error = _data_error(lambda: TimeTagStream("A", ts, self.DURATION))
+            assert (stream_error is None) == (fault is None)
+            assert (_data_error(write) is None) == (order_fault is None)
+
+            path = pathlib.Path(tmp) / "tags.bttg"
+            write_records(path, [(0, t) for t in values])
+            if order_fault is None:
+                assert written.read_bytes() == path.read_bytes()
+            read_error = _data_error(
+                lambda: bio.read_timetag_stream(path, self.DURATION, channel="A"))
+            if fault is None:
+                assert read_error is None
+            else:
+                assert read_error is not None and read_error.byte_offset == 16 + 9 * fault
 
 
 class TestBlockReader:

@@ -67,8 +67,8 @@ def central_difference_jacobian(y0, y1, y2, root="larger"):
         minus = [v.copy() for v in y]
         plus[k] = plus[k] + h
         minus[k] = minus[k] - h
-        rp, ip, gp, vp = _invert_arrays(*plus, root=root)
-        rm, im_, gm, vm = _invert_arrays(*minus, root=root)
+        rp, ip, gp, vp = _invert_arrays(*plus, root=root)[:4]
+        rm, im_, gm, vm = _invert_arrays(*minus, root=root)[:4]
         inv_2h = 1.0 / (2.0 * h)
         bad = ~(vp & vm)
         for i, (p, m) in enumerate(((rp, rm), (ip, im_), (gp, gm))):

@@ -326,7 +326,7 @@ def _inline_rate_level_means(config, setting, model, gamma, bin_width):
     before they were cached: the oracle for the cache."""
     bw_ps = seconds_to_ps(bin_width)
     window_ps = seconds_to_ps(config.tau_window)
-    neutral_mass = simulate._neutral_mass(model, gamma, config.tau_window)
+    neutral_mass = simulate._density_grid(model, gamma, config.tau_window)[2]
     n_bins = 2 * window_ps // bw_ps
     centers = (-window_ps + bw_ps * (np.arange(n_bins) + 0.5)) / 1e12
     density = forward_g2(setting, gamma, tpwf_eval(model, centers), 0.0)
@@ -711,7 +711,7 @@ class TestSegmentedGenerator:
         model = TpwfModel(amplitude=0.8, corr_time=39.3e-9, tau_offset=3e-9, phase=0.9)
         window = 400e-9
         sampler = PairDelaySampler(BALANCED(0.3), model, 1.2, window)
-        got = simulate._neutral_mass(model, 1.2, window)
+        got = simulate._density_grid(model, 1.2, window)[2]
         grid = np.linspace(-window, window, simulate._CDF_GRID_POINTS)
         values = 1.2**2 + np.abs(tpwf_eval(model, grid)) ** 2
         dx = grid[1] - grid[0]
