@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import io as bio
-from .correlate import check_acquisition, check_binning, cross_correlate
+from .correlate import _check_duration, check_binning, cross_correlate
 from .errors import BiphotonError, ConfigError, DataError, NumericalError
 from .fit import fit_constant_phase, fit_double_exponential
 from .model import RECONSTRUCTION_PHASES, AnalyzerSetting, TpwfModel
@@ -283,7 +283,7 @@ def _check_manifest_entry(entry) -> AnalyzerSetting:
         if not finite:
             raise DataError(f"manifest setting {index}: {key} must be a finite number")
     try:
-        check_acquisition("A", entry["duration_s"], entry.get("exposure_s"))
+        _check_duration(entry["duration_s"], entry.get("exposure_s"))
         return AnalyzerSetting(theta=entry["theta_rad"], phi=entry["phi_rad"])
     except ConfigError as exc:
         raise DataError(f"manifest setting {index}: {exc}") from exc

@@ -30,9 +30,10 @@ __all__ = [
 
 PS_PER_SECOND = 10**12
 
-# Durations and tau_max stay below 2**62 ps (about 53 days), so that the
-# pair kernel's packed keys 2*t and its sums t + tau_max fit in int64.
+# Every time on the tag axis (_time_ps) and histogram edge stays below
+# 2**62 ps (about 53 days): the pair kernel's 2*t and t + T fit in int64.
 _LIMIT_PS = 2**62
+_CHANNELS = ("A", "B")  # a tag file stores a channel as its index here
 
 # Records per block of a time-tag stream: the unit in which tag files are
 # read and checked and in which streams are merged by cross_correlate.
@@ -55,20 +56,27 @@ def seconds_to_ps(t: float) -> int:
     return int(round(t * PS_PER_SECOND))
 
 
+def _time_ps(name: str, seconds: float) -> int:
+    """A time (s) on the tag axis as integer picoseconds: finite and
+    below 2**62 ps in magnitude, else ConfigError."""
+    try:
+        ps = seconds_to_ps(seconds)
+    except (ValueError, OverflowError):  # nan, inf, or beyond the float range
+        ps = None
+    if ps is None or abs(ps) >= _LIMIT_PS:
+        raise ConfigError(f"{name} must be finite and below 2**62 ps (53 days), got {seconds} s")
+    return ps
+
+
 def check_binning(bin_width: float, tau_max: float) -> tuple[int, int]:
     """The integer-picosecond binning rule: bin_width at least 1 ps and
     tau_max a positive multiple of it.  Returns both in picoseconds."""
-    try:
-        bw_ps = seconds_to_ps(bin_width)
-        tmax_ps = seconds_to_ps(tau_max)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"bin_width and tau_max must be finite: {exc}") from exc
+    bw_ps = _time_ps("bin_width", bin_width)
+    tmax_ps = _time_ps("tau_max", tau_max)
     if bw_ps <= 0:
         raise ConfigError(f"bin_width must be >= 1 ps, got {bin_width}")
     if tmax_ps <= 0 or tmax_ps % bw_ps != 0:
         raise ConfigError("tau_max must be a positive multiple of bin_width")
-    if tmax_ps >= _LIMIT_PS:
-        raise ConfigError(f"tau_max must be below 2**62 ps, got {tau_max} s")
     return bw_ps, tmax_ps
 
 
@@ -78,33 +86,39 @@ def _bin_centers(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
     return (edges + 0.5 * bin_width_ps) / PS_PER_SECOND
 
 
-def _check_duration(duration: float) -> None:
-    """An acquisition's duration (s) must be positive and below 2**62 ps."""
+def _channel_code(channel) -> int:
+    """The tag-file byte of a channel name: its index in _CHANNELS."""
+    if channel not in _CHANNELS:
+        raise ConfigError(f"channel must be 'A' or 'B', got {channel!r}")
+    return _CHANNELS.index(channel)
+
+
+def _check_duration(duration: float, exposure: float | None) -> tuple[float, int]:
+    """Check an acquisition's duration (s), positive and a time on the tag
+    axis (_time_ps), and exposure (s), in (0, duration] and by default the
+    duration.  Returns the exposure and the end of [0, duration) in ps."""
     if not duration > 0.0:
         raise ConfigError(f"duration must be > 0, got {duration}")
-    if not duration * PS_PER_SECOND < _LIMIT_PS:
-        raise ConfigError(f"duration must be below 2**62 ps (about 53 days), got {duration} s")
-
-
-def check_acquisition(channel: str, duration: float, exposure: float | None) -> float:
-    """Check a channel name and an acquisition's duration and exposure (s).
-    Returns the exposure, which defaults to the duration."""
-    if channel not in ("A", "B"):
-        raise ConfigError(f"channel must be 'A' or 'B', got {channel!r}")
-    _check_duration(duration)
+    end_ps = _time_ps("duration", duration)
     if exposure is None:
         exposure = duration
     if not 0.0 < exposure <= duration * (1.0 + 1e-12):
         raise ConfigError("exposure must lie in (0, duration]")
-    return exposure
+    return exposure, end_ps
+
+
+def check_acquisition(channel: str, duration: float, exposure: float | None) -> tuple[float, int]:
+    """Check a channel name and an acquisition (_check_duration)."""
+    _channel_code(channel)
+    return _check_duration(duration, exposure)
 
 
 def _tag_fault(timestamps, last, end_ps):
     """The tag-stream rule for one block: integer picoseconds (else
     DataError), non-decreasing within the block and from last (the block
     before's last timestamp, or None) on, and within [0, end_ps) unless
-    end_ps is None.  Returns the block as int64 and the index of its
-    first fault, or None; only a failing block is searched for it."""
+    end_ps is None.  Returns the block as int64 and its first fault as
+    (index, rule broken), or None; only a failing block is searched."""
     ts = np.asarray(timestamps)
     kind = ts.dtype.kind
     if ts.size and not (kind == "i" or (kind == "u" and ts.max() < 2**63)):
@@ -121,7 +135,10 @@ def _tag_fault(timestamps, last, end_ps):
     if end_ps is not None:
         bad |= ts < 0
         bad |= ts >= end_ps
-    return ts, int(bad.argmax())
+    first = int(bad.argmax())
+    if end_ps is not None and not 0 <= ts[first] < end_ps:
+        return ts, (first, "timestamps must lie within [0, duration)")
+    return ts, (first, "timestamps must be non-decreasing")
 
 
 @dataclass(frozen=True)
@@ -141,15 +158,12 @@ class TimeTagStream:
     exposure: float | None = None
 
     def __post_init__(self):
-        exposure = check_acquisition(self.channel, self.duration, self.exposure)
+        exposure, end_ps = check_acquisition(self.channel, self.duration, self.exposure)
         object.__setattr__(self, "exposure", exposure)
-        end_ps = self.duration * PS_PER_SECOND
         ts, fault = _tag_fault(self.timestamps_ps, None, end_ps)
         object.__setattr__(self, "timestamps_ps", ts)
         if fault is not None:
-            if not 0 <= ts[fault] < end_ps:
-                raise DataError("timestamps must lie within [0, duration)")
-            raise DataError(f"channel {self.channel} timestamps are not sorted")
+            raise DataError(f"channel {self.channel} {fault[1]}")
 
     @classmethod
     def _from_checked(cls, channel, timestamps_ps, duration, exposure=None) -> "TimeTagStream":
@@ -157,7 +171,7 @@ class TimeTagStream:
         and within [0, duration): the acquisition is checked, the
         timestamps are not scanned again."""
         stream = cls.__new__(cls)
-        exposure = check_acquisition(channel, duration, exposure)
+        exposure = check_acquisition(channel, duration, exposure)[0]
         for name, value in (("channel", channel), ("timestamps_ps", timestamps_ps),
                             ("duration", duration), ("exposure", exposure)):
             object.__setattr__(stream, name, value)
@@ -194,10 +208,10 @@ class CoincidenceHistogram:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.bin_width_ps <= 0:
-            raise ConfigError("bin_width must be positive")
         if self.counts.ndim != 1 or self.counts.size == 0:
             raise ConfigError("counts must be a non-empty 1-d array")
+        if not -_LIMIT_PS < self.tau_min_ps < self.tau_max_ps < _LIMIT_PS:
+            raise ConfigError("bins must be of positive width and lie within +-2**62 ps")
         if (self.counts < 0).any():
             raise DataError("counts must be non-negative")
         if not self.acquisition_time > 0.0:
@@ -417,7 +431,7 @@ def apply_gate(stream: TimeTagStream, period: float, open_fraction: float) -> Ti
     """
     if not 0.0 < open_fraction <= 1.0:
         raise ConfigError(f"open_fraction must be in (0, 1], got {open_fraction}")
-    period_ps = seconds_to_ps(period)
+    period_ps = _time_ps("period", period)
     if period_ps <= 0:
         raise ConfigError(f"period must be >= 1 ps, got {period}")
     if open_fraction == 1.0:

@@ -30,7 +30,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import correlate
-from .correlate import CoincidenceHistogram, TimeTagStream
+from .correlate import _CHANNELS, CoincidenceHistogram, TimeTagStream
 from .errors import ConfigError, DataError
 from .fit import FitResult
 from .model import AnalyzerSetting
@@ -55,8 +55,6 @@ TIMETAG_MAGIC = b"BTTG"
 TIMETAG_VERSION = 1
 _HEADER = struct.Struct("<4sH2xQ")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp", "<i8")])
-_CHANNEL_CODE = {"A": 0, "B": 1}
-_CHANNEL_NAME = {0: "A", 1: "B"}
 
 HISTOGRAM_FORMAT = "coincidence-histogram/1"
 RECON_FORMAT = "tpwf-reconstruction/1"
@@ -103,7 +101,7 @@ class TimeTagWriter:
     def __init__(self, path, channel: str):
         self.path = path
         self.n_records = 0
-        self._code = _CHANNEL_CODE[channel]
+        self._code = correlate._channel_code(channel)
         self._last = None
         fd, self._tmp = _create_temp(path)
         self._fh = os.fdopen(fd, "wb")
@@ -116,7 +114,7 @@ class TimeTagWriter:
     def append(self, timestamps_ps: np.ndarray):
         ts, fault = correlate._tag_fault(timestamps_ps, self._last, None)
         if fault is not None:
-            raise DataError(f"{self.path}: timestamps must be non-decreasing")
+            raise DataError(f"{self.path}: {fault[1]}")
         if not ts.size:
             return
         records = _raw_records(ts.size)
@@ -192,13 +190,13 @@ def _check_block(path, offset, channels, timestamps, code, last, end_ps):
     of the first bad record; a block that passes costs one boolean
     reduction per check."""
     size = _RECORD_DTYPE.itemsize
-    bad = channels > 1 if code is None else channels != code
+    bad = channels >= len(_CHANNELS) if code is None else channels != code
     if bad.any():
         first = int(bad.argmax())
         byte = int(channels[first])
-        if byte in _CHANNEL_NAME:
+        if byte < len(_CHANNELS):
             message = (f"expected a single-channel file of channel "
-                       f"{_CHANNEL_NAME[code]}, found a channel {_CHANNEL_NAME[byte]} record")
+                       f"{_CHANNELS[code]}, found a channel {_CHANNELS[byte]} record")
         else:
             message = f"invalid channel byte {byte}"
         raise DataError(f"{path}: {message}", byte_offset=offset + first * size)
@@ -207,17 +205,14 @@ def _check_block(path, offset, channels, timestamps, code, last, end_ps):
     elif (channels == channels[0]).all():
         groups = [(int(channels[0]), None)]
     else:
-        groups = [(c, np.flatnonzero(channels == c)) for c in (0, 1)]
+        groups = [(c, np.flatnonzero(channels == c)) for c in range(len(_CHANNELS))]
     for c, idx in groups:
         ts = timestamps if idx is None else timestamps[idx]
         fault = correlate._tag_fault(ts, last.get(c), end_ps)[1]
         if fault is not None:
-            if end_ps is not None and not 0 <= ts[fault] < end_ps:
-                message = "timestamps must lie within [0, duration)"
-            else:
-                message = f"channel {_CHANNEL_NAME[c]} timestamps decrease"
-            bad_record = fault if idx is None else int(idx[fault])
-            raise DataError(f"{path}: {message}", byte_offset=offset + bad_record * size)
+            bad_record = fault[0] if idx is None else int(idx[fault[0]])
+            raise DataError(f"{path}: channel {_CHANNELS[c]} {fault[1]}",
+                            byte_offset=offset + bad_record * size)
         last[c] = ts[-1]
 
 
@@ -295,33 +290,28 @@ class TimeTagFile:
 
     Stands in for a TimeTagStream in cross_correlate without holding the
     file in memory: it has the same channel, duration, exposure, len()
-    (the record count) and blocks().  The header, the framing and the
-    channel are checked on creation; blocks() opens the file, checks each
-    block (channel bytes, timestamp order across blocks, range
-    [0, duration)) before yielding its timestamps, and closes the file
-    when it ends or is closed.
+    (the record count) and blocks().  The header, the framing, the
+    channel name and the acquisition are checked on creation; blocks()
+    opens the file, checks each block (_check_block: channel bytes, order
+    across blocks, range [0, duration)) before yielding its timestamps,
+    and closes the file when it ends or is closed.
 
     The binary format does not store acquisition metadata; duration (and
-    optionally exposure) come from the run manifest.  channel is required
-    for empty files (no record to infer it from) and is cross-checked
-    against the records otherwise.
+    optionally exposure) come from the run manifest.  Without a channel,
+    the first record's is taken, so an empty file needs one.
     """
 
     def __init__(self, path, channel: str | None, duration: float, exposure: float | None = None):
         n_records, first = _check_header(path)
-        if first is None:
-            if channel is None:
-                raise DataError(f"{path}: empty file has no channel; pass one explicitly")
-        elif first not in _CHANNEL_NAME:
-            raise DataError(f"{path}: invalid channel byte {first}", byte_offset=_HEADER.size)
-        elif channel is None:
-            channel = _CHANNEL_NAME[first]
-        elif _CHANNEL_NAME[first] != channel:
-            raise DataError(f"{path}: holds channel {_CHANNEL_NAME[first]}, expected {channel}")
+        if channel is None:
+            if first is None or first >= len(_CHANNELS):
+                raise DataError(f"{path}: no channel given, and no first record names one",
+                                byte_offset=_HEADER.size)
+            channel = _CHANNELS[first]
         self.path = path
         self.channel = channel
         self.duration = duration
-        self.exposure = correlate.check_acquisition(channel, duration, exposure)
+        self.exposure, self._end_ps = correlate.check_acquisition(channel, duration, exposure)
         self._n_records = n_records
 
     def __len__(self):
@@ -332,8 +322,7 @@ class TimeTagFile:
         # map binds no block here, so a suspended reader holds none that
         # its consumer has dropped (a correlated B block, once copied).
         yield from map(itemgetter(1), _record_blocks(
-            self.path, self._n_records, _CHANNEL_CODE[self.channel],
-            self.duration * correlate.PS_PER_SECOND))
+            self.path, self._n_records, _CHANNELS.index(self.channel), self._end_ps))
 
 
 def read_timetag_stream(

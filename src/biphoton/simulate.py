@@ -25,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlate import (
-    _LIMIT_PS,
+    _CHANNELS,
     PS_PER_SECOND,
     CoincidenceHistogram,
     TimeTagStream,
     _bin_centers,
     _check_duration,
+    _time_ps,
     check_binning,
     seconds_to_ps,
 )
@@ -101,19 +102,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("pair_rate", "singles_rate_a", "singles_rate_b"):
+        for name in ("pair_rate", "singles_rate_a", "singles_rate_b", "jitter_sigma", "dead_time"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0")
-        _check_duration(self.duration)
-        if self.jitter_sigma < 0.0 or self.dead_time < 0.0:
-            raise ConfigError("jitter_sigma and dead_time must be >= 0")
+        _check_duration(self.duration, None)
+        _time_ps("dead_time", self.dead_time)
         if not self.tau_window > 0.0:
             raise ConfigError("tau_window must be > 0")
-        if not self.click_spill() * PS_PER_SECOND < _LIMIT_PS:
-            raise ConfigError(
-                "tau_window / 2 plus the jitter bound "
-                f"({_JITTER_BOUND_SIGMAS:g} jitter sigmas) must be below 2**62 ps"
-            )
+        _time_ps(f"tau_window / 2 + {_JITTER_BOUND_SIGMAS:g} * jitter_sigma", self.click_spill())
 
     def click_spill(self) -> float:
         """Largest distance (s) from an event to one of its clicks:
@@ -374,7 +370,7 @@ def _draw_segment(config, sampler, rng, start, stop, spare):
     # Only the segments within a click spill of either end can hold
     # clicks outside [0, duration): the first and the last, unless the
     # spill is longer than a segment.
-    duration_ps = seconds_to_ps(config.duration)
+    duration_ps = _check_duration(config.duration, None)[1]
     spill_ps = _spill_ps(config)
     crop = (seconds_to_ps(start) < spill_ps
             or seconds_to_ps(stop) + spill_ps >= duration_ps)
@@ -499,7 +495,7 @@ def generate_stream(
             np.concatenate([block[ch] for block in blocks]),
             config.duration,
         )
-        for ch, channel in enumerate("AB")
+        for ch, channel in enumerate(_CHANNELS)
     )
 
 

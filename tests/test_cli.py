@@ -627,6 +627,32 @@ class TestExitCodes:
             bio.write_json(out / f"hist_phi{k}.json", bio.histogram_to_dict(hist))
         assert main(["reconstruct", "--input-dir", str(out)]) == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("bin_width_ps", 10**30),
+        ("bin_width_ps", 2**62),  # over 4 bins, int64 centres would wrap
+        ("tau_min_ps", -10**30),
+    ])
+    def test_histogram_bins_beyond_2_62_ps_are_two(self, tmp_path, capsys, key, value):
+        from biphoton import CoincidenceHistogram
+        from biphoton.model import AnalyzerSetting, RECONSTRUCTION_PHASES
+
+        for k, phi in enumerate(RECONSTRUCTION_PHASES):
+            hist = CoincidenceHistogram(
+                bin_width_ps=4000,
+                tau_min_ps=-8000,
+                counts=np.array([30, 50, 40, 20]),
+                acquisition_time=1.0,
+                singles_a=1000,
+                singles_b=1000,
+                setting=AnalyzerSetting.balanced(phi),
+            )
+            doc = bio.histogram_to_dict(hist)
+            doc[key] = value
+            bio.write_json(tmp_path / f"hist_phi{k}.json", doc)
+        assert main(["reconstruct", "--input-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "2**62" in err
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -718,9 +744,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["sim.jitter_sigma_ps", "sim.tau_window_ns"])
+    @pytest.mark.parametrize("key", ["sim.jitter_sigma_ps", "sim.tau_window_ns",
+                                     "sim.dead_time_ns"])
     def test_click_spill_above_2_62_ps_is_one_before_any_file(self, tmp_path, capsys, key):
-        # Finite, but a click could land beyond the int64 timestamp range.
+        # Finite, but a click, or the dead-time state before the first
+        # click, could lie beyond the int64 timestamp range.
         config = write_config(tmp_path, {key: 1e300, "sim.duration_s": 0.05})
         out = tmp_path / "o"
         with warnings.catch_warnings():

@@ -392,6 +392,11 @@ class TestGate:
         mean_sigma = np.sqrt((sigma**2).sum()) / sigma.size
         assert abs(g2.mean() - 1.0) < 4.0 * mean_sigma
 
+    @pytest.mark.parametrize("period", [math.inf, math.nan, 1e20])
+    def test_bad_period_rejected(self, period):
+        with pytest.raises(ConfigError, match="period"):
+            apply_gate(stream("A", [0], 1.0), period, 0.5)
+
     def test_bad_fraction_rejected(self):
         s = stream("A", [0], 1.0)
         with pytest.raises(ConfigError):

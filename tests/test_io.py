@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -22,6 +22,7 @@ from biphoton import (
     AnalyzerSetting,
     BiphotonError,
     CoincidenceHistogram,
+    ConfigError,
     DataError,
     TimeTagStream,
     TpwfModel,
@@ -30,6 +31,7 @@ from biphoton import (
     ReconstructedTpwf,
     SimConfig,
     fit_double_exponential,
+    generate_blocks,
     rate_level_histogram,
     reconstruct_curve,
     reconstruct_values,
@@ -127,8 +129,9 @@ class TestTimetagBinary:
     def test_channel_hint_mismatch(self, tmp_path):
         path = tmp_path / "tags.bttg"
         bio.write_timetags(path, stream("A", [1]))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="found a channel A record") as err:
             bio.read_timetag_stream(path, duration=1.0, channel="B")
+        assert err.value.byte_offset == 16
 
     @pytest.mark.parametrize("ts", [
         np.array([0.1, 0.25, 0.5]),  # a cast to int64 wrote three zero records
@@ -167,6 +170,17 @@ class TestTagWriter:
         assert not path.exists()
         writer.close()
         assert path.stat().st_size == 16 + 2 * 9
+
+    def test_unknown_channel_rejected(self, tmp_path):
+        # The writer, the file reader and the stream share one channel rule.
+        with pytest.raises(ConfigError, match="channel must be"):
+            bio.TimeTagWriter(tmp_path / "tags.bttg", "C")
+        assert os.listdir(tmp_path) == []
+        bio.write_timetags(tmp_path / "tags.bttg", stream("A", [1]))
+        with pytest.raises(ConfigError, match="channel must be"):
+            bio.TimeTagFile(tmp_path / "tags.bttg", "C", 1.0)
+        with pytest.raises(ConfigError, match="channel must be"):
+            stream("C", [1])
 
     @pytest.mark.parametrize("blocks", [[[1, 3, 2]], [[1, 5], [4, 6]]])
     def test_decreasing_block_rejected_and_discarded(self, tmp_path, blocks):
@@ -222,13 +236,32 @@ def _data_error(call):
     return None
 
 
+# Durations whose end of [0, duration), round(duration * 1e12) ps, is
+# the float product (1 s) or lies just below it: 1e-9 s is
+# 1000.0000000000001 ps, 4e-9 s 4000.0000000000005 ps and 0.001015 s
+# 1015000000.0000001 ps.
+BOUNDARY_DURATIONS = (1.0, 1e-9, 4e-9, 0.001015)
+
+
+@st.composite
+def durations_and_tags(draw):
+    """A duration and up to 12 tag values near 0, near the end of
+    [0, duration) and between them."""
+    duration = draw(st.sampled_from(BOUNDARY_DURATIONS))
+    end_ps = correlate.seconds_to_ps(duration)
+    values = draw(st.lists(
+        st.one_of(st.integers(-3, 3), st.integers(end_ps - 3, end_ps + 3),
+                  st.integers(0, end_ps)),
+        max_size=12,
+    ))
+    return duration, values
+
+
 class TestTagStreamBoundaries:
     """TimeTagStream, TimeTagWriter.append and the file reader apply one
     tag-stream rule: non-decreasing timestamps (across appends and
-    blocks too) within [0, duration); the writer checks the order only."""
-
-    DURATION = 1.0
-    END_PS = 10**12
+    blocks too) within [0, duration), whose end is round(duration * 1e12)
+    ps; the writer checks the order only."""
 
     @staticmethod
     def first_fault(values, end_ps=None):
@@ -241,17 +274,16 @@ class TestTagStreamBoundaries:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        values=st.lists(
-            st.one_of(st.integers(-3, 3), st.integers(END_PS - 3, END_PS + 3),
-                      st.integers(0, END_PS)),
-            max_size=12,
-        ),
+        case=durations_and_tags(),
         sort=st.booleans(),
         nudge=st.integers(0, 11),
         block=st.integers(1, 5),
         pieces=st.integers(1, 4),
     )
-    def test_boundaries_agree(self, values, sort, nudge, block, pieces):
+    # a tag at the end of 1 ns, 1000 ps, below the float product
+    @example(case=(1e-9, [1000]), sort=False, nudge=0, block=1, pieces=1)
+    def test_boundaries_agree(self, case, sort, nudge, block, pieces):
+        duration, values = case
         if sort:
             # Sorted, but for one value moved down by 1: the smallest
             # order fault, or one just below 0.
@@ -259,7 +291,8 @@ class TestTagStreamBoundaries:
             if nudge < len(values):
                 values[nudge] -= 1
         ts = np.array(values, dtype=np.int64)
-        fault = self.first_fault(values, self.END_PS)
+        end_ps = correlate.seconds_to_ps(duration)
+        fault = self.first_fault(values, end_ps)
         order_fault = self.first_fault(values)
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(correlate, "_BLOCK_RECORDS", block):
@@ -270,7 +303,7 @@ class TestTagStreamBoundaries:
                     for piece in np.array_split(ts, pieces):
                         writer.append(piece)
 
-            stream_error = _data_error(lambda: TimeTagStream("A", ts, self.DURATION))
+            stream_error = _data_error(lambda: TimeTagStream("A", ts, duration))
             assert (stream_error is None) == (fault is None)
             assert (_data_error(write) is None) == (order_fault is None)
 
@@ -279,11 +312,26 @@ class TestTagStreamBoundaries:
             if order_fault is None:
                 assert written.read_bytes() == path.read_bytes()
             read_error = _data_error(
-                lambda: bio.read_timetag_stream(path, self.DURATION, channel="A"))
+                lambda: bio.read_timetag_stream(path, duration, channel="A"))
             if fault is None:
                 assert read_error is None
             else:
                 assert read_error is not None and read_error.byte_offset == 16 + 9 * fault
+
+    def test_simulated_tags_end_below_end_ps(self):
+        # The simulator crops its clicks at the tag rule's end of
+        # [0, duration), at a duration whose float product lies above it.
+        duration = 0.001015
+        end_ps = correlate.seconds_to_ps(duration)
+        config = SimConfig(pair_rate=1e6, singles_rate_a=5e7, singles_rate_b=5e7,
+                           duration=duration, jitter_sigma=1e-9, seed=11)
+        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
+        setting = AnalyzerSetting.balanced(RECONSTRUCTION_PHASES[0])
+        blocks = list(generate_blocks(config, setting, model, 1.0))
+        for ch, channel in enumerate("AB"):
+            ts = np.concatenate([block[ch] for block in blocks])
+            assert ts.size > 10**4 and ts[-1] < end_ps
+            TimeTagStream(channel, ts, duration)  # the checked constructor accepts them
 
 
 class TestBlockReader:
@@ -663,6 +711,17 @@ class TestDocuments:
         assert back.singles_a == hist.singles_a
         assert back.setting == hist.setting
         np.testing.assert_array_equal(back.mean_counts, hist.mean_counts)
+
+    @pytest.mark.parametrize("key, value", [
+        ("bin_width_ps", 10**30),
+        ("bin_width_ps", 2**62),  # over 4 bins, int64 centres would wrap
+        ("tau_min_ps", -10**30),
+    ])
+    def test_histogram_bins_beyond_2_62_ps_rejected(self, key, value):
+        doc = _small_histogram_document()  # 4 bins from -8000 ps
+        doc[key] = value
+        with pytest.raises(DataError, match="2\\*\\*62"):
+            bio.histogram_from_dict(doc)
 
     def test_histogram_wrong_format_rejected(self):
         with pytest.raises(DataError):
