@@ -159,15 +159,18 @@ class PipelineConfig:
 
         defaults = cls().to_dict()
         fields, model = {}, {}
-        # A value that int()/float() cannot coerce, or that a constructor
-        # rejects with a ValueError, is a configuration error.
-        # A value whose default is None may be None.
+        # A bool for a number, a float for an integer, a value that
+        # int()/float() cannot coerce (flags give strings) or that a
+        # constructor rejects with a ValueError is a configuration error.
         try:
             for section, key, field, coerce, unit in _CONFIG_KEYS:
                 given = obj if section is None else obj.get(section, {})
                 default = (defaults if section is None else defaults[section])[key]
                 value = given.get(key, default)
-                if not (value is None and default is None):
+                refused = (bool, float) if coerce is int else bool if coerce is float else ()
+                if isinstance(value, refused):
+                    raise ConfigError(f"{key} must be {coerce.__name__}, got {value!r}")
+                if not (value is None and default is None):  # a None default admits None
                     value = coerce(value)
                     if unit is not None:
                         value = value * unit
@@ -259,34 +262,27 @@ def _hist_name(index: int) -> str:
     return f"hist_phi{index}.json"
 
 
-_MANIFEST_ENTRY_KEYS = ("index", "theta_rad", "phi_rad", "tags_a", "tags_b", "duration_s")
-
-
 def _check_manifest_entry(entry) -> AnalyzerSetting:
     """Check the types and ranges of one manifest setting entry and
     return its analyzer setting.  Every fault is a DataError."""
-    missing = [k for k in _MANIFEST_ENTRY_KEYS if not isinstance(entry, dict) or k not in entry]
-    if missing:
-        raise DataError(f"manifest setting entry lacks {missing}")
-    index = entry["index"]
-    if type(index) is not int or index not in (0, 1, 2):
+    if not isinstance(entry, dict):
+        raise DataError("manifest setting entry must be a JSON object")
+    index = bio._field(entry, "index", int, "manifest setting entry")
+    if index not in (0, 1, 2):
         raise DataError(f"manifest setting index must be 0, 1 or 2, got {index!r}")
+    doc = f"manifest setting {index}"
     for key in ("tags_a", "tags_b"):
-        if not (isinstance(entry[key], str) and entry[key].isprintable()):
-            raise DataError(f"manifest setting {index}: {key} must be a file name")
-    for key in ("theta_rad", "phi_rad", "duration_s", "exposure_s"):
-        value = entry.get(key, 0.0)
-        try:
-            finite = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            raise DataError(f"manifest setting {index}: {key} must be a finite number")
+        name = bio._field(entry, key, str, doc)
+        if not (name.isprintable() and os.path.basename(name) == name
+                and name not in ("", ".", "..")):
+            raise DataError(f"{doc}: {key} must be a file name in the run directory, got {name!r}")
+    theta, phi, duration = (bio._field(entry, key, float, doc)
+                            for key in ("theta_rad", "phi_rad", "duration_s"))
     try:
-        _check_duration(entry["duration_s"], entry.get("exposure_s"))
-        return AnalyzerSetting(theta=entry["theta_rad"], phi=entry["phi_rad"])
+        _check_duration(duration, bio._field(entry, "exposure_s", float, doc, nullable=True))
+        return AnalyzerSetting(theta=theta, phi=phi)
     except ConfigError as exc:
-        raise DataError(f"manifest setting {index}: {exc}") from exc
+        raise DataError(f"{doc}: {exc}") from exc
 
 
 def _correlate_files(config, tags_a, tags_b, duration, exposure, setting, out_path):

@@ -34,7 +34,7 @@ from .correlate import _CHANNELS, CoincidenceHistogram, TimeTagStream
 from .errors import ConfigError, DataError
 from .fit import FitResult
 from .model import AnalyzerSetting
-from .reconstruct import ReconstructedTpwf
+from .reconstruct import _PER_BIN_ARRAYS, ReconstructedTpwf
 
 __all__ = [
     "write_timetags",
@@ -465,16 +465,44 @@ def read_json(path):
         raise DataError(f"{path}: JSON nested too deeply") from exc
 
 
-def _setting_to_dict(setting: AnalyzerSetting | None):
-    if setting is None:
-        return None
-    return {"theta_rad": setting.theta, "phi_rad": setting.phi}
+def _document(obj, kind: str, doc_format: str) -> str:
+    """Check that obj is a JSON object tagged with doc_format, and return
+    the name that _field gives it, "<kind> document"."""
+    if not (isinstance(obj, dict) and obj.get("format") == doc_format):
+        raise DataError(f"not a {kind} document: no JSON object of format {doc_format!r}")
+    return f"{kind} document"
 
 
-def _setting_from_dict(obj):
-    if obj is None:
+# The JSON element types that an array field of each dtype may hold, and
+# how a message names each scalar kind.
+_ELEMENTS = {np.dtype(bool): {bool}, np.dtype(np.int64): {int}, np.dtype(float): {int, float}}
+_SCALARS = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
+
+
+def _field(obj, key: str, kind, doc: str, nullable: bool = False):
+    """obj[key] if it holds kind, else DataError naming doc and key.
+
+    kind is int, float (finite, returned as a float), str, dict, or the
+    dtype of a 1-d array: a list of its _ELEMENTS types, or the ndarray
+    that *_to_dict writes, returned as an ndarray.  A bool is no number,
+    and a list holds no list.  A nullable field may be null or missing.
+    """
+    value = obj.get(key)
+    if value is None and nullable:
         return None
-    return AnalyzerSetting(theta=float(obj["theta_rad"]), phi=float(obj["phi_rad"]))
+    try:
+        if isinstance(kind, np.dtype):
+            if (isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == kind.kind
+                    or isinstance(value, list) and set(map(type, value)) <= _ELEMENTS[kind]):
+                return np.asarray(value, dtype=kind)
+        elif isinstance(value, (int, float) if kind is float else kind):
+            if not isinstance(value, bool) and (kind is not float or math.isfinite(value)):
+                return float(value) if kind is float else value
+    except OverflowError:  # an integer beyond int64, or beyond a float
+        pass
+    want = f"a 1-d list of {kind}" if isinstance(kind, np.dtype) else _SCALARS[kind]
+    got = "nothing" if key not in obj else "null" if value is None else type(value).__name__
+    raise DataError(f"{doc}: {key} must be {want}, got {got}")
 
 
 # The *_to_dict documents hold their arrays as ndarrays, which the JSON
@@ -489,33 +517,29 @@ def histogram_to_dict(hist: CoincidenceHistogram) -> dict:
         "acquisition_time_s": hist.acquisition_time,
         "singles_a": hist.singles_a,
         "singles_b": hist.singles_b,
-        "setting": _setting_to_dict(hist.setting),
+        "setting": None if hist.setting is None else {
+            "theta_rad": hist.setting.theta, "phi_rad": hist.setting.phi},
         "mean_counts": hist.mean_counts,
     }
 
 
-def _require_object(obj, kind: str):
-    if not isinstance(obj, dict):
-        raise DataError(f"{kind} document must be a JSON object, not {type(obj).__name__}")
-
-
 def histogram_from_dict(obj) -> CoincidenceHistogram:
-    _require_object(obj, "histogram")
+    doc = _document(obj, "histogram", HISTOGRAM_FORMAT)
+    setting = _field(obj, "setting", dict, doc, nullable=True)
     try:
-        if obj.get("format") != HISTOGRAM_FORMAT:
-            raise DataError(f"not a histogram document: {obj.get('format')!r}")
-        mean = obj.get("mean_counts")
         return CoincidenceHistogram(
-            bin_width_ps=int(obj["bin_width_ps"]),
-            tau_min_ps=int(obj["tau_min_ps"]),
-            counts=np.asarray(obj["counts"], dtype=np.int64),
-            acquisition_time=float(obj["acquisition_time_s"]),
-            singles_a=int(obj["singles_a"]),
-            singles_b=int(obj["singles_b"]),
-            setting=_setting_from_dict(obj.get("setting")),
-            mean_counts=None if mean is None else np.asarray(mean, dtype=float),
+            bin_width_ps=_field(obj, "bin_width_ps", int, doc),
+            tau_min_ps=_field(obj, "tau_min_ps", int, doc),
+            counts=_field(obj, "counts", np.dtype(np.int64), doc),
+            acquisition_time=_field(obj, "acquisition_time_s", float, doc),
+            singles_a=_field(obj, "singles_a", int, doc),
+            singles_b=_field(obj, "singles_b", int, doc),
+            setting=None if setting is None else AnalyzerSetting(
+                theta=_field(setting, "theta_rad", float, f"{doc} setting"),
+                phi=_field(setting, "phi_rad", float, f"{doc} setting")),
+            mean_counts=_field(obj, "mean_counts", np.dtype(float), doc, nullable=True),
         )
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+    except ConfigError as exc:
         raise DataError(f"malformed histogram document: {exc}") from exc
 
 
@@ -524,50 +548,26 @@ def recon_to_dict(recon: ReconstructedTpwf) -> dict:
         "format": RECON_FORMAT,
         "units": {"tau": "s", "psi": "relative", "setting_angles": "rad"},
         "tau_s": recon.tau,
-        "re_psi": recon.re_psi,
-        "im_psi": recon.im_psi,
-        "gamma": recon.gamma,
-        "sigma_re": recon.sigma_re,
-        "sigma_im": recon.sigma_im,
-        "sigma_gamma": recon.sigma_gamma,
-        "cov_re_im": recon.cov_re_im,
-        "valid": recon.valid,
+        **{name: getattr(recon, name) for name, _ in _PER_BIN_ARRAYS},
         "background": recon.background,
         "background_mode": recon.background_mode,
         "gamma_mode": recon.gamma_mode,
-        "pooled_gamma": recon.pooled_gamma,
-        "pooled_sigma_gamma": recon.pooled_sigma_gamma,
         "meta": dict(recon.meta),
     }
 
 
-def _optional_float(value):
-    return None if value is None else float(value)
-
-
 def recon_from_dict(obj) -> ReconstructedTpwf:
-    _require_object(obj, "reconstruction")
+    doc = _document(obj, "reconstruction", RECON_FORMAT)
     try:
-        if obj.get("format") != RECON_FORMAT:
-            raise DataError(f"not a reconstruction document: {obj.get('format')!r}")
         return ReconstructedTpwf(
-            tau=np.asarray(obj["tau_s"], dtype=float),
-            re_psi=np.asarray(obj["re_psi"], dtype=float),
-            im_psi=np.asarray(obj["im_psi"], dtype=float),
-            gamma=np.asarray(obj["gamma"], dtype=float),
-            sigma_re=np.asarray(obj["sigma_re"], dtype=float),
-            sigma_im=np.asarray(obj["sigma_im"], dtype=float),
-            sigma_gamma=np.asarray(obj["sigma_gamma"], dtype=float),
-            valid=np.asarray(obj["valid"], dtype=bool),
-            cov_re_im=np.asarray(obj["cov_re_im"], dtype=float),
-            background=float(obj.get("background", 0.0)),
-            background_mode=str(obj.get("background_mode", "none")),
-            gamma_mode=str(obj.get("gamma_mode", "per_bin")),
-            pooled_gamma=_optional_float(obj.get("pooled_gamma")),
-            pooled_sigma_gamma=_optional_float(obj.get("pooled_sigma_gamma")),
-            meta=dict(obj.get("meta", {})),
+            tau=_field(obj, "tau_s", np.dtype(float), doc),
+            **{name: _field(obj, name, np.dtype(kind), doc) for name, kind in _PER_BIN_ARRAYS},
+            background=_field(obj, "background", float, doc),
+            background_mode=_field(obj, "background_mode", str, doc),
+            gamma_mode=_field(obj, "gamma_mode", str, doc),
+            meta=dict(_field(obj, "meta", dict, doc)),
         )
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+    except ConfigError as exc:
         raise DataError(f"malformed reconstruction document: {exc}") from exc
 
 

@@ -60,6 +60,13 @@ RADICAND_REL_TOL = 1e-9
 #: reconstruct_values fails when more than this share of bins is invalid.
 MAX_INVALID_FRACTION = 0.5
 
+#: The per-bin arrays of a ReconstructedTpwf besides tau, with their
+#: element types, in the key order of its document (io.recon_to_dict).
+_PER_BIN_ARRAYS = (
+    ("re_psi", float), ("im_psi", float), ("gamma", float), ("sigma_re", float),
+    ("sigma_im", float), ("sigma_gamma", float), ("cov_re_im", float), ("valid", bool),
+)
+
 #: Gradients of the two numerators w.r.t. (y0, y1, y2); both are linear.
 _NUM_GRAD = np.array([[-2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], [0.0, 1.0 / SQRT3, -1.0 / SQRT3]])
 
@@ -241,6 +248,8 @@ class ReconstructedTpwf:
     Bins that could not be inverted are flagged invalid (never clamped or
     interpolated); their value entries are NaN.  cov_re_im carries the
     re/im error covariance needed for derived quantities such as |psi|^2.
+    With gamma_mode 'pooled', gamma holds the pooled value on every valid
+    bin and sigma_gamma its sigma on every bin.
     """
 
     tau: np.ndarray
@@ -255,17 +264,13 @@ class ReconstructedTpwf:
     background: float = 0.0
     background_mode: str = "none"
     gamma_mode: str = "per_bin"
-    pooled_gamma: float | None = None
-    pooled_sigma_gamma: float | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.ndim(self.tau) != 1:
             raise ConfigError("tau must be a 1-d array")
         n = len(self.tau)
-        for name in (
-            "re_psi", "im_psi", "gamma", "sigma_re", "sigma_im", "sigma_gamma", "valid", "cov_re_im"
-        ):
+        for name, _ in _PER_BIN_ARRAYS:
             if np.shape(getattr(self, name)) != (n,):
                 raise ConfigError(f"field {name} does not match the bin count")
         self.valid = np.asarray(self.valid, dtype=bool)
@@ -396,8 +401,6 @@ def reconstruct_values(
     else:
         sigma_re, sigma_im, sigma_gamma, cov_re_im = np.zeros((4, n_bins))
 
-    pooled_gamma = None
-    pooled_sigma = None
     if gamma_mode == "pooled":
         pooled_gamma, pooled_sigma = _pool_gamma(gamma, sigma_gamma, valid)
         if pooled_gamma <= 0.0:
@@ -426,8 +429,6 @@ def reconstruct_values(
         background=background,
         background_mode=background_mode,
         gamma_mode=gamma_mode,
-        pooled_gamma=pooled_gamma,
-        pooled_sigma_gamma=pooled_sigma,
     )
 
 

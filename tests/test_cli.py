@@ -134,6 +134,20 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(obj)
 
+    @pytest.mark.parametrize("obj", [
+        {"seed": 4.7},
+        {"seed": 4.0},
+        {"seed": True},
+        {"gamma": True},
+        {"sim": {"duration_s": True}},
+        {"fit": {"fix_corr_time_ns": True}},
+    ])
+    def test_bool_for_a_number_or_float_for_seed_rejected(self, obj):
+        from biphoton import ConfigError
+
+        with pytest.raises(ConfigError, match="must be"):
+            PipelineConfig.from_dict(obj)
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(obj=config_dicts())
     @example(obj={"model": {"phase_rad": math.nan}})
@@ -669,6 +683,10 @@ class TestExitCodes:
             pytest.param("duration_s", -1.0, id="duration_s-negative"),
             pytest.param("duration_s", 5e6, id="duration_s-above-2**62-ps"),
             pytest.param("exposure_s", 60.0, id="exposure_s-above-duration"),
+            # Both name setting 1's own tag file, which exists.
+            pytest.param("tags_a", "../run/tags_phi1_A.bttg", id="tags_a-relative-path"),
+            pytest.param("tags_a", lambda out: str(out / "tags_phi1_A.bttg"),
+                         id="tags_a-absolute-path"),
         ],
     )
     def test_malformed_manifest_is_two(self, tmp_path, key, value):
@@ -680,7 +698,7 @@ class TestExitCodes:
         if value is MISSING:
             del target[key]
         else:
-            target[key] = value
+            target[key] = value(out) if callable(value) else value
         (out / MANIFEST_NAME).write_text(json.dumps(manifest))
         assert main(["correlate", "--config", config, "--input-dir", str(out)]) == 2
         assert not list(out.glob("hist_*"))

@@ -741,8 +741,11 @@ class TestDocuments:
         np.testing.assert_array_equal(back.tau, recon.tau)
         np.testing.assert_array_equal(back.re_psi, recon.re_psi)
         np.testing.assert_array_equal(back.valid, recon.valid)
-        assert back.pooled_gamma == recon.pooled_gamma
+        assert back.gamma[back.valid][0] == recon.gamma[recon.valid][0]
         assert back.gamma_mode == "pooled"
+        # older files also hold the pooled gamma as two scalars, ignored
+        older = dict(bio.read_json(path), pooled_gamma=1.2, pooled_sigma_gamma=0.0)
+        np.testing.assert_array_equal(bio.recon_from_dict(older).gamma, back.gamma)
         # documents feed the fit stage directly
         fit = fit_double_exponential(back)
         assert fit.params["corr_time"] == pytest.approx(30e-9, rel=1e-8)
@@ -761,9 +764,38 @@ class TestDocuments:
         ones = np.ones(tau.size)
         doc = bio.recon_to_dict(reconstruct_values(tau, ones, ones, ones, gamma_mode="pooled"))
         # a 2-d tau used to load and then crash the envelope fit
-        for key, value in (("tau_s", [[t, t] for t in doc["tau_s"]]), ("pooled_gamma", "abc")):
-            with pytest.raises(DataError):
-                bio.recon_from_dict(dict(doc, **{key: value}))
+        with pytest.raises(DataError):
+            bio.recon_from_dict(dict(doc, tau_s=[[t, t] for t in doc["tau_s"]]))
+
+    @pytest.mark.parametrize("key, value", [
+        ("bin_width_ps", 4000.7),
+        ("bin_width_ps", True),
+        ("bin_width_ps", "4000"),
+        ("singles_a", 99.9),
+        ("counts", [1, 3.9, 0, 2]),
+        ("counts", [1, True, 0, 2]),
+        ("counts", ["1", "0", "7", "1"]),
+        ("acquisition_time_s", "1.0"),
+    ])
+    def test_histogram_field_of_the_wrong_type_rejected(self, key, value):
+        doc = _small_histogram_document()
+        doc[key] = value
+        with pytest.raises(DataError, match=f"histogram document: {key} must be"):
+            bio.histogram_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("tau_s", [str(t) for t in np.linspace(-100e-9, 100e-9, 5)]),
+        ("valid", [2, 1, 1, 1, 1]),
+        ("background", "0.5"),
+        ("background", True),
+        ("gamma_mode", 5),
+        ("re_psi", [0.1, [0.2, 0.3], 0.4, 0.5, 0.6]),
+    ])
+    def test_reconstruction_field_of_the_wrong_type_rejected(self, key, value):
+        doc = _small_recon_document()
+        doc[key] = value
+        with pytest.raises(DataError, match=f"reconstruction document: {key} must be"):
+            bio.recon_from_dict(doc)
 
     def test_fit_document(self):
         model = TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4)
@@ -862,6 +894,29 @@ def _small_histogram_document():
     )
 
 
+def json_equal(a, b) -> bool:
+    """Whether a and b are the same JSON value: a bool equals only a bool
+    and a string only a string, numbers compare by value (NaN equals
+    NaN), and arrays, as lists or ndarrays, element by element."""
+    a, b = (v.tolist() if isinstance(v, np.ndarray) else v for v in (a, b))
+    if isinstance(a, list) or isinstance(b, list):
+        return type(a) is type(b) and len(a) == len(b) and all(map(json_equal, a, b))
+    if isinstance(a, dict) or isinstance(b, dict):
+        return type(a) is type(b) and a.keys() == b.keys() and all(json_equal(a[k], b[k]) for k in a)
+    if {type(a), type(b)} & {bool, str, type(None)}:
+        return type(a) is type(b) and a == b
+    return a == b or (a != a and b != b)
+
+
+def assert_encodes_to(encoded, given):
+    """A document that loaded re-encodes to the values it was given,
+    field by field; a missing nullable field encodes as null.  The units
+    are not read."""
+    for key, value in encoded.items():
+        if key != "units":
+            assert json_equal(value, given.get(key)), key
+
+
 class TestReaderFuzz:
     def check_tag_file(self, path, data, channel):
         path.write_bytes(data)
@@ -897,13 +952,14 @@ class TestReaderFuzz:
 
     @FUZZ
     @given(obj=mutated_documents(_small_histogram_document()))
+    @example(obj={**_small_histogram_document(), "bin_width_ps": True})
     def test_histogram_reader(self, obj):
         try:
             hist = bio.histogram_from_dict(obj)
         except BiphotonError:
             return
         assert isinstance(hist, CoincidenceHistogram)
-        assert hist.counts.ndim == 1
+        assert_encodes_to(bio.histogram_to_dict(hist), obj)
 
     @FUZZ
     @given(obj=mutated_documents(_small_recon_document()))
@@ -913,6 +969,4 @@ class TestReaderFuzz:
         except BiphotonError:
             return
         assert isinstance(recon, ReconstructedTpwf)
-        assert recon.tau.ndim == 1
-        for value in (recon.pooled_gamma, recon.pooled_sigma_gamma):
-            assert value is None or isinstance(value, float)
+        assert_encodes_to(bio.recon_to_dict(recon), obj)

@@ -332,7 +332,7 @@ class TestJacobian:
         var0, var1, var2 = (
             np.where(c > 0, v**2 / np.maximum(c, 1), np.inf) for v, c in zip(y, counts)
         )
-        scale = 4.0 * recon.pooled_gamma**2
+        scale = 4.0 * recon.gamma[recon.valid][0] ** 2
         expected = {
             "sigma_re": np.sqrt((var1 + var2 + 4.0 * var0) / 9.0 / scale),
             "sigma_im": np.sqrt((var1 + var2) / 3.0 / scale),
@@ -341,7 +341,11 @@ class TestJacobian:
         for name, value in expected.items():
             np.testing.assert_allclose(getattr(recon, name), value, rtol=1e-12)
         assert np.isinf(recon.sigma_re[0]) and np.isfinite(recon.sigma_im[0])
-        np.testing.assert_array_equal(recon.sigma_gamma, recon.pooled_sigma_gamma)
+        # sigma_gamma is the pooled sigma, 1/sqrt(sum 1/sigma^2) over the
+        # per-bin sigmas, on every bin
+        per_bin = reconstruct_values(tau, *y, *counts).sigma_gamma
+        pooled_sigma = 1.0 / math.sqrt(np.sum(1.0 / per_bin**2))
+        np.testing.assert_allclose(recon.sigma_gamma, np.full(n, pooled_sigma), rtol=1e-12)
 
 
 def make_hist(counts, duration, singles, phi_index, bin_width_ps=4000, mean=None):
@@ -506,7 +510,8 @@ class TestReconstructValues:
         biased = reconstruct_values(tau, *y, gamma_mode="pooled")
         # without subtraction the signal-free bins return gamma^2 + B, so
         # the pooled value sits at (or slightly above) that level
-        assert gamma**2 + background <= biased.pooled_gamma**2 < gamma**2 + background + 0.1
+        pooled = biased.gamma[biased.valid][0]
+        assert gamma**2 + background <= pooled**2 < gamma**2 + background + 0.1
         fixed = reconstruct_values(
             tau,
             *y,
@@ -515,7 +520,7 @@ class TestReconstructValues:
             wing_level=gamma**2 + background,
         )
         assert fixed.background == pytest.approx(background, rel=1e-9)
-        assert fixed.pooled_gamma == pytest.approx(gamma, rel=1e-9)
+        assert fixed.gamma[fixed.valid][0] == pytest.approx(gamma, rel=1e-9)
         np.testing.assert_allclose(fixed.re_psi, psi.real, rtol=0, atol=1e-8)
 
     def test_wing_subtract_survives_a_zero_count_bin(self):
@@ -537,7 +542,7 @@ class TestReconstructValues:
             wing_level=gamma**2 + background,
         )
         assert recon.background == pytest.approx(background, abs=1e-3)
-        assert recon.pooled_gamma == pytest.approx(gamma, abs=1e-3)
+        assert recon.gamma[recon.valid][0] == pytest.approx(gamma, abs=1e-3)
 
     def test_too_many_invalid_bins_fails(self):
         tau = np.zeros(10)
@@ -618,7 +623,7 @@ class TestReconstructCurve:
         )
         recon = reconstruct_curve(triple, background_mode="wing_subtract", gamma_mode="pooled")
         assert recon.background == pytest.approx(0.8, rel=0.1)
-        assert recon.pooled_gamma == pytest.approx(1.2, rel=0.02)
+        assert recon.gamma[recon.valid][0] == pytest.approx(1.2, rel=0.02)
 
     def test_mismatched_binning_rejected(self):
         a = make_hist(np.ones(10), 1.0, 1000, 0)
