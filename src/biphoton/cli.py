@@ -279,7 +279,8 @@ def _check_manifest_entry(entry) -> AnalyzerSetting:
     theta, phi, duration = (bio._field(entry, key, float, doc)
                             for key in ("theta_rad", "phi_rad", "duration_s"))
     try:
-        _check_duration(duration, bio._field(entry, "exposure_s", float, doc, nullable=True))
+        _check_duration(duration, None if entry.get("exposure_s") is None
+                        else bio._field(entry, "exposure_s", float, doc))
         return AnalyzerSetting(theta=theta, phi=phi)
     except ConfigError as exc:
         raise DataError(f"{doc}: {exc}") from exc

@@ -479,17 +479,15 @@ _ELEMENTS = {np.dtype(bool): {bool}, np.dtype(np.int64): {int}, np.dtype(float):
 _SCALARS = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
 
 
-def _field(obj, key: str, kind, doc: str, nullable: bool = False):
+def _field(obj, key: str, kind, doc: str):
     """obj[key] if it holds kind, else DataError naming doc and key.
 
     kind is int, float (finite, returned as a float), str, dict, or the
     dtype of a 1-d array: a list of its _ELEMENTS types, or the ndarray
     that *_to_dict writes, returned as an ndarray.  A bool is no number,
-    and a list holds no list.  A nullable field may be null or missing.
+    and a list holds no list.
     """
     value = obj.get(key)
-    if value is None and nullable:
-        return None
     try:
         if isinstance(kind, np.dtype):
             if (isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == kind.kind
@@ -525,7 +523,7 @@ def histogram_to_dict(hist: CoincidenceHistogram) -> dict:
 
 def histogram_from_dict(obj) -> CoincidenceHistogram:
     doc = _document(obj, "histogram", HISTOGRAM_FORMAT)
-    setting = _field(obj, "setting", dict, doc, nullable=True)
+    setting = None if obj.get("setting") is None else _field(obj, "setting", dict, doc)
     try:
         return CoincidenceHistogram(
             bin_width_ps=_field(obj, "bin_width_ps", int, doc),
@@ -537,7 +535,8 @@ def histogram_from_dict(obj) -> CoincidenceHistogram:
             setting=None if setting is None else AnalyzerSetting(
                 theta=_field(setting, "theta_rad", float, f"{doc} setting"),
                 phi=_field(setting, "phi_rad", float, f"{doc} setting")),
-            mean_counts=_field(obj, "mean_counts", np.dtype(float), doc, nullable=True),
+            mean_counts=None if obj.get("mean_counts") is None
+            else _field(obj, "mean_counts", np.dtype(float), doc),
         )
     except ConfigError as exc:
         raise DataError(f"malformed histogram document: {exc}") from exc

@@ -959,6 +959,7 @@ class TestReaderFuzz:
         except BiphotonError:
             return
         assert isinstance(hist, CoincidenceHistogram)
+        assert hist.counts.ndim == 1
         assert_encodes_to(bio.histogram_to_dict(hist), obj)
 
     @FUZZ
@@ -969,4 +970,5 @@ class TestReaderFuzz:
         except BiphotonError:
             return
         assert isinstance(recon, ReconstructedTpwf)
+        assert recon.tau.ndim == 1
         assert_encodes_to(bio.recon_to_dict(recon), obj)
