@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 malformed data,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -21,13 +20,15 @@ from dataclasses import dataclass
 from . import io as bio
 from .correlate import _check_duration, check_binning, cross_correlate
 from .errors import BiphotonError, ConfigError, DataError, NumericalError
-from .fit import fit_constant_phase, fit_double_exponential
+from .fit import (_check_fix_corr_time, _check_weight_threshold, fit_constant_phase,
+                  fit_double_exponential)
 from .model import RECONSTRUCTION_PHASES, AnalyzerSetting, TpwfModel
 from .reconstruct import (
     BACKGROUND_MODES,
     GAMMA_MODES,
     PhaseTriple,
     ReconstructedTpwf,
+    _check_modes, _check_wing_fraction,
     reconstruct_curve,
 )
 # generate_stream is not called here; perfbench/child.py wraps it as an
@@ -105,24 +106,19 @@ class PipelineConfig:
     phase_threshold: float = 0.1
 
     def __post_init__(self):
-        for section, key, field, coerce, _ in _CONFIG_KEYS:
-            value = getattr(self.model if section == "model" else self, field)
-            if coerce is float and value is not None and not math.isfinite(value):
-                name = key if section is None else f"{section}.{key}"
-                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.gamma > 0.0:
             raise ConfigError(f"gamma must be > 0 (the inversion divides by it), got {self.gamma}")
-        if self.background_mode not in BACKGROUND_MODES:
-            raise ConfigError(f"unknown background_mode {self.background_mode!r}")
-        if self.gamma_mode not in GAMMA_MODES:
-            raise ConfigError(f"unknown gamma_mode {self.gamma_mode!r}")
         check_binning(self.bin_width, self.tau_max)
+        _check_modes(self.background_mode, self.gamma_mode)
+        _check_wing_fraction(self.wing_fraction)
+        _check_fix_corr_time(self.fix_corr_time)
+        _check_weight_threshold(self.phase_threshold)
         # derive_setting_seed would check the seed too, but it loads
         # numpy.random, which only the simulate stage needs.
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         SimConfig(seed=0, **self._sim_fields())  # validates rates, durations, window
-        _density_grid(self.model, self.gamma, self.tau_window)  # the density stays finite
+        _density_grid(self.model, self.gamma, self.tau_window)  # gamma finite, density too
 
     def _sim_fields(self) -> dict:
         return {field: getattr(self, field) for section, _, field, _, _ in _CONFIG_KEYS
@@ -245,8 +241,10 @@ _SIMULATE_THREADS = 3
 
 def run_simulate(config: PipelineConfig, out_dir: str, only_setting: int | None = None) -> dict:
     """Simulate the analyzer settings (concurrently) and write a manifest."""
-    os.makedirs(out_dir, exist_ok=True)
     indices = [only_setting] if only_setting is not None else [0, 1, 2]
+    for index in indices:  # an over-budget run makes no directory
+        config.sim_config(index).validate_budget()
+    os.makedirs(out_dir, exist_ok=True)
     with ThreadPoolExecutor(max_workers=min(len(indices), _SIMULATE_THREADS)) as pool:
         entries = list(pool.map(lambda k: _simulate_setting(config, k, out_dir), indices))
     manifest = {
@@ -329,6 +327,8 @@ def run_correlate(run_dir: str, config: PipelineConfig, manifest: dict) -> tuple
         raise DataError("manifest has no 'settings' list")
     settings = [_check_manifest_entry(entry) for entry in entries]
     paths = [os.path.join(run_dir, _hist_name(entry["index"])) for entry in entries]
+    if len(set(paths)) < len(paths):
+        raise DataError("manifest settings repeat a setting index")
 
     def one(entry, setting, path):
         return _correlate_files(
@@ -475,14 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", action=_ConfigFlag, help="override the run seed")
         p.add_argument("--bin-width-ns", action=_ConfigFlag, help="coincidence bin width")
         p.add_argument("--tau-max-ns", action=_ConfigFlag, help="histogram half range")
-        p.add_argument(
-            "--background-mode", action=_ConfigFlag, choices=BACKGROUND_MODES,
-            help="background handling",
-        )
-        p.add_argument(
-            "--gamma-mode", action=_ConfigFlag, choices=GAMMA_MODES,
-            help="reference amplitude handling",
-        )
+        p.add_argument("--background-mode", action=_ConfigFlag, help=" or ".join(BACKGROUND_MODES))
+        p.add_argument("--gamma-mode", action=_ConfigFlag, help=" or ".join(GAMMA_MODES))
 
     p_sim = sub.add_parser("simulate", help="generate time-tag files for the phase settings")
     add_common(p_sim)

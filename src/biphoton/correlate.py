@@ -191,10 +191,10 @@ class TimeTagStream:
 class CoincidenceHistogram:
     """Binned coincidence counts versus arrival-time difference.
 
-    Bin geometry is stored in exact picoseconds; second-valued accessors
-    are provided for analysis code.  mean_counts optionally records the
-    analytic per-bin expectation when the histogram was produced by the
-    rate-level simulator, for oracle comparisons.
+    Bin geometry is stored in exact picoseconds; bin_width and
+    bin_centers() give it in seconds for analysis code.  mean_counts
+    optionally records the analytic per-bin expectation when the histogram
+    was produced by the rate-level simulator, for oracle comparisons.
     """
 
     bin_width_ps: int
@@ -236,14 +236,6 @@ class CoincidenceHistogram:
     @property
     def bin_width(self) -> float:
         return self.bin_width_ps / PS_PER_SECOND
-
-    @property
-    def tau_min(self) -> float:
-        return self.tau_min_ps / PS_PER_SECOND
-
-    @property
-    def tau_max(self) -> float:
-        return self.tau_max_ps / PS_PER_SECOND
 
     def bin_centers(self) -> np.ndarray:
         """Bin-center tau values in seconds."""

@@ -61,6 +61,17 @@ class FitResult:
         return self.chi2 / self.ndof if self.ndof > 0 else math.nan
 
 
+def _check_fix_corr_time(fix_corr_time):
+    """The fix_corr_time rule: None (the fit frees Tc), or finite and > 0."""
+    if fix_corr_time is not None and not 0.0 < fix_corr_time < math.inf:
+        raise ConfigError(f"fix_corr_time must be None or finite and > 0, got {fix_corr_time}")
+
+
+def _check_weight_threshold(weight_threshold):
+    if not 0.0 <= weight_threshold < 1.0:
+        raise ConfigError(f"weight_threshold must lie in [0, 1), got {weight_threshold}")
+
+
 def _levenberg(residual_jac, p0, scales, feasible=None):
     """Damped Gauss-Newton minimization of sum(r^2).
 
@@ -236,6 +247,7 @@ def fit_double_exponential(
     because residuals are evaluated at bin centers only.  Reports the
     intensity FWHM = ln(2) * Tc alongside the parameters.
     """
+    _check_fix_corr_time(fix_corr_time)
     data = _PowerData(recon)
     var0 = data.variance_at(data.q)
     usable = data.valid & np.isfinite(data.q)
@@ -259,8 +271,6 @@ def fit_double_exponential(
     q_sum = q_pos.sum()
     t0 = float((q_pos * tau).sum() / q_sum)
     if fix_corr_time is not None:
-        if not fix_corr_time > 0.0:
-            raise ConfigError("fix_corr_time must be > 0")
         tc0 = float(fix_corr_time)
     else:
         second = float((q_pos * (tau - t0) ** 2).sum() / q_sum)
@@ -356,8 +366,7 @@ def fit_constant_phase(
     +-pi wraparound.  chi2 measures the scatter of per-bin phases about
     the mean.
     """
-    if not 0.0 <= weight_threshold < 1.0:
-        raise ConfigError("weight_threshold must lie in [0, 1)")
+    _check_weight_threshold(weight_threshold)
     power = recon.power()
     usable = recon.valid & np.isfinite(power)
     if not usable.any():

@@ -47,10 +47,10 @@ class TpwfModel:
     psi(tau) = amplitude * exp(-|tau - tau_offset| / corr_time) * exp(1j * phase)
 
     Attributes:
-        amplitude: peak |psi|, dimensionless, > 0.
-        corr_time: 1/e decay time of the amplitude envelope, seconds, > 0.
-        tau_offset: horizontal offset of the peak, seconds.
-        phase: constant phase, radians.
+        amplitude: peak |psi|, dimensionless, finite and > 0.
+        corr_time: 1/e decay time of the amplitude envelope, seconds, finite and > 0.
+        tau_offset: horizontal offset of the peak, seconds, finite.
+        phase: constant phase, radians, finite.
     """
 
     amplitude: float
@@ -59,10 +59,12 @@ class TpwfModel:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not self.amplitude > 0.0:
-            raise ConfigError(f"amplitude must be > 0, got {self.amplitude}")
-        if not self.corr_time > 0.0:
-            raise ConfigError(f"corr_time must be > 0, got {self.corr_time}")
+        for name in ("amplitude", "corr_time"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("tau_offset", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def intensity_fwhm(self) -> float:
@@ -98,22 +100,18 @@ class AnalyzerSetting:
 @dataclass(frozen=True)
 class ReferenceAmplitude:
     """Two-photon amplitude of the coherent reference, real and >= 0 by
-    choice of phase origin."""
+    choice of phase origin, and finite."""
 
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma >= 0.0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 def _gamma_value(gamma) -> float:
-    if isinstance(gamma, ReferenceAmplitude):
-        return gamma.gamma
-    g = float(gamma)
-    if g < 0.0:
-        raise ConfigError(f"gamma must be >= 0, got {g}")
-    return g
+    reference = gamma if isinstance(gamma, ReferenceAmplitude) else ReferenceAmplitude(float(gamma))
+    return reference.gamma
 
 
 def tpwf_eval(model: TpwfModel, tau):

@@ -273,6 +273,7 @@ class ReconstructedTpwf:
         for name, _ in _PER_BIN_ARRAYS:
             if np.shape(getattr(self, name)) != (n,):
                 raise ConfigError(f"field {name} does not match the bin count")
+        _check_modes(self.background_mode, self.gamma_mode)
         self.valid = np.asarray(self.valid, dtype=bool)
         if (self.gamma[self.valid] < 0.0).any():
             raise NumericalError("reconstructed gamma must be >= 0 on valid bins")
@@ -290,6 +291,18 @@ class ReconstructedTpwf:
         return np.arctan2(self.im_psi, self.re_psi)
 
 
+def _check_modes(background_mode, gamma_mode):
+    if background_mode not in BACKGROUND_MODES:
+        raise ConfigError(f"unknown background_mode {background_mode!r}")
+    if gamma_mode not in GAMMA_MODES:
+        raise ConfigError(f"unknown gamma_mode {gamma_mode!r}")
+
+
+def _check_wing_fraction(wing_fraction):
+    if not 0.0 < wing_fraction <= 0.4:
+        raise ConfigError(f"wing_fraction must be in (0, 0.4], got {wing_fraction}")
+
+
 def background_estimate(hist: CoincidenceHistogram, wing_fraction: float = 0.2):
     """Mean normalized rate over the outermost bins on each side.
 
@@ -297,8 +310,7 @@ def background_estimate(hist: CoincidenceHistogram, wing_fraction: float = 0.2):
     reference level plus the accidental background (gamma^2 + B); the two
     are not separable from a single histogram.  Returns (level, sigma).
     """
-    if not 0.0 < wing_fraction <= 0.4:
-        raise ConfigError(f"wing_fraction must be in (0, 0.4], got {wing_fraction}")
+    _check_wing_fraction(wing_fraction)
     per_side = int(math.floor(wing_fraction * hist.n_bins))
     if per_side < 5:
         raise ConfigError(
@@ -347,10 +359,7 @@ def reconstruct_values(
     'wing_subtract': the flat term is separated from the reference level
     by two fixed-point iterations of subtract -> re-estimate gamma.
     """
-    if background_mode not in BACKGROUND_MODES:
-        raise ConfigError(f"unknown background_mode {background_mode!r}")
-    if gamma_mode not in GAMMA_MODES:
-        raise ConfigError(f"unknown gamma_mode {gamma_mode!r}")
+    _check_modes(background_mode, gamma_mode)
     tau = np.asarray(tau, dtype=float)
     ys = [np.asarray(v, dtype=float) for v in (y0, y1, y2)]
     for v in ys:

@@ -103,8 +103,8 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("pair_rate", "singles_rate_a", "singles_rate_b", "jitter_sigma", "dead_time"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         _check_duration(self.duration, None)
         _time_ps("dead_time", self.dead_time)
         if not self.tau_window > 0.0:
@@ -195,10 +195,8 @@ class PairDelaySampler:
         cdf[-1] = 1.0
         self.grid = grid
         self.cdf = cdf
-        self.total_mass = total
         self.neutral_mass = neutral_mass
         self.rate_factor = total / neutral_mass if neutral_mass > 0.0 else 1.0
-        self.window = window
 
     def quantile(self, u):
         """Delays in seconds at CDF levels u in [0, 1]."""

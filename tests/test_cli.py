@@ -411,7 +411,17 @@ class TestStreamingSimulate:
         config = write_config(tmp_path, {"sim.pair_rate_hz": 1e8})
         out = tmp_path / "o"
         assert main(["simulate", "--config", config, "--output-dir", str(out)]) == 1
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_over_budget_is_one_before_any_file(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sim": {"duration_s": 1e5, "pair_rate_hz": 1e6}}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "memory budget" in err
+        assert not out.exists()
 
     def test_perfbench_tracer_installs(self):
         # perfbench/child.py wraps cli, simulate, io and stage functions by
@@ -679,6 +689,8 @@ class TestExitCodes:
             pytest.param("index", [1], id="index-list"),
             pytest.param("index", 3, id="index-3"),
             pytest.param("index", True, id="index-bool"),
+            # Setting 1 takes setting 0's index: two entries for one histogram.
+            pytest.param("index", 0, id="index-duplicate"),
             pytest.param("phi_rad", 4.0, id="phi_rad-out-of-range"),
             pytest.param("duration_s", -1.0, id="duration_s-negative"),
             pytest.param("duration_s", 5e6, id="duration_s-above-2**62-ps"),
@@ -774,6 +786,58 @@ class TestExitCodes:
             assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("fit.phase_threshold", 1.5, "weight_threshold must lie in [0, 1), got 1.5",
+                     id="phase_threshold-1.5"),
+        pytest.param("fit.phase_threshold", -0.1, "weight_threshold must lie in [0, 1), got -0.1",
+                     id="phase_threshold--0.1"),
+        pytest.param("fit.fix_corr_time_ns", 0, "fix_corr_time must be None or finite and > 0, "
+                     "got 0.0", id="fix_corr_time_ns-0"),
+        # The value in seconds: -3 ns is -3.0000000000000004e-09 s.
+        pytest.param("fit.fix_corr_time_ns", -3, "fix_corr_time must be None or finite and > 0, "
+                     "got -3.0", id="fix_corr_time_ns--3"),
+        pytest.param("reconstruct.wing_fraction", 0, "wing_fraction must be in (0, 0.4], got 0.0",
+                     id="wing_fraction-0"),
+        pytest.param("reconstruct.wing_fraction", 0.5, "wing_fraction must be in (0, 0.4], got 0.5",
+                     id="wing_fraction-0.5"),
+    ])
+    def test_out_of_range_stage_option_is_one_before_any_file(self, tmp_path, capsys, key, value,
+                                                              message):
+        # The value is refused at load, by the rule of the stage that uses
+        # it, not by that stage after the tags and histograms are written.
+        config = write_config(tmp_path, {key: value, "reconstruct.background_mode": "wing_subtract"})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("flag", ["--background-mode", "--gamma-mode"])
+    def test_unknown_mode_flag_is_one_before_any_file(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        assert main(["pipeline", flag, "foo", "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'foo'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["background_mode", "gamma_mode"])
+    def test_fit_of_a_reconstruction_with_an_unknown_mode_is_two(self, tmp_path, capsys, key):
+        from biphoton import RECONSTRUCTION_PHASES, TpwfModel, reconstruct_values, tpwf_eval
+
+        tau = np.linspace(-100e-9, 100e-9, 41)
+        psi = tpwf_eval(TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4), tau)
+        y = [np.abs(1.2 * np.exp(-2j * p) - psi) ** 2 for p in RECONSTRUCTION_PHASES]
+        doc = bio.recon_to_dict(reconstruct_values(tau, *y, *(np.rint(1e4 * v) for v in y)))
+        recon, fits = tmp_path / "reconstruction.json", tmp_path / "fits.json"
+        bio.write_json(recon, doc)
+        assert main(["fit", "--recon", str(recon), "--output", str(fits)]) == 0
+        fits.unlink()
+        bio.write_json(recon, {**doc, key: "foo"})
+        assert main(["fit", "--recon", str(recon), "--output", str(fits)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and f"unknown {key} 'foo'" in err
+        assert not fits.exists()
 
     def test_zero_gamma_is_one(self, tmp_path):
         config = write_config(tmp_path, {"gamma": 0})

@@ -157,6 +157,13 @@ class TestDoubleExponentialFit:
         with pytest.raises(ConfigError):
             fit_double_exponential(recon, fix_corr_time=0.0)
 
+    @pytest.mark.parametrize("value", [-1e-9, math.nan, math.inf])
+    def test_fixed_corr_time_is_checked_first(self, value):
+        # Too few bins for a fit, but the option's rule comes first.
+        recon = noiseless_recon(TpwfModel(amplitude=1.0, corr_time=30e-9), n_bins=7)
+        with pytest.raises(ConfigError, match="fix_corr_time must be"):
+            fit_double_exponential(recon, fix_corr_time=value)
+
     def test_envelope_below_one_bin_is_not_converged(self):
         # a 0.7 ns FWHM sampled by 4 ns bins
         recon = noiseless_recon(TpwfModel(amplitude=1.0, corr_time=1e-9))
@@ -557,6 +564,13 @@ class TestConstantPhaseFit:
         recon.valid[:] = False
         with pytest.raises(DataError):
             fit_constant_phase(recon)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.0, 1.5, math.nan, math.inf])
+    def test_weight_threshold_is_checked_first(self, value):
+        recon = noiseless_recon(TpwfModel(amplitude=1.0, corr_time=30e-9, phase=0.2))
+        recon.valid[:] = False
+        with pytest.raises(ConfigError, match="weight_threshold must"):
+            fit_constant_phase(recon, weight_threshold=value)
 
 
 class TestVisibilityFit:

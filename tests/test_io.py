@@ -797,6 +797,13 @@ class TestDocuments:
         with pytest.raises(DataError, match=f"reconstruction document: {key} must be"):
             bio.recon_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["background_mode", "gamma_mode"])
+    def test_reconstruction_unknown_mode_rejected(self, key):
+        doc = _small_recon_document()
+        doc[key] = "foo"
+        with pytest.raises(DataError, match=f"unknown {key} 'foo'"):
+            bio.recon_from_dict(doc)
+
     def test_fit_document(self):
         model = TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4)
         tau = np.linspace(-100e-9, 100e-9, 41)

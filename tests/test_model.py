@@ -19,8 +19,10 @@ from biphoton import (
     tpwf_eval,
     visibility_curve,
 )
+from biphoton.model import _gamma_value
 
 BALANCED = AnalyzerSetting.balanced
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestTpwfEval:
@@ -76,6 +78,13 @@ class TestTpwfEval:
             TpwfModel(amplitude=0.0, corr_time=1e-9)
         with pytest.raises(ConfigError):
             TpwfModel(amplitude=1.0, corr_time=-1e-9)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["amplitude", "corr_time", "tau_offset", "phase"])
+    def test_non_finite_field_rejected(self, field, value):
+        params = {"amplitude": 1.0, "corr_time": 10e-9, "tau_offset": 0.0, "phase": 0.9}
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            TpwfModel(**{**params, field: value})
 
 
 class TestAnalyzerTransform:
@@ -147,6 +156,15 @@ class TestForwardG2:
             ReferenceAmplitude(-0.5)
         with pytest.raises(ConfigError):
             forward_g2(BALANCED(0.0), -1.0, 0.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_gamma_rejected(self, value):
+        # _gamma_value, which every model function reads gamma through,
+        # applies ReferenceAmplitude's rule to a plain number.
+        with pytest.raises(ConfigError, match="gamma must be finite"):
+            ReferenceAmplitude(value)
+        with pytest.raises(ConfigError, match="gamma must be finite"):
+            _gamma_value(value)
 
 
 def _fft_intensity_fwhm(bandwidth_hz: float) -> float:

@@ -17,6 +17,7 @@ from biphoton import (
     NumericalError,
     PhaseTriple,
     RECONSTRUCTION_PHASES,
+    ReconstructedTpwf,
     TpwfModel,
     background_estimate,
     propagate_errors,
@@ -559,6 +560,13 @@ class TestReconstructValues:
         with pytest.raises(ConfigError):
             reconstruct_values(tau, ones, ones, ones, gamma_mode="bogus")
 
+    @pytest.mark.parametrize("field", ["background_mode", "gamma_mode"])
+    def test_reconstruction_checks_its_modes(self, field):
+        recon = reconstruct_values(np.zeros(3), np.ones(3), np.ones(3), np.ones(3))
+        fields = {**vars(recon), field: "bogus"}
+        with pytest.raises(ConfigError, match=f"unknown {field}"):
+            ReconstructedTpwf(**fields)
+
     @pytest.mark.parametrize("missing", [0, 1, 2])
     def test_partial_counts_rejected(self, missing):
         # Two counts arrays of three would propagate no error at all.
@@ -676,3 +684,6 @@ class TestBackgroundEstimate:
             background_estimate(h, wing_fraction=0.1)  # 2 bins per side
         with pytest.raises(ConfigError):
             background_estimate(h, wing_fraction=0.5)
+        for fraction in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="wing_fraction must be in"):
+                background_estimate(h, wing_fraction=fraction)

@@ -236,6 +236,13 @@ class TestGenerateStream:
         with pytest.raises(ConfigError):
             generate_stream(cfg, BALANCED(0.0), self.MODEL, 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["pair_rate", "singles_rate_a", "singles_rate_b", "duration",
+                                       "jitter_sigma", "dead_time", "tau_window"])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SimConfig(**{"pair_rate": 1000.0, field: value})
+
     def test_stationarity_between_halves(self):
         cfg = SimConfig(
             pair_rate=20_000.0,
