@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .reconstruct import (
 # attribute of this module, so the name stays importable from it.
 from .simulate import (  # noqa: F401
     SimConfig,
-    _density_grid,
+    _neutral_mass,
     derive_setting_seed,
     generate_blocks,
     generate_stream,
@@ -76,6 +77,7 @@ _CONFIG_KEYS = (
     ("fit", "fix_corr_time_ns", "fix_corr_time", float, _NS),
     ("fit", "phase_threshold", "phase_threshold", float, None),
 )
+_RULE_NAMES = {"phase_threshold": "weight_threshold"}  # fields the library names otherwise
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ class PipelineConfig:
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         SimConfig(seed=0, **self._sim_fields())  # validates rates, durations, window
-        _density_grid(self.model, self.gamma, self.tau_window)  # gamma finite, density too
+        _neutral_mass(self.model, self.gamma, self.tau_window)  # gamma finite, density too
 
     def _sim_fields(self) -> dict:
         return {field: getattr(self, field) for section, _, field, _, _ in _CONFIG_KEYS
@@ -154,7 +156,7 @@ class PipelineConfig:
                 raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
 
         defaults = cls().to_dict()
-        fields, model = {}, {}
+        fields, model, written = {}, {}, {}
         # A bool for a number, a float for an integer, a value that
         # int()/float() cannot coerce (flags give strings) or that a
         # constructor rejects with a ValueError is a configuration error.
@@ -168,12 +170,18 @@ class PipelineConfig:
                     raise ConfigError(f"{key} must be {coerce.__name__}, got {value!r}")
                 if not (value is None and default is None):  # a None default admits None
                     value = coerce(value)
+                    label = key if section is None else f"{section}.{key}"
+                    written[_RULE_NAMES.get(field, field)] = f"{label} = {value!r}"
                     if unit is not None:
                         value = value * unit
                 (model if section == "model" else fields)[field] = value
             return cls(model=TpwfModel(**model), **fields)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
+        except ConfigError as exc:  # lead a library rule's message with the keys it reads
+            words = set(re.findall(r"\w+", str(exc)))
+            named = ", ".join(text for name, text in written.items() if name in words)
+            raise ConfigError(f"{named}: {exc}" if named else str(exc)) from exc
 
 
 class _ConfigFlag(argparse.Action):

@@ -30,6 +30,7 @@ __all__ = [
     "tpwf_eval",
     "forward_two_photon_amplitude",
     "forward_g2",
+    "g2_integrals",
     "bandwidth_to_corr_time",
     "bandwidth_to_intensity_fwhm",
     "visibility_curve",
@@ -157,6 +158,30 @@ def forward_g2(setting: AnalyzerSetting, gamma, psi, background: float = 0.0):
     if np.ndim(result) == 0:
         return float(result)
     return result
+
+
+def _decay_integrals(x, decay: float):
+    """Integrals of exp(-|t|/decay) between consecutive points of x.  Each
+    side of 0 takes its part [a, b] of an interval, as distances from 0, as
+    decay * exp(-a/decay) * (1 - exp(-(b - a)/decay)): exact far in the tails."""
+    near = np.maximum([x[:-1], -x[1:]], 0.0)
+    far = np.maximum([x[1:], -x[:-1]], 0.0)
+    return -(decay * np.exp(-near / decay) * np.expm1((near - far) / decay)).sum(axis=0)
+
+
+def g2_integrals(setting: AnalyzerSetting, gamma, model: TpwfModel, edges):
+    """Integrals of forward_g2 (no background) between consecutive
+    increasing edges (s), in closed form: over an interval the mean of
+    |a - psi|^2 is |a - mean psi|^2 + var psi, var psi >= 0 scaled by
+    sin(2*theta)^2 as in forward_g2.  model.amplitude^2 must be finite."""
+    x = np.asarray(edges, dtype=float) - model.tau_offset
+    width = np.diff(x)
+    mean_envelope = _decay_integrals(x, model.corr_time) / width
+    var_envelope = np.maximum(_decay_integrals(x, 0.5 * model.corr_time) / width
+                              - mean_envelope**2, 0.0)
+    mean_psi = model.amplitude * mean_envelope * np.exp(1j * model.phase)
+    variance = math.sin(2.0 * setting.theta) ** 2 * model.amplitude**2 * var_envelope
+    return width * (forward_g2(setting, gamma, mean_psi) + variance)
 
 
 def bandwidth_to_corr_time(fwhm_hz: float) -> float:

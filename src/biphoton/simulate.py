@@ -29,14 +29,15 @@ from .correlate import (
     PS_PER_SECOND,
     CoincidenceHistogram,
     TimeTagStream,
-    _bin_centers,
     _check_duration,
     _time_ps,
     check_binning,
     seconds_to_ps,
 )
 from .errors import ConfigError, NumericalError
-from .model import AnalyzerSetting, TpwfModel, _gamma_value, forward_g2, tpwf_eval
+from .model import AnalyzerSetting, TpwfModel, _decay_integrals, _gamma_value, g2_integrals
+# Not called here: perfbench/child.py wraps them as attributes of this module.
+from .model import forward_g2, tpwf_eval  # noqa: F401
 
 __all__ = [
     "SimConfig",
@@ -68,9 +69,9 @@ _CHUNK = 2**13
 # Timing jitter is clipped at this many sigmas (a two-sided tail of
 # 1.2e-15), which bounds how far a click lands from its event.
 _JITTER_BOUND_SIGMAS = 8.0
-# Bound on the interference-free pair-delay density: the interference
-# density is at most twice it, and the trapezoid adds two neighbours, so
-# the sampler's sums stay finite below it.
+# Bound on gamma^2 and on model.amplitude^2: the interference density
+# (gamma + |psi|)^2 is at most twice their sum, so it stays finite, and a
+# pair mass is at most twice the interference-free one.
 _MAX_DENSITY = np.finfo(float).max / 4
 # Rate-level mean arrays kept by _rate_level_means; a many-seed study of
 # one config needs one per analyzer setting.
@@ -139,64 +140,53 @@ def derive_setting_seed(seed: int, setting_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _trapezoid_steps(values: np.ndarray, dx: float) -> np.ndarray:
-    """The trapezoid rule's mass on each step of a uniform grid."""
-    return 0.5 * (values[1:] + values[:-1]) * dx
-
-
-def _density_grid(model: TpwfModel, gamma, window: float):
-    """The sampler grid on [-window, window], psi on it, and the
-    interference-free pair-delay mass: the trapezoid of gamma^2 + |psi|^2
-    over the grid.
+def _neutral_mass(model: TpwfModel, gamma, window: float) -> float:
+    """The interference-free pair-delay mass: the integral of
+    gamma^2 + |psi|^2 over [-window, window], in closed form.
 
     The analyzer phase redistributes pair amplitude, so the detected pair
     rate scales with the density integral; quoting rates against this
     phi-independent reference keeps one common scale across the three
     settings (it equals the mean of the per-setting masses over the
     analyzer period).  The window must span _MIN_WINDOW_CORR_TIMES
-    correlation times, and the density must stay below _MAX_DENSITY, so
-    that neither this mass nor the sampler's overflows.
+    correlation times, gamma^2 and amplitude^2 must stay below _MAX_DENSITY,
+    and twice this mass must be finite, so that no pair mass overflows.
     """
     if window < _MIN_WINDOW_CORR_TIMES * model.corr_time:
         raise ConfigError(
             f"tau_window {window:.3g} s is below {_MIN_WINDOW_CORR_TIMES} "
-            f"correlation times ({model.corr_time:.3g} s)"
+            f"correlation times (corr_time {model.corr_time:.3g} s)"
         )
-    g = _gamma_value(gamma)
-    too_large = "gamma and model.amplitude are too large: the pair-delay density overflows"
-    if not g < math.sqrt(_MAX_DENSITY):
-        raise ConfigError(too_large)
-    grid = np.linspace(-window, window, _CDF_GRID_POINTS)
-    psi = tpwf_eval(model, grid)
-    with np.errstate(over="ignore"):
-        interference_free = g**2 + np.abs(psi) ** 2
-        mass = float(_trapezoid_steps(interference_free, grid[1] - grid[0]).sum())
-    if not (interference_free.max() < _MAX_DENSITY and math.isfinite(2.0 * mass)):
-        raise ConfigError(too_large)
-    return grid, psi, mass
+    g, mass = _gamma_value(gamma), math.inf
+    if max(g, model.amplitude) < math.sqrt(_MAX_DENSITY):  # before either is squared
+        x = np.array([-window, window]) - model.tau_offset
+        envelope = _decay_integrals(x, 0.5 * model.corr_time)
+        mass = 2.0 * window * g**2 + model.amplitude**2 * float(envelope[0])
+    if not math.isfinite(2.0 * mass):
+        raise ConfigError(
+            "gamma and model.amplitude are too large: the pair-delay density overflows")
+    return mass
 
 
 class PairDelaySampler:
     """Inverse-CDF sampler for the pair arrival-time difference.
 
-    The density |gamma*exp(-2i*phi) - psi(tau)|^2 is tabulated on a dense
-    uniform grid over [-window, window]; sampling interpolates the
-    inverse of the trapezoid CDF, which is cheap and has no
-    rejection-sampling worst case because the density is smooth.
+    The CDF of the density |gamma*exp(-2i*phi) - psi(tau)|^2 is tabulated
+    on a dense uniform grid over [-window, window], its steps the exact
+    interval integrals (g2_integrals); sampling interpolates its inverse,
+    which is cheap and has no rejection-sampling worst case.
     """
 
     def __init__(self, setting: AnalyzerSetting, model: TpwfModel, gamma, window: float):
-        grid, psi, neutral_mass = _density_grid(model, gamma, window)
-        mass_steps = _trapezoid_steps(forward_g2(setting, gamma, psi, 0.0), grid[1] - grid[0])
+        neutral_mass = _neutral_mass(model, gamma, window)
+        self.grid = np.linspace(-window, window, _CDF_GRID_POINTS)
+        mass_steps = g2_integrals(setting, gamma, model, self.grid)
         total = float(mass_steps.sum())
         if total <= 0.0:
             raise NumericalError(_ZERO_DENSITY)
-        cdf = np.concatenate(([0.0], np.cumsum(mass_steps))) / total
-        cdf[-1] = 1.0
-        self.grid = grid
-        self.cdf = cdf
-        self.neutral_mass = neutral_mass
-        self.rate_factor = total / neutral_mass if neutral_mass > 0.0 else 1.0
+        self.cdf = np.concatenate(([0.0], np.cumsum(mass_steps))) / total
+        self.cdf[-1] = 1.0
+        self.rate_factor = total / neutral_mass
 
     def quantile(self, u):
         """Delays in seconds at CDF levels u in [0, 1]."""
@@ -575,17 +565,14 @@ def _rate_level_means(
     A call that raises stores nothing, so bad inputs raise again on
     every call.
     """
-    bw_ps = seconds_to_ps(bin_width)
-    window_ps = seconds_to_ps(tau_window)
+    bw_ps, window_ps = check_binning(bin_width, tau_window)
     # The sampler's normalization, so event-level and rate-level runs
     # scale the pair mass identically.
-    _, _, neutral_mass = _density_grid(model, gamma, tau_window)
+    neutral_mass = _neutral_mass(model, gamma, tau_window)
     if neutral_mass <= 0.0:
         raise NumericalError(_ZERO_DENSITY)
-    centers = _bin_centers(-window_ps, bw_ps, 2 * window_ps // bw_ps)
-    density = forward_g2(setting, gamma, tpwf_eval(model, centers), 0.0)
-
-    pair_means = pair_rate * duration * density * bin_width / neutral_mass
+    edges = (bw_ps * np.arange(2 * window_ps // bw_ps + 1) - window_ps) / PS_PER_SECOND
+    pair_means = pair_rate * duration * g2_integrals(setting, gamma, model, edges) / neutral_mass
     accidental = singles_rate_a * singles_rate_b * bin_width * duration
     means = pair_means + accidental
     means.flags.writeable = False

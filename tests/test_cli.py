@@ -753,11 +753,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("key", [key if section is None else f"{section}.{key}"
                                      for section, key, _ in FLOAT_KEYS])
     def test_non_finite_value_is_one_before_any_file(self, tmp_path, capsys, key, value):
-        # json writes Infinity and NaN, which json loads as floats.
+        # json writes Infinity and NaN, which json loads as floats.  The
+        # message names the config key and its value as written.
         config = write_config(tmp_path, {key: value})
         out = tmp_path / "o"
         assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key} = {value!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -771,7 +773,8 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "too large" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["sim.jitter_sigma_ps", "sim.tau_window_ns",
@@ -806,12 +809,13 @@ class TestExitCodes:
                                                               message):
         # The value is refused at load, by the rule of the stage that uses
         # it, not by that stage after the tags and histograms are written.
+        # The message leads with the config key and its value as written.
         config = write_config(tmp_path, {key: value, "reconstruct.background_mode": "wing_subtract"})
         out = tmp_path / "o"
         assert main(["pipeline", "--config", config, "--output-dir", str(out)]) == 1
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        assert err.startswith(f"error: {key} = {float(value)!r}: ") and message in err
 
     @pytest.mark.parametrize("flag", ["--background-mode", "--gamma-mode"])
     def test_unknown_mode_flag_is_one_before_any_file(self, tmp_path, capsys, flag):

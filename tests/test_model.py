@@ -19,7 +19,7 @@ from biphoton import (
     tpwf_eval,
     visibility_curve,
 )
-from biphoton.model import _gamma_value
+from biphoton.model import _gamma_value, g2_integrals
 
 BALANCED = AnalyzerSetting.balanced
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -165,6 +165,50 @@ class TestForwardG2:
             ReferenceAmplitude(value)
         with pytest.raises(ConfigError, match="gamma must be finite"):
             _gamma_value(value)
+
+
+def _simpson_masses(setting, gamma, model, edges, n=64):
+    """Independent oracle for g2_integrals: composite Simpson over n
+    sub-intervals of each interval, with tau_offset made an extra edge so
+    that no piece holds the kink of |tau - tau_offset|."""
+    inside = edges[0] < model.tau_offset < edges[-1]
+    fine = np.union1d(edges, [model.tau_offset] if inside else [])
+    a, b = fine[:-1, None], fine[1:, None]
+    weights = np.ones(n + 1)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    f = forward_g2(setting, gamma, tpwf_eval(model, a + (b - a) * np.linspace(0.0, 1.0, n + 1)))
+    pieces = (f @ weights) * (b - a)[:, 0] / (3 * n)
+    return np.add.reduceat(pieces, np.searchsorted(fine, edges[:-1]))
+
+
+class TestG2Integrals:
+    """The closed-form interval masses of the pair density."""
+
+    @pytest.mark.parametrize("tau_offset", [0.0, 3e-9, -7.3e-9, 1.01e-11])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("bin_width_ps, window_ps", [(20, 20_000), (4000, 400_000),
+                                                         (10_000, 400_000)])
+    def test_matches_simpson(self, bin_width_ps, window_ps, gamma, tau_offset):
+        # tau_offset falls on an edge (0 ns everywhere; 3 and -7.3 ns at
+        # 0.02 ns bins) or inside a bin; the window reaches ten
+        # correlation times at 4 and 10 ns.
+        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, tau_offset=tau_offset, phase=0.9)
+        edges = (bin_width_ps * np.arange(2 * window_ps // bin_width_ps + 1) - window_ps) / 1e12
+        for phi in RECONSTRUCTION_PHASES:
+            got = g2_integrals(BALANCED(phi), gamma, model, edges)
+            expected = _simpson_masses(BALANCED(phi), gamma, model, edges)
+            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4])
+    def test_never_negative_and_scaled_by_the_analyzer(self, theta):
+        # At gamma = |psi(tau_offset)| the density of phi = 0 vanishes at
+        # tau_offset; the masses stay >= 0 and scale as sin(2*theta)^2.
+        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, tau_offset=1e-9)
+        edges = np.linspace(-400e-9, 400e-9, 40_001)
+        got = g2_integrals(AnalyzerSetting(theta=theta, phi=0.0), 1.0, model, edges)
+        balanced = g2_integrals(BALANCED(0.0), 1.0, model, edges)
+        assert (got >= 0.0).all()
+        np.testing.assert_allclose(got, math.sin(2.0 * theta) ** 2 * balanced, rtol=1e-12)
 
 
 def _fft_intensity_fwhm(bandwidth_hz: float) -> float:

@@ -18,22 +18,22 @@ from biphoton import (
     ConfigError,
     NumericalError,
     PairDelaySampler,
+    RECONSTRUCTION_PHASES,
     ReferenceAmplitude,
     SimConfig,
     TpwfModel,
     cross_correlate,
     apply_gate,
     derive_setting_seed,
-    forward_g2,
     generate_blocks,
     generate_stream,
     rate_level_histogram,
     sample_pair_delay,
-    tpwf_eval,
 )
 from biphoton import io as bio
 from biphoton import simulate
 from biphoton.correlate import seconds_to_ps
+from biphoton.model import g2_integrals
 from biphoton.simulate import _dead_time_filter
 
 BALANCED = AnalyzerSetting.balanced
@@ -96,6 +96,24 @@ class TestPairDelaySampler:
         model = TpwfModel(amplitude=1e-200, corr_time=10e-9)
         with pytest.raises(NumericalError):
             PairDelaySampler(BALANCED(0.0), model, 0.0, window=200e-9)
+
+    @pytest.mark.parametrize("amplitude, gamma", [(1e160, 0.0), (1e300, 0.0), (1.0, 1e200)])
+    def test_overflowing_density_rejected(self, amplitude, gamma):
+        # Finite, but gamma^2 or amplitude^2 overflows a float.
+        model = TpwfModel(amplitude=amplitude, corr_time=10e-9)
+        with pytest.raises(ConfigError, match="too large"):
+            PairDelaySampler(BALANCED(0.0), model, gamma, window=200e-9)
+
+    @pytest.mark.parametrize("phi", RECONSTRUCTION_PHASES)
+    def test_cdf_is_cumulative_interval_integrals(self, phi):
+        # A window of 8191 * 2 ns puts the grid on 4 ns bin edges.
+        model = TpwfModel(amplitude=0.8, corr_time=39.3e-9, tau_offset=3e-9, phase=0.9)
+        window = (simulate._CDF_GRID_POINTS - 1) * 2e-9
+        sampler = PairDelaySampler(BALANCED(phi), model, 1.2, window)
+        edges = -window + 4e-9 * np.arange(simulate._CDF_GRID_POINTS)
+        masses = np.cumsum(g2_integrals(BALANCED(phi), 1.2, model, edges))
+        np.testing.assert_allclose(sampler.grid, edges, rtol=0.0, atol=1e-20)
+        np.testing.assert_allclose(sampler.cdf[1:], masses / masses[-1], rtol=1e-12)
 
     def test_draws_stay_in_window(self):
         model = TpwfModel(amplitude=1.0, corr_time=10e-9, phase=0.4)
@@ -329,15 +347,14 @@ class TestDeadTimeFilter:
 
 
 def _inline_rate_level_means(config, setting, model, gamma, bin_width):
-    """The per-bin means as rate_level_histogram computed them inline,
-    before they were cached: the oracle for the cache."""
+    """The per-bin means from the model's interval masses, without the
+    cache: the oracle for it."""
     bw_ps = seconds_to_ps(bin_width)
     window_ps = seconds_to_ps(config.tau_window)
-    neutral_mass = simulate._density_grid(model, gamma, config.tau_window)[2]
-    n_bins = 2 * window_ps // bw_ps
-    centers = (-window_ps + bw_ps * (np.arange(n_bins) + 0.5)) / 1e12
-    density = forward_g2(setting, gamma, tpwf_eval(model, centers), 0.0)
-    pair_means = config.pair_rate * config.duration * density * bin_width / neutral_mass
+    neutral_mass = simulate._neutral_mass(model, gamma, config.tau_window)
+    edges = (bw_ps * np.arange(2 * window_ps // bw_ps + 1) - window_ps) / 1e12
+    masses = g2_integrals(setting, gamma, model, edges)
+    pair_means = config.pair_rate * config.duration * masses / neutral_mass
     accidental = config.singles_rate_a * config.singles_rate_b * bin_width * config.duration
     return pair_means + accidental
 
@@ -499,15 +516,24 @@ class TestRateLevelHistogram:
             ({"tau_window": 200e-9}, 4e-9, ConfigError),
             ({}, math.nan, ConfigError),
             ({}, math.inf, ConfigError),
+            # Finite, but gamma^2 or amplitude^2 overflows a float.
+            pytest.param({"amplitude": 1e160, "gamma": 0.0}, 4e-9, ConfigError,
+                         id="amplitude-1e160"),
+            pytest.param({"amplitude": 1e300, "gamma": 0.0}, 4e-9, ConfigError,
+                         id="amplitude-1e300"),
+            pytest.param({"gamma": 1e200}, 4e-9, ConfigError, id="gamma-1e200"),
         ],
     )
     def test_bad_input_raises_on_every_call(self, kw, bin_width, error):
         # the 200 ns window passes the binning checks and fails inside the
         # cached function: a window of fewer than ten correlation times
-        model = TpwfModel(amplitude=1.0, corr_time=30e-9)
+        kw = dict(kw)
+        density = {key: kw.pop(key) for key in ("amplitude", "gamma") if key in kw}
+        model = TpwfModel(amplitude=density.get("amplitude", 1.0), corr_time=30e-9)
         for _ in range(3):
-            with pytest.raises(error):
-                rate_level_histogram(self.cfg(**kw), BALANCED(0.0), model, 1.0, bin_width)
+            with pytest.raises(error, match="too large" if density else None):
+                rate_level_histogram(self.cfg(**kw), BALANCED(0.0), model,
+                                     density.get("gamma", 1.0), bin_width)
 
 
 class TestSegmentedGenerator:
@@ -715,15 +741,20 @@ class TestSegmentedGenerator:
         np.testing.assert_array_equal(edges, [0.0, 100.0])
 
     def test_neutral_mass_matches_sampler(self):
-        model = TpwfModel(amplitude=0.8, corr_time=39.3e-9, tau_offset=3e-9, phase=0.9)
-        window = 400e-9
+        # The closed form of 2 * window * gamma^2 + the integral of |psi|^2,
+        # the mean of the three settings' masses, and the sampler's scale.
+        tc, tau0, window = 39.3e-9, 3e-9, 400e-9
+        model = TpwfModel(amplitude=0.8, corr_time=tc, tau_offset=tau0, phase=0.9)
+        got = simulate._neutral_mass(model, 1.2, window)
+        tails = math.exp(-2.0 * (window - tau0) / tc) + math.exp(-2.0 * (window + tau0) / tc)
+        assert got == pytest.approx(2.0 * window * 1.2**2 + 0.8**2 * tc / 2.0 * (2.0 - tails),
+                                    rel=1e-14)
+        masses = [g2_integrals(BALANCED(phi), 1.2, model, [-window, window])[0]
+                  for phi in RECONSTRUCTION_PHASES]
+        assert np.mean(masses) == pytest.approx(got, rel=1e-14)
         sampler = PairDelaySampler(BALANCED(0.3), model, 1.2, window)
-        got = simulate._density_grid(model, 1.2, window)[2]
-        grid = np.linspace(-window, window, simulate._CDF_GRID_POINTS)
-        values = 1.2**2 + np.abs(tpwf_eval(model, grid)) ** 2
-        dx = grid[1] - grid[0]
-        assert got == sampler.neutral_mass
-        assert got == float((0.5 * (values[1:] + values[:-1]) * dx).sum())
+        total = g2_integrals(BALANCED(0.3), 1.2, model, sampler.grid).sum()
+        assert sampler.rate_factor == pytest.approx(total / got, rel=1e-14)
 
 
 def _reference_draw_segment(config, sampler, rng, start, stop):
