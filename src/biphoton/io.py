@@ -459,7 +459,7 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an over-long integer
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
         raise DataError(f"{path}: JSON nested too deeply") from exc

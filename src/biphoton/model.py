@@ -36,6 +36,12 @@ __all__ = [
     "visibility_curve",
 ]
 
+# Bound on gamma^2 and on amplitude^2: the interference density
+# (gamma + |psi|)^2 is at most twice their sum, so it stays finite, and a
+# pair mass is at most twice the interference-free one.
+_MAX_DENSITY = np.finfo(float).max / 4
+_TOO_LARGE = "gamma and model.amplitude are too large: the pair-delay density overflows"
+
 #: Analyzer phases used for the three-setting reconstruction, equally
 #: spaced within one period of exp(2i*phi).
 RECONSTRUCTION_PHASES = (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0)
@@ -115,6 +121,14 @@ def _gamma_value(gamma) -> float:
     return reference.gamma
 
 
+def _bounded_gamma(gamma, model: TpwfModel) -> float:
+    """gamma as a float, once it and model.amplitude square below _MAX_DENSITY."""
+    g = _gamma_value(gamma)
+    if not max(g, model.amplitude) < math.sqrt(_MAX_DENSITY):
+        raise ConfigError(_TOO_LARGE)
+    return g
+
+
 def tpwf_eval(model: TpwfModel, tau):
     """Evaluate psi(tau).  Accepts a scalar or array tau; returns complex.
 
@@ -173,7 +187,8 @@ def g2_integrals(setting: AnalyzerSetting, gamma, model: TpwfModel, edges):
     """Integrals of forward_g2 (no background) between consecutive
     increasing edges (s), in closed form: over an interval the mean of
     |a - psi|^2 is |a - mean psi|^2 + var psi, var psi >= 0 scaled by
-    sin(2*theta)^2 as in forward_g2.  model.amplitude^2 must be finite."""
+    sin(2*theta)^2 as in forward_g2.  gamma and amplitude pass _bounded_gamma."""
+    g = _bounded_gamma(gamma, model)
     x = np.asarray(edges, dtype=float) - model.tau_offset
     width = np.diff(x)
     mean_envelope = _decay_integrals(x, model.corr_time) / width
@@ -181,7 +196,7 @@ def g2_integrals(setting: AnalyzerSetting, gamma, model: TpwfModel, edges):
                               - mean_envelope**2, 0.0)
     mean_psi = model.amplitude * mean_envelope * np.exp(1j * model.phase)
     variance = math.sin(2.0 * setting.theta) ** 2 * model.amplitude**2 * var_envelope
-    return width * (forward_g2(setting, gamma, mean_psi) + variance)
+    return width * (forward_g2(setting, g, mean_psi) + variance)
 
 
 def bandwidth_to_corr_time(fwhm_hz: float) -> float:

@@ -35,7 +35,8 @@ from .correlate import (
     seconds_to_ps,
 )
 from .errors import ConfigError, NumericalError
-from .model import AnalyzerSetting, TpwfModel, _decay_integrals, _gamma_value, g2_integrals
+from .model import _TOO_LARGE, AnalyzerSetting, TpwfModel, _bounded_gamma, _decay_integrals
+from .model import _gamma_value, g2_integrals
 # Not called here: perfbench/child.py wraps them as attributes of this module.
 from .model import forward_g2, tpwf_eval  # noqa: F401
 
@@ -69,10 +70,6 @@ _CHUNK = 2**13
 # Timing jitter is clipped at this many sigmas (a two-sided tail of
 # 1.2e-15), which bounds how far a click lands from its event.
 _JITTER_BOUND_SIGMAS = 8.0
-# Bound on gamma^2 and on model.amplitude^2: the interference density
-# (gamma + |psi|)^2 is at most twice their sum, so it stays finite, and a
-# pair mass is at most twice the interference-free one.
-_MAX_DENSITY = np.finfo(float).max / 4
 # Rate-level mean arrays kept by _rate_level_means; a many-seed study of
 # one config needs one per analyzer setting.
 _MEAN_CACHE_ENTRIES = 8
@@ -119,8 +116,8 @@ class SimConfig:
 
     def expected_tags(self) -> float:
         """Expected click total over both channels before dead time."""
-        per_channel = 2.0 * self.pair_rate + self.singles_rate_a + self.singles_rate_b
-        return per_channel * self.duration
+        rates = _click_rates(self.pair_rate, self.singles_rate_a, self.singles_rate_b, 1.0)
+        return sum(rates) * self.duration
 
     def validate_budget(self):
         if self.expected_tags() > _MAX_EXPECTED_TAGS:
@@ -128,6 +125,14 @@ class SimConfig:
                 f"expected tag count {self.expected_tags():.3g} exceeds the "
                 f"memory budget of {_MAX_EXPECTED_TAGS:.3g}"
             )
+
+
+def _click_rates(pair_rate, singles_rate_a, singles_rate_b, rate_factor):
+    """The click rates (R_A, R_B) per second: pair_rate plus the singles
+    rate at every analyzer setting, unless the pair clicks alone at the
+    setting's interference factor, pair_rate * rate_factor, are more."""
+    return (max(pair_rate + singles_rate_a, pair_rate * rate_factor),
+            max(pair_rate + singles_rate_b, pair_rate * rate_factor))
 
 
 def derive_setting_seed(seed: int, setting_index: int) -> int:
@@ -149,22 +154,20 @@ def _neutral_mass(model: TpwfModel, gamma, window: float) -> float:
     phi-independent reference keeps one common scale across the three
     settings (it equals the mean of the per-setting masses over the
     analyzer period).  The window must span _MIN_WINDOW_CORR_TIMES
-    correlation times, gamma^2 and amplitude^2 must stay below _MAX_DENSITY,
-    and twice this mass must be finite, so that no pair mass overflows.
+    correlation times, gamma and amplitude pass model._bounded_gamma, and
+    twice this mass must be finite, so that no pair mass overflows.
     """
     if window < _MIN_WINDOW_CORR_TIMES * model.corr_time:
         raise ConfigError(
             f"tau_window {window:.3g} s is below {_MIN_WINDOW_CORR_TIMES} "
             f"correlation times (corr_time {model.corr_time:.3g} s)"
         )
-    g, mass = _gamma_value(gamma), math.inf
-    if max(g, model.amplitude) < math.sqrt(_MAX_DENSITY):  # before either is squared
-        x = np.array([-window, window]) - model.tau_offset
-        envelope = _decay_integrals(x, 0.5 * model.corr_time)
-        mass = 2.0 * window * g**2 + model.amplitude**2 * float(envelope[0])
+    g = _bounded_gamma(gamma, model)
+    x = np.array([-window, window]) - model.tau_offset
+    envelope = _decay_integrals(x, 0.5 * model.corr_time)
+    mass = 2.0 * window * g**2 + model.amplitude**2 * float(envelope[0])
     if not math.isfinite(2.0 * mass):
-        raise ConfigError(
-            "gamma and model.amplitude are too large: the pair-delay density overflows")
+        raise ConfigError(_TOO_LARGE)
     return mass
 
 
@@ -289,7 +292,7 @@ def _segment_edges(config: SimConfig) -> np.ndarray:
     busier channel and spans at least _SEGMENT_MIN_WINDOWS tau_windows.
     The edges follow from the config alone, not from the thread count.
     """
-    rate = config.pair_rate + max(config.singles_rate_a, config.singles_rate_b)
+    rate = max(_click_rates(config.pair_rate, config.singles_rate_a, config.singles_rate_b, 1.0))
     length = _SEGMENT_CLICKS / rate if rate > 0.0 else config.duration
     length = max(length, _SEGMENT_MIN_WINDOWS * config.tau_window)
     n_segments = max(1, math.ceil(config.duration / length))
@@ -340,16 +343,17 @@ def _draw_segment(config, sampler, rng, start, stop, spare):
     half_delays *= 0.5
 
     # Pair photons whose partner exits the same port (or is lost) show up
-    # as extra singles; to first order this keeps R_A = pair_rate +
-    # singles_rate_a at every setting.
-    compensation = config.pair_rate * (1.0 - sampler.rate_factor)
-    n_singles = rng.poisson(max(config.singles_rate_a + compensation, 0.0) * span)
+    # as extra singles, so that each channel clicks at its _click_rates.
+    pair_clicks = config.pair_rate * sampler.rate_factor
+    rates = _click_rates(config.pair_rate, config.singles_rate_a, config.singles_rate_b,
+                         sampler.rate_factor)
+    n_singles = rng.poisson((rates[0] - pair_clicks) * span)
     times_a = np.empty(spare + n_pairs + n_singles)
     np.add(midpoints, half_delays, out=times_a[spare : spare + n_pairs])
     _uniform(rng, times_a[spare + n_pairs :], start, span)
     midpoints -= half_delays  # now the B pair clicks
     del half_delays
-    n_singles = rng.poisson(max(config.singles_rate_b + compensation, 0.0) * span)
+    n_singles = rng.poisson((rates[1] - pair_clicks) * span)
     times_b = np.empty(spare + n_pairs + n_singles)
     times_b[spare : spare + n_pairs] = midpoints
     del midpoints
@@ -405,9 +409,9 @@ def generate_blocks(
       collect more coincidences), midpoints uniform over the segment,
       internal delay tau from the interference density, clicks at
       midpoint +/- tau/2 on channels A/B.
-    - Singles: independent homogeneous Poisson processes per channel,
-      with the pair-rate variation compensated so each channel's total
-      flux is independent of the analyzer phase, as it is physically.
+    - Singles: independent homogeneous Poisson processes per channel
+      that make up its click rate (_click_rates): phase-independent, as
+      physically, unless a setting's pair clicks alone exceed it.
     - Gaussian jitter, clipped at _JITTER_BOUND_SIGMAS sigmas; clicks
       pushed outside the acquisition are dropped.
 
@@ -497,16 +501,17 @@ def rate_level_histogram(
     """Poisson-sampled coincidence histogram directly from per-bin means.
 
     The per-bin expectation is the pair exposure distributed over the
-    interference density plus the accidental floor
-    singles_rate_a * singles_rate_b * bin_width * duration.  The analytic
-    means are kept on the histogram (mean_counts) so tests can compare
-    draws against their own expectation.  Much faster than the event-level
-    path and statistically equivalent when jitter and dead time are off.
-    The means do not depend on the seed and are computed once per inputs
+    interference density plus the accidental floor R_A * R_B * bin_width *
+    duration, from the channel click rates that the event-level path
+    draws (_click_rates), at which the singles are drawn too.  The
+    analytic means are kept on the histogram (mean_counts) so tests can
+    compare draws against their own expectation.  Much faster than the
+    event-level path and statistically equivalent when jitter and dead
+    time are off.  The seed-free means are computed once per inputs
     (_rate_level_means); only the Poisson draws are made per call.
     """
     bw_ps, window_ps = check_binning(bin_width, config.tau_window)
-    means = _rate_level_means(
+    means, rates = _rate_level_means(
         config.pair_rate,
         config.singles_rate_a,
         config.singles_rate_b,
@@ -520,13 +525,11 @@ def rate_level_histogram(
 
     rng = np.random.default_rng(config.seed)
     counts = rng.poisson(means)
-    rate_a = config.pair_rate + config.singles_rate_a
-    rate_b = config.pair_rate + config.singles_rate_b
     # Every coincidence implies a click in each channel; floor the drawn
     # singles so the histogram stays self-consistent at tiny exposures.
     floor = int(math.ceil(math.sqrt(float(counts.sum()))))
-    singles_a = max(int(rng.poisson(rate_a * config.duration)), floor)
-    singles_b = max(int(rng.poisson(rate_b * config.duration)), floor)
+    singles_a = max(int(rng.poisson(rates[0] * config.duration)), floor)
+    singles_b = max(int(rng.poisson(rates[1] * config.duration)), floor)
 
     return CoincidenceHistogram(
         bin_width_ps=bw_ps,
@@ -553,7 +556,7 @@ def _rate_level_means(
     bin_width,
 ):
     """Per-bin expected coincidence counts of rate_level_histogram, as a
-    read-only array.
+    read-only array, and the channel click rates (R_A, R_B) behind them.
 
     Keyed on the inputs the means depend on: the seed, jitter and dead
     time do not enter, so the three settings of a many-seed study
@@ -572,8 +575,10 @@ def _rate_level_means(
     if neutral_mass <= 0.0:
         raise NumericalError(_ZERO_DENSITY)
     edges = (bw_ps * np.arange(2 * window_ps // bw_ps + 1) - window_ps) / PS_PER_SECOND
-    pair_means = pair_rate * duration * g2_integrals(setting, gamma, model, edges) / neutral_mass
-    accidental = singles_rate_a * singles_rate_b * bin_width * duration
-    means = pair_means + accidental
+    masses = g2_integrals(setting, gamma, model, edges)
+    pair_means = pair_rate * duration * masses / neutral_mass
+    rate_factor = float(masses.sum()) / neutral_mass  # the sampler's, over the window
+    rates = _click_rates(pair_rate, singles_rate_a, singles_rate_b, rate_factor)
+    means = pair_means + rates[0] * rates[1] * bin_width * duration
     means.flags.writeable = False
-    return means
+    return means, rates

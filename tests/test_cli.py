@@ -892,15 +892,20 @@ class TestExitCodes:
             ("correlate", [MANIFEST_NAME], "[" * 200_000, 2),
             ("reconstruct", [f"hist_phi{k}.json" for k in range(3)], "[" * 200_000, 2),
             ("fit", ["reconstruction.json"], '{"a": ' * 100_000 + "1" + "}" * 100_000, 2),
+            # Past the interpreter's limit of 4300 digits for int().
+            ("simulate", ["config.json"], '{"seed": ' + "1" * 5000 + "}", 1),
+            ("reconstruct", [f"hist_phi{k}.json" for k in range(3)],
+             '{"singles_a": ' + "1" * 5000 + "}", 2),
         ],
         ids=["deep-config", "unparseable-config", "deep-manifest", "deep-histogram",
-             "deep-reconstruction"],
+             "deep-reconstruction", "long-integer-config", "long-integer-histogram"],
     )
     def test_deep_or_unparseable_json_exits_without_a_traceback(self, tmp_path, command, names,
                                                                text, code):
         for name in names:
             (tmp_path / name).write_text(text)
         args = {
+            "simulate": ["--output-dir", str(tmp_path / "out")],
             "correlate": ["--input-dir", str(tmp_path)],
             "reconstruct": ["--input-dir", str(tmp_path)],
             "fit": ["--recon", str(tmp_path / "reconstruction.json"),

@@ -210,6 +210,14 @@ class TestG2Integrals:
         assert (got >= 0.0).all()
         np.testing.assert_allclose(got, math.sin(2.0 * theta) ** 2 * balanced, rtol=1e-12)
 
+    @pytest.mark.parametrize("amplitude, gamma", [(1e160, 0.0), (1e300, 0.0), (1.0, 1e200)])
+    def test_overflowing_density_rejected(self, amplitude, gamma):
+        # Finite, but gamma^2 or amplitude^2 overflows a float; refused
+        # before either is squared (warnings are errors in this suite).
+        model = TpwfModel(amplitude=amplitude, corr_time=10e-9)
+        with pytest.raises(ConfigError, match="too large"):
+            g2_integrals(BALANCED(0.0), gamma, model, [-1e-7, 0.0, 1e-7])
+
 
 def _fft_intensity_fwhm(bandwidth_hz: float) -> float:
     """Independent oracle: inverse-FFT a Lorentzian amplitude spectrum of

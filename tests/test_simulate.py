@@ -348,15 +348,19 @@ class TestDeadTimeFilter:
 
 def _inline_rate_level_means(config, setting, model, gamma, bin_width):
     """The per-bin means from the model's interval masses, without the
-    cache: the oracle for it."""
+    cache: the oracle for it.  The floor is the product of the channel
+    click rates, pair_rate + singles_rate or, where more, the pair clicks
+    pair_rate * (window mass / neutral mass) alone."""
     bw_ps = seconds_to_ps(bin_width)
     window_ps = seconds_to_ps(config.tau_window)
     neutral_mass = simulate._neutral_mass(model, gamma, config.tau_window)
     edges = (bw_ps * np.arange(2 * window_ps // bw_ps + 1) - window_ps) / 1e12
     masses = g2_integrals(setting, gamma, model, edges)
     pair_means = config.pair_rate * config.duration * masses / neutral_mass
-    accidental = config.singles_rate_a * config.singles_rate_b * bin_width * config.duration
-    return pair_means + accidental
+    pair_clicks = config.pair_rate * (float(masses.sum()) / neutral_mass)
+    rate_a = max(config.pair_rate + config.singles_rate_a, pair_clicks)
+    rate_b = max(config.pair_rate + config.singles_rate_b, pair_clicks)
+    return pair_means + rate_a * rate_b * bin_width * config.duration
 
 
 @st.composite
@@ -431,9 +435,11 @@ class TestRateLevelHistogram:
             )
 
     def test_event_level_agreement(self):
-        # cross-event accidentals beyond the explicit floor are
-        # (p^2 + p(ra+rb)) * dt * T ~ 0.2 counts/bin here, well under the
-        # per-bin Poisson sigma of ~6
+        # The floor R_A * R_B * dt * T counts every cross-event coincidence,
+        # pair clicks included: 3200^2 * 4 ns * 40 s ~ 1.6 counts/bin.  The
+        # pair clicks' share, (p^2 + p(ra+rb)) * dt * T ~ 0.2 counts/bin, is
+        # well under the per-bin Poisson sigma of ~6, so this test would
+        # pass without it; test_event_level_agreement_at_high_rates would not.
         model = TpwfModel(amplitude=1.0, corr_time=30e-9, phase=0.5)
         window = 300e-9
         zs = []
@@ -455,6 +461,35 @@ class TestRateLevelHistogram:
         assert np.mean(np.abs(z) < 5.0) >= 0.99
         assert abs(z.mean()) < 4.0 / math.sqrt(z.size)
         assert 0.8 < z.std() < 1.25
+
+    # Pairs alone at 1 MHz, where pair clicks make the whole floor and at
+    # phi = pi/3 outnumber pair_rate (no singles make up for them), and
+    # pairs with as many singles.  The event-level histogram must follow
+    # the rate-level means, and the singles totals must agree.
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("pair_rate, singles_rate, duration", [
+        pytest.param(1e6, 0.0, 0.02, id="pairs-only"),
+        pytest.param(2e5, 2e5, 0.05, id="pairs-and-singles"),
+    ])
+    def test_event_level_agreement_at_high_rates(self, pair_rate, singles_rate, duration, k):
+        model = TpwfModel(amplitude=1.0, corr_time=30e-9, phase=0.5)
+        window = 300e-9
+        cfg = SimConfig(
+            pair_rate=pair_rate,
+            singles_rate_a=singles_rate,
+            singles_rate_b=singles_rate,
+            duration=duration,
+            tau_window=window,
+            seed=derive_setting_seed(7, k),
+        )
+        setting = BALANCED(RECONSTRUCTION_PHASES[k])
+        a, b = generate_stream(cfg, setting, model, 1.0)
+        h_event = cross_correlate(a, b, 4e-9, window)
+        h_rate = rate_level_histogram(cfg, setting, model, 1.0, 4e-9)
+        assert chi2_pvalue(h_event.counts, h_rate.mean_counts) > 1e-3
+        for n_event, n_rate in ((h_event.singles_a, h_rate.singles_a),
+                                (h_event.singles_b, h_rate.singles_b)):
+            assert abs(n_event - n_rate) < 5.0 * math.sqrt(n_event + n_rate)
 
     # The means are computed once per inputs (simulate._rate_level_means);
     # the histograms must be those of the inline computation.
@@ -496,7 +531,7 @@ class TestRateLevelHistogram:
 
     def test_cached_array_is_read_only(self):
         rate_level_histogram(self.cfg(), BALANCED(0.2), self.MODEL, 1.0, 4e-9)
-        means = simulate._rate_level_means(
+        means, _ = simulate._rate_level_means(
             3000.0, 2000.0, 2000.0, 20.0, 300e-9, BALANCED(0.2), self.MODEL, 1.0, 4e-9
         )
         with pytest.raises(ValueError):
