@@ -115,11 +115,7 @@ class PipelineConfig:
         _check_wing_fraction(self.wing_fraction)
         _check_fix_corr_time(self.fix_corr_time)
         _check_weight_threshold(self.phase_threshold)
-        # derive_setting_seed would check the seed too, but it loads
-        # numpy.random, which only the simulate stage needs.
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        SimConfig(seed=0, **self._sim_fields())  # validates rates, durations, window
+        SimConfig(seed=self.seed, **self._sim_fields())  # validates seed, rates, durations, window
         _neutral_mass(self.model, self.gamma, self.tau_window)  # gamma finite, density too
 
     def _sim_fields(self) -> dict:
@@ -330,7 +326,8 @@ def run_correlate(run_dir: str, config: PipelineConfig, manifest: dict) -> tuple
     """Correlate every setting recorded in a manifest, at most
     _CORRELATE_THREADS at once.  Returns the histogram paths written and
     the histograms, in manifest order."""
-    entries = manifest.get("settings") if isinstance(manifest, dict) else None
+    bio._document(manifest, "manifest", MANIFEST_FORMAT)
+    entries = manifest.get("settings")
     if not isinstance(entries, list):
         raise DataError("manifest has no 'settings' list")
     settings = [_check_manifest_entry(entry) for entry in entries]

@@ -21,8 +21,9 @@ corrects.  Both numerators are computed in a form where the common shift
 cancels exactly, not just to rounding.
 
 Poisson errors are propagated to first order through the closed-form
-derivatives of the inversion (_jacobian); _sigma_arrays is the one place
-that turns rate variances into sigmas and the re/im covariance.
+derivatives of the inversion (_jacobian); _rate_variances is the one rule
+for the rate variances, and _sigma_arrays the one place that turns them
+into sigmas and the re/im covariance.
 """
 
 from __future__ import annotations
@@ -132,14 +133,13 @@ def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
     return float(re), float(im), float(gamma)
 
 
-def _jacobian(y0, y1, y2, root="larger", inversion=None):
+def _jacobian(inversion):
     """Closed-form Jacobian of (re, im, gamma) w.r.t. (y0, y1, y2).
 
-    Vectorized over bins: returns J with shape (3, 3) + y.shape, J[i, k]
-    the derivative of output i w.r.t. input k, NaN on invalid bins.
-    inversion is what _invert_arrays(y0, y1, y2, root) returns, passed by
-    a caller that has it already; without it the rates are inverted here.
-    The rates and their mean are taken from it.
+    inversion is what _invert_arrays returns; the rates, their mean and
+    the results are taken from it.  Vectorized over bins: returns J with
+    shape (3, 3) + y0.shape, J[i, k] the derivative of output i w.r.t.
+    input k, NaN on invalid bins.
 
     With s = 2*gamma^2 - ybar, which is +sqrt(R) for the larger root and
     -sqrt(R) for the smaller one, and dR/dy_k = 2*ybar - (4/3)*y_k,
@@ -149,8 +149,6 @@ def _jacobian(y0, y1, y2, root="larger", inversion=None):
     and re, im = numerator / (2*gamma) follow by the quotient rule.  The
     derivatives diverge as s -> 0, where the two roots meet.
     """
-    if inversion is None:
-        inversion = _invert_arrays(y0, y1, y2, root=root)
     re, im, gamma, _, y, ybar, _, _ = inversion
     grad = _NUM_GRAD.reshape(_NUM_GRAD.shape + (1,) * ybar.ndim)
     J = np.empty((3, 3) + ybar.shape, dtype=float)
@@ -185,26 +183,31 @@ def _sigma_arrays(J, var_y):
     return sigma[0], sigma[1], sigma[2], total[3]
 
 
+def _rate_variances(ys, counts):
+    """Poisson variances y_k^2 / n_k of the rates ys, stacked on a leading
+    axis of 3: infinite where n_k = 0 (the rate was not measured), and
+    zero everywhere when counts is None (exact input)."""
+    if counts is None:
+        return np.zeros(np.shape(ys))
+    counts = np.asarray(counts)
+    if np.any(counts < 0):
+        raise ConfigError("counts must be non-negative")
+    return np.where(counts > 0, np.square(ys) / np.maximum(counts, 1), np.inf)
+
+
 def propagate_errors(y, counts):
     """First-order Poisson error propagation for one bin.
 
     y and counts are the three rates and their underlying coincidence
     counts; the rate errors are sigma_k = y_k / sqrt(counts_k).  Returns
-    (sigma_re, sigma_im, sigma_gamma).  Zero counts in any setting give
-    infinite sigmas.
+    (sigma_re, sigma_im, sigma_gamma) as reconstruct_values gives them: only
+    an output that depends on a zero-count rate gets an infinite sigma.
     """
     y = np.asarray(y, dtype=float)
-    counts = np.asarray(counts)
-    if y.shape != (3,) or counts.shape != (3,):
+    if y.shape != (3,) or np.shape(counts) != (3,):
         raise ConfigError("y and counts must each hold three values")
-    if np.any(counts < 0):
-        raise ConfigError("counts must be non-negative")
-    if np.any(counts == 0):
-        return math.inf, math.inf, math.inf
-    y = y[:, np.newaxis]
-    var_y = y**2 / counts[:, np.newaxis]
-    sig = _sigma_arrays(_jacobian(*y), var_y)[:3]
-    return tuple(float(v[0]) for v in sig)
+    sig = _sigma_arrays(_jacobian(_invert_arrays(*y)), _rate_variances(y, counts))[:3]
+    return tuple(float(v) for v in sig)
 
 
 @dataclass(frozen=True)
@@ -326,14 +329,19 @@ def background_estimate(hist: CoincidenceHistogram, wing_fraction: float = 0.2):
 
 
 def _pool_gamma(gamma, sigma_gamma, valid):
-    """Inverse-variance weighted mean of gamma over usable bins."""
-    usable = valid & np.isfinite(gamma) & np.isfinite(sigma_gamma) & (sigma_gamma > 0.0)
+    """Inverse-variance weighted mean of gamma over the valid bins, and its
+    sigma.  If every finite sigma_gamma is 0 (exact input), it is the plain
+    mean of those bins with sigma 0; if none is finite, nothing measured
+    gamma: the plain mean of the valid bins with sigma inf."""
+    valid = valid & np.isfinite(gamma)
+    if not np.any(valid):
+        raise NumericalError("no valid bins to pool gamma over")
+    usable = valid & np.isfinite(sigma_gamma)
     if not np.any(usable):
-        # Noiseless input: every valid bin is exact, plain mean.
-        usable = valid & np.isfinite(gamma)
-        if not np.any(usable):
-            raise NumericalError("no valid bins to pool gamma over")
+        return float(np.mean(gamma[valid])), math.inf
+    if not np.any(sigma_gamma[usable]):
         return float(np.mean(gamma[usable])), 0.0
+    usable &= sigma_gamma > 0.0
     w = 1.0 / sigma_gamma[usable] ** 2
     pooled = float(np.sum(w * gamma[usable]) / np.sum(w))
     return pooled, float(1.0 / math.sqrt(np.sum(w)))
@@ -353,8 +361,8 @@ def reconstruct_values(
 ) -> ReconstructedTpwf:
     """Reconstruct from normalized rate arrays (the histogram-free core).
 
-    The three counts arrays, given together, enable Poisson error
-    propagation; without them every sigma is zero (exact input).
+    The three counts arrays, given together, set the Poisson errors;
+    without them the input is exact and every valid bin's sigma is zero.
     wing_level feeds the background subtraction when background_mode is
     'wing_subtract': the flat term is separated from the reference level
     by two fixed-point iterations of subtract -> re-estimate gamma.
@@ -369,15 +377,12 @@ def reconstruct_values(
     given = [c is not None for c in (counts0, counts1, counts2)]
     if any(given) and not all(given):
         raise ConfigError("give all three counts arrays or none")
-    have_counts = all(given)
-    if have_counts:
+    counts = None
+    if all(given):
         counts = [np.asarray(c) for c in (counts0, counts1, counts2)]
         if any(c.shape != tau.shape for c in counts):
             raise ConfigError("counts arrays must match tau in shape")
-        counts = np.array(counts)
-        var_y = np.where(counts > 0, np.square(ys) / np.maximum(counts, 1), np.inf)
-    else:
-        var_y = np.zeros((3,) + tau.shape)
+    var_y = _rate_variances(ys, counts)
 
     background = 0.0
     if background_mode == "wing_subtract":
@@ -387,10 +392,9 @@ def reconstruct_values(
         # Stationarity refinement: after subtracting the right constant,
         # the pooled reference amplitude must reproduce the wing level.
         for _ in range(2):
-            trial = [v - b_hat for v in ys]
-            inversion = _invert_arrays(*trial)
-            sg = _sigma_arrays(_jacobian(*trial, inversion=inversion), var_y)[2]
-            pooled, _ = _pool_gamma(inversion[2], sg, inversion[3])
+            inversion = _invert_arrays(*(v - b_hat for v in ys))
+            sg = _sigma_arrays(_jacobian(inversion), var_y)[2]
+            pooled, _ = _pool_gamma(inversion.gamma, sg, inversion.valid)
             b_hat = wing_level - pooled**2
         background = max(b_hat, 0.0)
         ys = [v - background for v in ys]
@@ -403,12 +407,7 @@ def reconstruct_values(
             f"{n_bins - int(valid.sum())} of {n_bins} bins failed to invert"
         )
 
-    if have_counts:
-        sigma_re, sigma_im, sigma_gamma, cov_re_im = _sigma_arrays(
-            _jacobian(*ys, inversion=inversion), var_y
-        )
-    else:
-        sigma_re, sigma_im, sigma_gamma, cov_re_im = np.zeros((4, n_bins))
+    sigma_re, sigma_im, sigma_gamma, cov_re_im = _sigma_arrays(_jacobian(inversion), var_y)
 
     if gamma_mode == "pooled":
         pooled_gamma, pooled_sigma = _pool_gamma(gamma, sigma_gamma, valid)

@@ -100,6 +100,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         for name in ("pair_rate", "singles_rate_a", "singles_rate_b", "jitter_sigma", "dead_time"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -135,12 +136,20 @@ def _click_rates(pair_rate, singles_rate_a, singles_rate_b, rate_factor):
             max(pair_rate + singles_rate_b, pair_rate * rate_factor))
 
 
+def _check_seed(seed):
+    """The one seed rule: a non-negative int and no bool, checked in plain
+    Python so that a caller need not load numpy.random to check it."""
+    if isinstance(seed, bool) or not (isinstance(seed, int) and seed >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def derive_setting_seed(seed: int, setting_index: int) -> int:
     """Deterministic independent child seed for one analyzer setting.
 
     Lets the settings of a run be generated concurrently without sharing
     RNG state; results do not depend on execution order.
     """
+    _check_seed(seed)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(setting_index,))
     return int(ss.generate_state(1, np.uint64)[0])
 

@@ -488,7 +488,7 @@ class TestReadOnlyStages:
         assert "seed must be a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_seed_is_checked_without_a_seed_sequence(self, seed):
         from biphoton import ConfigError
 
@@ -681,6 +681,8 @@ class TestExitCodes:
         "key, value",
         [
             pytest.param("settings", MISSING, id="settings-missing"),
+            pytest.param("format", MISSING, id="format-missing"),
+            pytest.param("format", "coincidence-histogram/1", id="format-histogram"),
             pytest.param("tags_a", MISSING, id="tags_a-missing"),
             pytest.param("duration_s", "abc", id="duration_s-str"),
             pytest.param("theta_rad", "x", id="theta_rad-str"),
@@ -706,7 +708,7 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert main(["simulate", "--config", config, "--output-dir", str(out)]) == 0
         manifest = json.loads((out / MANIFEST_NAME).read_text())
-        target = manifest if key == "settings" else manifest["settings"][1]
+        target = manifest if key in ("settings", "format") else manifest["settings"][1]
         if value is MISSING:
             del target[key]
         else:

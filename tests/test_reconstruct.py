@@ -253,6 +253,28 @@ class TestPropagateErrors:
         with pytest.raises(ConfigError):
             propagate_errors([1.0, 1.0], [10, 10])
 
+    def test_zero_count_rate_that_an_output_does_not_use(self):
+        # At y0 = y1 = y2, Im psi = (y1 - y2) / (2 sqrt(3) gamma) does not
+        # depend on y0, so an unmeasured y0 leaves its error finite.
+        sr, si, sg = propagate_errors([1.0, 1.0, 1.0], [0, 100, 100])
+        assert math.isinf(sr) and math.isinf(sg)
+        assert si == pytest.approx(1.0 / math.sqrt(600.0), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_reconstruct_values_bin_by_bin(self, seed):
+        # Bins with zero counts and invalid bins included.
+        ys, _ = TestSigmaArraysOracle.rates_and_variances(seed)
+        counts = np.random.default_rng(seed + 100).poisson(3.0, ys.shape)
+        ys[:, 0], counts[:, 0] = 1.0, [0, 100, 100]
+        assert (counts == 0).any()
+        recon = reconstruct_values(np.zeros(ys.shape[1]), *ys, *counts)
+        assert not recon.valid.all()
+        for i in range(ys.shape[1]):
+            _assert_identical(
+                propagate_errors(ys[:, i], counts[:, i]),
+                (recon.sigma_re[i], recon.sigma_im[i], recon.sigma_gamma[i]),
+            )
+
 
 class TestJacobian:
     @staticmethod
@@ -267,7 +289,7 @@ class TestJacobian:
         # Central differences are ill-conditioned on the smaller root,
         # hence its looser tolerance.
         y = self.draws()
-        exact = _jacobian(*y, root=root)
+        exact = _jacobian(_invert_arrays(*y, root=root))
         reference = central_difference_jacobian(*y, root=root)
         assert exact.shape == (3, 3, y[0].size)
         assert np.isfinite(exact).all() and np.isfinite(reference).all()
@@ -276,15 +298,10 @@ class TestJacobian:
         assert np.max(err / scale) < tol
 
     def test_nan_on_invalid_bins(self):
-        J = _jacobian(np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        y = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        J = _jacobian(_invert_arrays(*y))
         assert np.isnan(J[..., 0]).all()
         assert np.isfinite(J[..., 1]).all()
-
-    @pytest.mark.parametrize("root", ["larger", "smaller"])
-    def test_passed_inversion_gives_the_same_jacobian(self, root):
-        y = self.draws(n=1000)
-        J = _jacobian(*y, root=root, inversion=_invert_arrays(*y, root=root))
-        assert np.array_equal(J, _jacobian(*y, root=root), equal_nan=True)
 
     @pytest.mark.parametrize("background_mode, calls", [("none", 1), ("wing_subtract", 3)])
     @pytest.mark.parametrize("gamma_mode", ["per_bin", "pooled"])
@@ -304,7 +321,7 @@ class TestJacobian:
             m.setattr(
                 reconstruct_module,
                 "_jacobian",
-                lambda y0, y1, y2, root="larger", inversion=None: _jacobian(y0, y1, y2, root),
+                lambda inversion: _jacobian(_invert_arrays(*inversion.y)),
             )
             expected = reconstruct_values(tau, *rates, *counts, **args)
         seen = []
@@ -424,7 +441,7 @@ class TestSigmaArraysOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_per_bin_jacobian(self, seed):
         ys, var_y = self.rates_and_variances(seed)
-        J = _jacobian(*ys)
+        J = _jacobian(_invert_arrays(*ys))
         # Exact zeros of either sign, next to infinite variances.
         J[0, 1, ::7] = 0.0
         J[1, 2, 3::11] = -0.0
@@ -576,6 +593,44 @@ class TestReconstructValues:
         counts[missing] = None
         with pytest.raises(ConfigError):
             reconstruct_values(tau, ones, ones, ones, *counts)
+
+    def test_negative_counts_rejected(self):
+        ones = np.ones(3)
+        counts = [np.full(3, 100), np.array([100, -1, 100]), np.full(3, 100)]
+        with pytest.raises(ConfigError, match="counts must be non-negative"):
+            reconstruct_values(np.zeros(3), ones, ones, ones, *counts)
+        with pytest.raises(ConfigError, match="counts must be non-negative"):
+            propagate_errors([1.0, 1.0, 1.0], [100, -1, 100])
+
+    @pytest.mark.parametrize("gamma_mode", ["per_bin", "pooled"])
+    def test_exact_input_has_zero_sigma_on_valid_bins(self, gamma_mode):
+        # Exact input propagates zero variances: sigma 0 on valid bins, and
+        # NaN where counts would give NaN too (per-bin invalid bins).
+        ys, _ = TestSigmaArraysOracle.rates_and_variances(5)
+        tau = np.zeros(ys.shape[1])
+        exact = reconstruct_values(tau, *ys, gamma_mode=gamma_mode)
+        counted = reconstruct_values(tau, *ys, *np.full(ys.shape, 100), gamma_mode=gamma_mode)
+        valid = exact.valid
+        assert valid.any() and not valid.all()
+        for name in ("sigma_re", "sigma_im", "sigma_gamma", "cov_re_im"):
+            sigma = getattr(exact, name)
+            assert (sigma[valid] == 0.0).all()
+            assert (np.isnan(sigma) == np.isnan(getattr(counted, name))).all()
+            if gamma_mode == "per_bin":
+                assert np.isnan(sigma[~valid]).all()
+
+    def test_pooled_gamma_of_unmeasured_bins_has_infinite_sigma(self):
+        # Each bin lacks the counts of one setting, so every per-bin
+        # sigma_gamma is infinite; the pooled one cannot be finite.
+        tau = np.zeros(3)
+        ys = np.array(forward_triple(1.0, np.array([0.3, 0.2j, -0.1 + 0.1j])))
+        counts = np.full((3, 3), 1000)
+        np.fill_diagonal(counts, 0)
+        assert np.isinf(reconstruct_values(tau, *ys, *counts).sigma_gamma).all()
+        recon = reconstruct_values(tau, *ys, *counts, gamma_mode="pooled")
+        assert recon.valid.all()
+        assert np.isinf(recon.sigma_gamma).all()
+        np.testing.assert_allclose(recon.gamma, 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(2,), (4,), (1,), ()])
     def test_counts_of_another_shape_rejected(self, shape):

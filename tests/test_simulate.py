@@ -146,6 +146,13 @@ class TestGenerateStream:
         for s1, s2 in zip(first, second):
             np.testing.assert_array_equal(s1.timestamps_ps, s2.timestamps_ps)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_seed_rule(self, seed):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            SimConfig(pair_rate=1000.0, seed=seed)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            derive_setting_seed(seed, 0)
+
     def test_derived_seeds_differ_by_setting(self):
         seeds = {derive_setting_seed(1234, k) for k in range(3)}
         assert len(seeds) == 3
