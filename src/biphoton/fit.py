@@ -9,6 +9,10 @@ the debiased quadratic re^2 + im^2 - (var_re + var_im) whose exact
 Gaussian variance (including the re/im covariance) supplies the weights;
 this keeps the reduced chi-square calibrated out in the wings where the
 signal vanishes.
+
+All three fits weight by reconstruct._weighted: points of finite variance
+count, with unit weights and sigma 0 if all of those are 0 (exact input),
+otherwise only the points of positive variance count.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .reconstruct import ReconstructedTpwf
+from .reconstruct import ReconstructedTpwf, _weighted
 
 __all__ = [
     "FitResult",
@@ -250,10 +254,7 @@ def fit_double_exponential(
     _check_fix_corr_time(fix_corr_time)
     data = _PowerData(recon)
     var0 = data.variance_at(data.q)
-    usable = data.valid & np.isfinite(data.q)
-    noiseless = bool((var0[usable] == 0.0).all()) if usable.any() else False
-    if not noiseless:
-        usable &= np.isfinite(var0) & (var0 > 0.0)
+    usable, exact = _weighted(np.where(data.valid & np.isfinite(data.q), var0, np.nan))
     n = int(np.count_nonzero(usable))
     if n < 8:
         raise DataError(f"need at least 8 valid bins, got {n}")
@@ -292,15 +293,15 @@ def fit_double_exponential(
     # exponent overflows; the step is refused before it is evaluated.
     feasible = (lambda p: p[2] > 0.0) if free_tc else None
 
-    w = np.ones_like(y) if noiseless else 1.0 / np.sqrt(var0)
+    w = np.ones_like(y) if exact else 1.0 / np.sqrt(var0)
     p = np.asarray(p0, dtype=float)
-    n_passes = 1 if noiseless else 3
-    for i in range(n_passes):
+    for i in range(3):
         p, cov, chi2, converged, message, r = _levenberg(
             _envelope_residual_jac(tau, y, w, None if free_tc else tc0), p, scales, feasible
         )
-        if i == n_passes - 1:
+        if i == 2:
             break
+        # On exact input the model variance is 0, which ends the passes.
         var_model = data.variance_at(envelope(p))
         if not (np.isfinite(var_model).all() and (var_model > 0.0).all()):
             break
@@ -362,45 +363,31 @@ def fit_constant_phase(
     """Inverse-variance weighted circular mean of arg(psi).
 
     Uses only bins whose |psi|^2 exceeds weight_threshold times the peak,
-    where the phase is well defined.  The circular mean is immune to the
-    +-pi wraparound.  chi2 measures the scatter of per-bin phases about
-    the mean.
+    where the phase is well defined, and never a bin of zero power.  The
+    circular mean is immune to the +-pi wraparound.  chi2 measures the
+    scatter of per-bin phases about the mean, unweighted on exact input
+    (whose sigma is 0).
     """
     _check_weight_threshold(weight_threshold)
     power = recon.power()
     usable = recon.valid & np.isfinite(power)
-    if not usable.any():
-        raise DataError("no valid bins for the phase fit")
-    peak = float(power[usable].max())
-    usable &= power >= weight_threshold * peak
-    if not usable.any():
-        raise DataError("no bins above the phase weight threshold")
+    peak = float(power[usable].max(initial=0.0))
+    usable &= (power >= weight_threshold * peak) & (power > 0.0)
 
     re = recon.re_psi[usable]
     im = recon.im_psi[usable]
-    cov = recon.cov_re_im[usable]
-    p2 = power[usable]
     var_phi = (
         im**2 * recon.sigma_re[usable] ** 2
         + re**2 * recon.sigma_im[usable] ** 2
-        - 2.0 * re * im * cov
-    ) / p2**2
+        - 2.0 * re * im * recon.cov_re_im[usable]
+    ) / power[usable] ** 2
 
-    phases = np.arctan2(im, re)
-    finite = np.isfinite(var_phi)
-    if not finite.any():
-        raise DataError("no bins with finite phase errors")
-    if (var_phi[finite] == 0.0).all():
-        weights = np.ones_like(phases)
-        sigma_mean = 0.0
-    else:
-        keep = finite & (var_phi > 0.0)
-        phases = phases[keep]
-        var_phi = var_phi[keep]
-        if phases.size == 0:
-            raise DataError("no bins with usable phase errors")
-        weights = 1.0 / var_phi
-        sigma_mean = float(1.0 / math.sqrt(weights.sum()))
+    used, exact = _weighted(var_phi)
+    if not used.any():
+        raise DataError("no valid bins of nonzero power and usable phase error")
+    phases = np.arctan2(im[used], re[used])
+    weights = np.ones_like(phases) if exact else 1.0 / var_phi[used]
+    sigma_mean = 0.0 if exact else float(1.0 / math.sqrt(weights.sum()))
 
     c = float((weights * np.cos(phases)).sum())
     s = float((weights * np.sin(phases)).sum())
@@ -408,7 +395,7 @@ def fit_constant_phase(
         raise NumericalError("circular mean undefined: zero resultant")
     mean_phase = math.atan2(s, c)
     dev = _wrap_angle(phases - mean_phase)
-    chi2 = float((weights * dev**2).sum()) if sigma_mean > 0.0 else 0.0
+    chi2 = float((weights * dev**2).sum())
     n = int(phases.size)
     return FitResult(
         params={"phase": mean_phase},
@@ -418,7 +405,7 @@ def fit_constant_phase(
         converged=True,
         message=f"circular mean over {n} bins",
         n_points=n,
-        residuals=np.sqrt(weights) * dev if sigma_mean > 0.0 else dev,
+        residuals=np.sqrt(weights) * dev,
     )
 
 
@@ -426,9 +413,11 @@ def fit_visibility(points) -> FitResult:
     """Weighted linear fit of g2(0) versus analyzer phase to
     offset + c*cos(2*phi) + s*sin(2*phi).
 
-    points is a sequence of (phi, g2, sigma).  Reports the offset, the
-    harmonic amplitude |B| and phase, the visibility |B|/offset, and the
-    phase locations of the fitted extrema.
+    points is a sequence of (phi, g2, sigma).  A sigma the weighting rule
+    would leave out (negative, NaN, +-inf, or 0 among positive values) is
+    a ConfigError.  Reports the offset, the harmonic amplitude |B| and
+    phase, the visibility |B|/offset, and the phase locations of the
+    fitted extrema.
     """
     pts = [(float(p), float(y), float(s)) for p, y, s in points]
     if len({round(p % math.pi, 12) for p, _, _ in pts}) < 3:
@@ -437,12 +426,10 @@ def fit_visibility(points) -> FitResult:
     y = np.array([v for _, v, _ in pts])
     sig = np.array([s for _, _, s in pts])
 
-    if np.all(sig == 0.0):
-        w = np.ones_like(y)
-    elif np.any(sig <= 0.0):
-        raise ConfigError("sigmas must all be positive (or all zero for exact points)")
-    else:
-        w = 1.0 / sig
+    used, exact = _weighted(sig)
+    if not used.all():
+        raise ConfigError("sigmas must all be finite and > 0 (or all zero for exact points)")
+    w = np.ones_like(y) if exact else 1.0 / sig
 
     X = np.column_stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)])
     Xw = X * w[:, np.newaxis]

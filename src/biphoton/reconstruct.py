@@ -328,22 +328,36 @@ def background_estimate(hist: CoincidenceHistogram, wing_fraction: float = 0.2):
     return level, level_sigma
 
 
+def _weighted(spread):
+    """The one weighting rule of the inverse-variance estimators.
+
+    spread is a variance or a sigma per point; the rule reads both alike.
+    A point is used if its spread is finite.  If every used spread is 0
+    the input is exact (unit weights, sigma 0, chi2 of the unit-weighted
+    residuals); otherwise only positive spreads are used.  Returns
+    (used, exact); exact is False when nothing is used.
+    """
+    used = np.isfinite(spread)
+    exact = bool(used.any()) and not spread[used].any()
+    if not exact:
+        used &= spread > 0.0
+    return used, exact
+
+
 def _pool_gamma(gamma, sigma_gamma, valid):
-    """Inverse-variance weighted mean of gamma over the valid bins, and its
-    sigma.  If every finite sigma_gamma is 0 (exact input), it is the plain
-    mean of those bins with sigma 0; if none is finite, nothing measured
-    gamma: the plain mean of the valid bins with sigma inf."""
+    """Inverse-variance weighted mean of gamma over the valid bins that
+    _weighted uses, and its sigma (0 on exact input).  If no sigma_gamma
+    is finite, nothing measured gamma: the valid bins' mean, sigma inf."""
     valid = valid & np.isfinite(gamma)
     if not np.any(valid):
         raise NumericalError("no valid bins to pool gamma over")
-    usable = valid & np.isfinite(sigma_gamma)
-    if not np.any(usable):
+    used, exact = _weighted(np.where(valid, sigma_gamma, np.nan))
+    if not used.any():
         return float(np.mean(gamma[valid])), math.inf
-    if not np.any(sigma_gamma[usable]):
-        return float(np.mean(gamma[usable])), 0.0
-    usable &= sigma_gamma > 0.0
-    w = 1.0 / sigma_gamma[usable] ** 2
-    pooled = float(np.sum(w * gamma[usable]) / np.sum(w))
+    if exact:
+        return float(np.mean(gamma[used])), 0.0
+    w = 1.0 / sigma_gamma[used] ** 2
+    pooled = float(np.sum(w * gamma[used]) / np.sum(w))
     return pooled, float(1.0 / math.sqrt(np.sum(w)))
 
 
@@ -456,13 +470,11 @@ def _estimate_background(ys, var_y, wing_level):
     # quadratic by (Var num_re + Var num_im) / 4, which is the same sum / 9.
     var_m = var_y.sum(axis=0) / 9.0
     c = (num_re**2 + num_im**2) / 4.0 - var_m
-    w = np.where(var_m > 0.0, 1.0 / np.where(var_m > 0.0, var_m, 1.0), 0.0)
-    if not np.any(w > 0.0):
-        w = np.ones_like(ybar)
-    # A zero-count bin has infinite variance: weight 0 and c = -inf, whose
-    # product would turn every sum into NaN.  Leave such bins out.
-    used = w > 0.0
-    w, c, ybar = w[used], c[used], ybar[used]
+    used, exact = _weighted(var_m)
+    if not used.any():
+        return 0.0  # no bin has a finite variance: not identifiable
+    c, ybar = c[used], ybar[used]
+    w = np.ones_like(c) if exact else 1.0 / var_m[used]
     w_sum = float(np.sum(w))
     c_mean = float(np.sum(w * c) / w_sum)
     m_mean = float(np.sum(w * ybar) / w_sum)

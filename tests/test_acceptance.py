@@ -28,7 +28,6 @@ from biphoton import (
     reconstruct_curve,
     reconstruct_values,
 )
-from biphoton.reconstruct import _jacobian
 
 BALANCED = AnalyzerSetting.balanced
 PHASE_FACTORS = [np.exp(-2j * phi) for phi in RECONSTRUCTION_PHASES]

@@ -556,7 +556,40 @@ class TestConstantPhaseFit:
         fit_wide = fit_constant_phase(recon, weight_threshold=0.0)
         fit_core = fit_constant_phase(recon, weight_threshold=0.5)
         assert fit_core.n_points < fit_wide.n_points
+        assert fit_wide.params["phase"] == pytest.approx(0.5, abs=1e-10)
         assert fit_core.params["phase"] == pytest.approx(0.5, abs=1e-10)
+
+    def test_zero_power_bins_have_no_phase(self):
+        # Exact input with psi = 0 beyond |tau| > 150 ns: those bins have
+        # no phase (arctan2(0, 0) = 0), so even at threshold 0 they are
+        # left out, before any division by their power.
+        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
+        tau = np.linspace(-200e-9, 200e-9, 101)
+        psi = tpwf_eval(model, tau)
+        outer = np.abs(tau) > 150e-9
+        psi[outer] = 0.0
+        y = [np.abs(1.2 * np.exp(-2j * phi) - psi) ** 2 for phi in RECONSTRUCTION_PHASES]
+        recon = reconstruct_values(tau, *y)
+        assert (recon.power()[outer] == 0.0).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_constant_phase(recon, weight_threshold=0.0)
+        assert fit.params["phase"] == pytest.approx(0.9, abs=1e-10)
+        assert fit.sigmas["phase"] == 0.0
+        assert fit.n_points == int(np.count_nonzero(~outer))
+
+    def test_exact_chi2_is_the_unit_weighted_scatter(self):
+        model = TpwfModel(amplitude=1.0, corr_time=30e-9, phase=0.9)
+        recon = noiseless_recon(model)
+        rng = np.random.default_rng(63)
+        recon.re_psi, recon.im_psi = (
+            np.hypot(recon.re_psi, recon.im_psi) * f(0.9 + rng.normal(0.0, 0.05, recon.tau.size))
+            for f in (np.cos, np.sin)
+        )
+        fit = fit_constant_phase(recon, weight_threshold=0.0)
+        assert fit.sigmas["phase"] == 0.0
+        assert fit.chi2 > 0.0
+        assert fit.chi2 == float(np.sum(fit.residuals**2))
 
     def test_no_bins_above_threshold_rejected(self):
         model = TpwfModel(amplitude=1.0, corr_time=30e-9, phase=0.2)
@@ -605,7 +638,15 @@ class TestVisibilityFit:
 
     def test_mixed_zero_sigma_rejected(self):
         pts = [(0.0, 1.0, 0.1), (0.5, 1.0, 0.0), (1.0, 1.1, 0.1), (1.5, 1.0, 0.1)]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="sigmas must"):
+            fit_visibility(pts)
+
+    @pytest.mark.parametrize("bad_sigma", [math.nan, math.inf, -math.inf, -0.1])
+    def test_unusable_sigma_rejected(self, bad_sigma):
+        # Every sigma the weighting rule would leave out is refused, not
+        # fitted with weight 0 (and counted in ndof) or passed to the solver.
+        pts = [(0.0, 1.0, 0.1), (0.5, 1.0, bad_sigma), (1.0, 1.1, 0.1), (1.5, 1.0, 0.1)]
+        with pytest.raises(ConfigError, match="sigmas must"):
             fit_visibility(pts)
 
     def test_simulated_scan_finds_the_dip(self):

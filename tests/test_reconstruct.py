@@ -28,7 +28,7 @@ from biphoton import (
 )
 from biphoton import reconstruct as reconstruct_module
 from biphoton.correlate import normalize_g2
-from biphoton.reconstruct import _invert_arrays, _jacobian
+from biphoton.reconstruct import _invert_arrays, _jacobian, _weighted
 
 BALANCED = AnalyzerSetting.balanced
 PHASE_FACTORS = [np.exp(-2j * phi) for phi in RECONSTRUCTION_PHASES]
@@ -742,3 +742,49 @@ class TestBackgroundEstimate:
         for fraction in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ConfigError, match="wing_fraction must be in"):
                 background_estimate(h, wing_fraction=fraction)
+
+
+class TestWeightingRule:
+    # The one rule of the inverse-variance estimators: a point is used if
+    # its variance is finite; if every used variance is 0 the input is
+    # exact, otherwise only the positive variances are used.
+    @pytest.mark.parametrize(
+        "variance, used, exact",
+        [
+            ([0.0, 0.0, 0.0], [True, True, True], True),
+            ([0.5, 2.0, 1e-300], [True, True, True], False),
+            ([0.0, 2.0, 0.0, 1.0], [False, True, False, True], False),
+            ([0.0, math.inf, 0.0, math.nan], [True, False, True, False], True),
+            ([1.0, math.inf, 2.0, math.nan], [True, False, True, False], False),
+            ([-1.0, 0.0, 2.0, -math.inf], [False, False, True, False], False),
+            ([math.inf, math.nan, -math.inf], [False, False, False], False),
+            ([], [], False),
+        ],
+        ids=[
+            "all-zero", "noisy", "zero-among-positive", "exact-with-nonfinite",
+            "noisy-with-nonfinite", "negative", "nothing-finite", "empty",
+        ],
+    )
+    def test_table(self, variance, used, exact):
+        got_used, got_exact = _weighted(np.array(variance))
+        assert got_used.tolist() == used
+        assert got_exact is exact
+
+    def test_background_regression_of_exact_rates_leaves_out_unmeasured_bins(self):
+        # Exact rates (variance 0) with three bins of infinite variance:
+        # the regression uses the exact bins with unit weights, as if the
+        # unmeasured ones were absent; with no finite variance at all the
+        # background is not identifiable and is taken as zero.
+        model = TpwfModel(amplitude=0.7, corr_time=30e-9, phase=0.4)
+        gamma, background = 1.5, 0.6
+        psi = tpwf_eval(model, np.linspace(-300e-9, 300e-9, 151))
+        ys = np.array(forward_triple(gamma, psi)) + background
+        var_y = np.zeros_like(ys)
+        var_y[:, :3] = np.inf
+        wing_level = gamma**2 + background
+        got = reconstruct_module._estimate_background(ys, var_y, wing_level)
+        ref = reconstruct_module._estimate_background(ys[:, 3:], var_y[:, 3:], wing_level)
+        assert got == ref
+        assert got == pytest.approx(background, abs=1e-9)
+        var_y[:] = np.inf
+        assert reconstruct_module._estimate_background(ys, var_y, wing_level) == 0.0
