@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import io as bio
 from .correlate import _check_duration, check_binning, cross_correlate
@@ -36,7 +36,7 @@ from .reconstruct import (
 # attribute of this module, so the name stays importable from it.
 from .simulate import (  # noqa: F401
     SimConfig,
-    _neutral_mass,
+    _check_seed, _neutral_mass,
     derive_setting_seed,
     generate_blocks,
     generate_stream,
@@ -51,10 +51,10 @@ _NS = 1e-9
 _PS = 1e-12
 
 # The config format, one row per value: JSON section (None for the top
-# level), JSON key, field (of TpwfModel in the "model" section, of
-# PipelineConfig elsewhere), coercion, and the unit the JSON value is
-# given in (None when it is stored as given).  The row order is the key
-# order of to_dict and so of every manifest.
+# level), JSON key, field (of TpwfModel in "model", of SimConfig in "sim",
+# of PipelineConfig elsewhere, named as the library parameter it feeds),
+# coercion, and the unit of the JSON value (None when stored as given).
+# The row order is the key order of to_dict and so of every manifest.
 _CONFIG_KEYS = (
     (None, "seed", "seed", int, None),
     ("model", "amplitude", "amplitude", float, None),
@@ -75,15 +75,15 @@ _CONFIG_KEYS = (
     ("reconstruct", "gamma_mode", "gamma_mode", str, None),
     ("reconstruct", "wing_fraction", "wing_fraction", float, None),
     ("fit", "fix_corr_time_ns", "fix_corr_time", float, _NS),
-    ("fit", "phase_threshold", "phase_threshold", float, None),
+    ("fit", "phase_threshold", "weight_threshold", float, None),
 )
-_RULE_NAMES = {"phase_threshold": "weight_threshold"}  # fields the library names otherwise
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Fully validated parameters for one end-to-end run.
 
+    sim.seed is unused: sim_config derives each setting's seed from seed.
     The defaults that carry a unit are written as the JSON value times
     that unit, the conversion from_dict applies, so the default config
     and its JSON form load to each other exactly.
@@ -92,20 +92,15 @@ class PipelineConfig:
     seed: int = 1
     model: TpwfModel = TpwfModel(amplitude=1.0, corr_time=39.3 * _NS, tau_offset=0.0, phase=0.9)
     gamma: float = 1.0
-    pair_rate: float = 2000.0
-    singles_rate_a: float = 1000.0
-    singles_rate_b: float = 1000.0
-    duration: float = 10.0
-    jitter_sigma: float = 0.0
-    dead_time: float = 0.0
-    tau_window: float = 400.0 * _NS
+    sim: SimConfig = SimConfig(pair_rate=2000.0, singles_rate_a=1000.0, singles_rate_b=1000.0,
+                               duration=10.0, tau_window=400.0 * _NS)
     bin_width: float = 4.0 * _NS
     tau_max: float = 200.0 * _NS
     background_mode: str = "none"
     gamma_mode: str = "per_bin"
     wing_fraction: float = 0.2
     fix_corr_time: float | None = None
-    phase_threshold: float = 0.1
+    weight_threshold: float = 0.1
 
     def __post_init__(self):
         if not self.gamma > 0.0:
@@ -114,21 +109,17 @@ class PipelineConfig:
         _check_modes(self.background_mode, self.gamma_mode)
         _check_wing_fraction(self.wing_fraction)
         _check_fix_corr_time(self.fix_corr_time)
-        _check_weight_threshold(self.phase_threshold)
-        SimConfig(seed=self.seed, **self._sim_fields())  # validates seed, rates, durations, window
-        _neutral_mass(self.model, self.gamma, self.tau_window)  # gamma finite, density too
-
-    def _sim_fields(self) -> dict:
-        return {field: getattr(self, field) for section, _, field, _, _ in _CONFIG_KEYS
-                if section == "sim"}
+        _check_weight_threshold(self.weight_threshold)
+        _check_seed(self.seed)
+        _neutral_mass(self.model, self.gamma, self.sim.tau_window)  # gamma finite, density too
 
     def sim_config(self, setting_index: int) -> SimConfig:
-        return SimConfig(seed=derive_setting_seed(self.seed, setting_index), **self._sim_fields())
+        return replace(self.sim, seed=derive_setting_seed(self.seed, setting_index))
 
     def to_dict(self) -> dict:
         doc = {}
         for section, key, field, _, unit in _CONFIG_KEYS:
-            value = getattr(self.model if section == "model" else self, field)
+            value = getattr({"model": self.model, "sim": self.sim}.get(section, self), field)
             if value is not None and unit is not None:
                 value = value / unit
             (doc if section is None else doc.setdefault(section, {}))[key] = value
@@ -152,7 +143,7 @@ class PipelineConfig:
                 raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
 
         defaults = cls().to_dict()
-        fields, model, written = {}, {}, {}
+        fields, written = {"model": {}, "sim": {}, None: {}}, {}
         # A bool for a number, a float for an integer, a value that
         # int()/float() cannot coerce (flags give strings) or that a
         # constructor rejects with a ValueError is a configuration error.
@@ -167,11 +158,12 @@ class PipelineConfig:
                 if not (value is None and default is None):  # a None default admits None
                     value = coerce(value)
                     label = key if section is None else f"{section}.{key}"
-                    written[_RULE_NAMES.get(field, field)] = f"{label} = {value!r}"
+                    written[field] = f"{label} = {value!r}"
                     if unit is not None:
                         value = value * unit
-                (model if section == "model" else fields)[field] = value
-            return cls(model=TpwfModel(**model), **fields)
+                fields.get(section, fields[None])[field] = value
+            return cls(model=TpwfModel(**fields["model"]), sim=SimConfig(**fields["sim"]),
+                       **fields[None])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
         except ConfigError as exc:  # lead a library rule's message with the keys it reads
@@ -264,26 +256,41 @@ def _hist_name(index: int) -> str:
     return f"hist_phi{index}.json"
 
 
-def _check_manifest_entry(entry) -> AnalyzerSetting:
+@dataclass(frozen=True)
+class _ManifestSetting:
+    """One checked manifest setting entry; tags are bare file names."""
+
+    index: int
+    setting: AnalyzerSetting
+    tags: tuple[str, str]
+    duration: float
+    exposure: float | None
+
+
+def _check_manifest_entry(entry) -> _ManifestSetting:
     """Check the types and ranges of one manifest setting entry and
-    return its analyzer setting.  Every fault is a DataError."""
+    return what it checked as one record.  Every fault is a DataError."""
     if not isinstance(entry, dict):
         raise DataError("manifest setting entry must be a JSON object")
     index = bio._field(entry, "index", int, "manifest setting entry")
     if index not in (0, 1, 2):
         raise DataError(f"manifest setting index must be 0, 1 or 2, got {index!r}")
     doc = f"manifest setting {index}"
+    tags = []
     for key in ("tags_a", "tags_b"):
         name = bio._field(entry, key, str, doc)
         if not (name.isprintable() and os.path.basename(name) == name
                 and name not in ("", ".", "..")):
             raise DataError(f"{doc}: {key} must be a file name in the run directory, got {name!r}")
+        tags.append(name)
     theta, phi, duration = (bio._field(entry, key, float, doc)
                             for key in ("theta_rad", "phi_rad", "duration_s"))
+    exposure = (None if entry.get("exposure_s") is None
+                else bio._field(entry, "exposure_s", float, doc))
     try:
-        _check_duration(duration, None if entry.get("exposure_s") is None
-                        else bio._field(entry, "exposure_s", float, doc))
-        return AnalyzerSetting(theta=theta, phi=phi)
+        _check_duration(duration, exposure)
+        return _ManifestSetting(index, AnalyzerSetting(theta=theta, phi=phi), tuple(tags),
+                                duration, exposure)
     except ConfigError as exc:
         raise DataError(f"{doc}: {exc}") from exc
 
@@ -330,24 +337,18 @@ def run_correlate(run_dir: str, config: PipelineConfig, manifest: dict) -> tuple
     entries = manifest.get("settings")
     if not isinstance(entries, list):
         raise DataError("manifest has no 'settings' list")
-    settings = [_check_manifest_entry(entry) for entry in entries]
-    paths = [os.path.join(run_dir, _hist_name(entry["index"])) for entry in entries]
+    records = [_check_manifest_entry(entry) for entry in entries]
+    paths = [os.path.join(run_dir, _hist_name(record.index)) for record in records]
     if len(set(paths)) < len(paths):
         raise DataError("manifest settings repeat a setting index")
 
-    def one(entry, setting, path):
-        return _correlate_files(
-            config,
-            os.path.join(run_dir, entry["tags_a"]),
-            os.path.join(run_dir, entry["tags_b"]),
-            entry["duration_s"],
-            entry.get("exposure_s"),
-            setting,
-            path,
-        )
+    def one(record, path):
+        tags_a, tags_b = (os.path.join(run_dir, name) for name in record.tags)
+        return _correlate_files(config, tags_a, tags_b, record.duration, record.exposure,
+                                record.setting, path)
 
-    with ThreadPoolExecutor(max_workers=max(min(len(entries), _CORRELATE_THREADS), 1)) as pool:
-        return paths, list(pool.map(one, entries, settings, paths))
+    with ThreadPoolExecutor(max_workers=max(min(len(records), _CORRELATE_THREADS), 1)) as pool:
+        return paths, list(pool.map(one, records, paths))
 
 
 def run_reconstruct(hists, config: PipelineConfig, out_path: str):
@@ -364,7 +365,7 @@ def run_reconstruct(hists, config: PipelineConfig, out_path: str):
 
 def run_fit(recon: ReconstructedTpwf, config: PipelineConfig, out_path: str) -> dict:
     envelope = fit_double_exponential(recon, fix_corr_time=config.fix_corr_time)
-    phase = fit_constant_phase(recon, weight_threshold=config.phase_threshold)
+    phase = fit_constant_phase(recon, weight_threshold=config.weight_threshold)
     doc = {
         "format": bio.FIT_FORMAT,
         "fits": {
@@ -400,13 +401,11 @@ def _cmd_correlate(args) -> int:
         for p in paths:
             print(f"wrote {p}")
         return 0
-    if not (args.tags_a and args.tags_b and args.duration_s and args.output):
+    if None in (args.tags_a, args.tags_b, args.duration_s, args.output):
         raise ConfigError(
             "either --input-dir or all of --tags-a, --tags-b, --duration-s, --output"
         )
-    setting = None
-    if args.phi_rad is not None:
-        setting = AnalyzerSetting.balanced(args.phi_rad)
+    setting = None if args.phi_rad is None else AnalyzerSetting.balanced(args.phi_rad)
     _correlate_files(config, args.tags_a, args.tags_b, args.duration_s, None, setting, args.output)
     print(f"wrote {args.output}")
     return 0

@@ -218,7 +218,7 @@ class CoincidenceHistogram:
             raise ConfigError("acquisition_time must be > 0")
         if self.singles_a < 0 or self.singles_b < 0:
             raise DataError("singles totals must be non-negative")
-        if int(self.counts.sum()) > self.singles_a * self.singles_b:
+        if sum(self.counts.tolist()) > self.singles_a * self.singles_b:  # int64 sums wrap
             raise DataError("total coincidences exceed singles_a * singles_b")
         if self.mean_counts is not None:
             self.mean_counts = np.asarray(self.mean_counts, dtype=float)

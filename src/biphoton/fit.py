@@ -363,7 +363,8 @@ def fit_constant_phase(
     """Inverse-variance weighted circular mean of arg(psi).
 
     Uses only bins whose |psi|^2 exceeds weight_threshold times the peak,
-    where the phase is well defined, and never a bin of zero power.  The
+    where the phase is well defined, and never a bin of zero power or
+    one whose power squared underflows to 0 (its variance is inf).  The
     circular mean is immune to the +-pi wraparound.  chi2 measures the
     scatter of per-bin phases about the mean, unweighted on exact input
     (whose sigma is 0).
@@ -376,11 +377,13 @@ def fit_constant_phase(
 
     re = recon.re_psi[usable]
     im = recon.im_psi[usable]
-    var_phi = (
+    square = power[usable] ** 2  # 0 for a subnormal power: that bin's variance is inf
+    var_phi = np.divide(
         im**2 * recon.sigma_re[usable] ** 2
         + re**2 * recon.sigma_im[usable] ** 2
-        - 2.0 * re * im * recon.cov_re_im[usable]
-    ) / power[usable] ** 2
+        - 2.0 * re * im * recon.cov_re_im[usable],
+        square, out=np.full_like(square, np.inf), where=square > 0.0,
+    )
 
     used, exact = _weighted(var_phi)
     if not used.any():

@@ -127,19 +127,23 @@ class TimeTagWriter:
         self._last = ts[-1]
 
     def close(self):
-        """Finish the file and move it into place."""
-        self._fh.close()
+        """Finish the file and move it into place; if either step fails,
+        as the final flush does on a full disk, discard the temp file."""
         try:
+            self._fh.close()
             os.replace(self._tmp, self.path)
         except BaseException:
             self.discard()
             raise
 
     def discard(self):
-        """Drop the temp file; path is left as it was."""
-        self._fh.close()
-        if os.path.exists(self._tmp):
-            os.unlink(self._tmp)
+        """Drop the temp file, even if closing it fails; path is left as
+        it was."""
+        try:
+            self._fh.close()
+        finally:
+            if os.path.exists(self._tmp):
+                os.unlink(self._tmp)
 
     def __enter__(self):
         return self

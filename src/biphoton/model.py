@@ -97,7 +97,9 @@ class AnalyzerSetting:
 
     @classmethod
     def balanced(cls, phi: float) -> "AnalyzerSetting":
-        """Setting with theta = pi/4 and phi wrapped into [0, pi)."""
+        """Setting with theta = pi/4 and a finite phi wrapped into [0, pi)."""
+        if not math.isfinite(phi):
+            raise ConfigError(f"phi must be finite, got {phi}")
         phi = phi - math.floor(phi / math.pi) * math.pi
         if phi >= math.pi:  # guard against rounding at the boundary
             phi -= math.pi

@@ -279,7 +279,7 @@ class ReconstructedTpwf:
         _check_modes(self.background_mode, self.gamma_mode)
         self.valid = np.asarray(self.valid, dtype=bool)
         if (self.gamma[self.valid] < 0.0).any():
-            raise NumericalError("reconstructed gamma must be >= 0 on valid bins")
+            raise ConfigError("reconstructed gamma must be >= 0 on valid bins")
 
     @property
     def n_valid(self) -> int:

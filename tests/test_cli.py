@@ -161,7 +161,7 @@ class TestPipelineConfig:
             return
         assert isinstance(config, PipelineConfig)
         for section, key, field in FLOAT_KEYS:
-            value = getattr(config.model if section == "model" else config, field)
+            value = getattr({"model": config.model, "sim": config.sim}.get(section, config), field)
             assert value is None or math.isfinite(value), key
 
 
@@ -586,6 +586,28 @@ class TestCorrelateCommand:
         hist = bio.histogram_from_dict(bio.read_json(out / "hist_phi0.json"))
         assert hist.bin_width_ps == 2000
 
+    @pytest.mark.parametrize("phi", ["nan", "inf"])
+    def test_non_finite_phi_is_one_before_any_file(self, tiny_run, tmp_path, phi):
+        run_dir, _ = tiny_run
+        out = tmp_path / "hist.json"
+        done = run_cli(["correlate", "--tags-a", str(run_dir / "tags_phi0_A.bttg"),
+                        "--tags-b", str(run_dir / "tags_phi0_B.bttg"), "--duration-s", "0.05",
+                        "--phi-rad", phi, "--output", str(out)])
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+        assert not out.exists()
+
+    def test_zero_duration_meets_the_duration_rule(self, tiny_run, tmp_path, capsys):
+        # A flag given as 0 is given: the duration rule refuses it, not
+        # the message for a missing flag.
+        run_dir, _ = tiny_run
+        out = tmp_path / "hist.json"
+        assert main(["correlate", "--tags-a", str(run_dir / "tags_phi0_A.bttg"),
+                     "--tags-b", str(run_dir / "tags_phi0_B.bttg"), "--duration-s", "0",
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: duration must be > 0, got 0.0\n"
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):
@@ -845,9 +867,48 @@ class TestExitCodes:
         assert err.startswith("data error") and f"unknown {key} 'foo'" in err
         assert not fits.exists()
 
+    def test_fit_of_a_reconstruction_with_a_negative_gamma_is_two(self, tmp_path, capsys):
+        from biphoton import RECONSTRUCTION_PHASES, TpwfModel, reconstruct_values, tpwf_eval
+
+        tau = np.linspace(-100e-9, 100e-9, 41)
+        psi = tpwf_eval(TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4), tau)
+        y = [np.abs(1.2 * np.exp(-2j * p) - psi) ** 2 for p in RECONSTRUCTION_PHASES]
+        doc = bio.recon_to_dict(reconstruct_values(tau, *y, *(np.rint(1e4 * v) for v in y)))
+        gamma = doc["gamma"].copy()
+        gamma[np.flatnonzero(doc["valid"])[0]] = -1.0
+        recon, fits = tmp_path / "reconstruction.json", tmp_path / "fits.json"
+        bio.write_json(recon, {**doc, "gamma": gamma})
+        assert main(["fit", "--recon", str(recon), "--output", str(fits)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "gamma must be >= 0 on valid bins" in err
+        assert not fits.exists()
+
     def test_zero_gamma_is_one(self, tmp_path):
         config = write_config(tmp_path, {"gamma": 0})
         assert main(["pipeline", "--config", config, "--output-dir", str(tmp_path / "o")]) == 1
+
+    def test_histogram_counts_beyond_the_singles_product_are_two(self, tmp_path, capsys):
+        # 3 * 2**62 summed in int64 reads -2**62, below 10 * 10.
+        from biphoton import CoincidenceHistogram
+        from biphoton.model import AnalyzerSetting, RECONSTRUCTION_PHASES
+
+        for k, phi in enumerate(RECONSTRUCTION_PHASES):
+            hist = CoincidenceHistogram(
+                bin_width_ps=4000,
+                tau_min_ps=-6000,
+                counts=np.array([3, 5, 4]),
+                acquisition_time=1.0,
+                singles_a=10,
+                singles_b=10,
+                setting=AnalyzerSetting.balanced(phi),
+            )
+            doc = bio.histogram_to_dict(hist)
+            doc["counts"] = [2**62] * 3
+            bio.write_json(tmp_path / f"hist_phi{k}.json", doc)
+        assert main(["reconstruct", "--input-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "exceed singles_a * singles_b" in err
+        assert not (tmp_path / "reconstruction.json").exists()
 
     @pytest.mark.parametrize(
         "command, bin_width_ns",

@@ -357,6 +357,11 @@ class TestNormalize:
         with pytest.raises(DataError):
             CoincidenceHistogram(4000, -4000, np.array([5, 5]), 1.0, 3, 3)
 
+    def test_counts_bounded_by_singles_product_when_their_int64_sum_wraps(self):
+        # 3 * 2**62 summed in int64 reads -2**62.
+        with pytest.raises(DataError, match="singles_a \\* singles_b"):
+            CoincidenceHistogram(4000, -6000, np.full(3, 2**62), 1.0, 10, 10)
+
 
 class TestGate:
     def test_identity_when_fully_open(self):

@@ -578,6 +578,27 @@ class TestConstantPhaseFit:
         assert fit.sigmas["phase"] == 0.0
         assert fit.n_points == int(np.count_nonzero(~outer))
 
+    def test_bin_whose_power_squared_underflows_is_left_out(self):
+        # |psi| = 1e-160 has a subnormal power, 1e-320, whose square is 0:
+        # the bin's phase variance is inf, so the rule leaves it out.
+        magnitude = np.array([1e-160, 0.3, 0.8, 1.0, 0.6])
+        phase = np.array([0.0, 0.85, 0.92, 0.9, 0.95])
+        sigma = np.full(5, 0.1)
+        recon = ReconstructedTpwf(
+            tau=np.linspace(-8e-9, 8e-9, 5), re_psi=magnitude * np.cos(phase),
+            im_psi=magnitude * np.sin(phase), gamma=np.ones(5), sigma_re=sigma, sigma_im=sigma,
+            sigma_gamma=sigma, valid=np.ones(5, dtype=bool), cov_re_im=np.zeros(5),
+        )
+        four = ReconstructedTpwf(**{name: value[1:] if isinstance(value, np.ndarray) else value
+                                    for name, value in vars(recon).items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_constant_phase(recon, weight_threshold=0.0)
+        alone = fit_constant_phase(four, weight_threshold=0.0)
+        assert fit.n_points == alone.n_points == 4
+        assert fit.params["phase"] == alone.params["phase"]
+        assert fit.sigmas["phase"] == alone.sigmas["phase"] > 0.0
+
     def test_exact_chi2_is_the_unit_weighted_scatter(self):
         model = TpwfModel(amplitude=1.0, corr_time=30e-9, phase=0.9)
         recon = noiseless_recon(model)

@@ -1,6 +1,7 @@
 """File-format contracts: binary time-tag round trips, malformed-input
 byte offsets, lossless JSON, and document round trips."""
 
+import errno
 import gc
 import json
 import math
@@ -189,6 +190,27 @@ class TestTagWriter:
             with bio.TimeTagWriter(path, "A") as writer:
                 for block in blocks:
                     writer.append(np.array(block, dtype=np.int64))
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_close_discards_the_temp_file(self, tmp_path):
+        # On a full disk the final flush, made by close, fails.
+        class FullDisk:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, data):
+                return self._fh.write(data)
+
+            def close(self):
+                self._fh.close()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        path = tmp_path / "tags.bttg"
+        with pytest.raises(OSError) as err:
+            with bio.TimeTagWriter(path, "A") as writer:
+                writer._fh = FullDisk(writer._fh)
+                writer.append(np.array([1, 2], dtype=np.int64))
+        assert err.value.errno == errno.ENOSPC
         assert os.listdir(tmp_path) == []
 
     def test_read_checks_each_record_once(self, tmp_path, monkeypatch):

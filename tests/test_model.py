@@ -111,6 +111,12 @@ class TestAnalyzerTransform:
         assert abs(s.phi - 0.3) < 1e-12
         assert s.theta == math.pi / 4
 
+    @pytest.mark.parametrize("phi", NON_FINITE)
+    def test_balanced_refuses_non_finite_phi(self, phi):
+        # Wrapping would call math.floor on it: ValueError or OverflowError.
+        with pytest.raises(ConfigError, match="phi must be finite"):
+            BALANCED(phi)
+
 
 class TestForwardG2:
     def test_reference_only_is_flat(self):
