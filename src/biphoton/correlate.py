@@ -405,13 +405,18 @@ def normalize_g2(hist: CoincidenceHistogram):
     factor scales sigma[k] = sqrt(counts[k]).  Uncorrelated streams give
     g2 -> 1.  Returns (g2, sigma) arrays.
     """
-    if hist.singles_a <= 0 or hist.singles_b <= 0:
-        raise DataError("cannot normalize: zero singles in one channel")
-    scale = hist.acquisition_time / (
-        float(hist.singles_a) * float(hist.singles_b) * hist.bin_width
-    )
+    scale = _g2_scale(hist)
     counts = hist.counts.astype(float)
     return counts * scale, np.sqrt(counts) * scale
+
+
+def _g2_scale(hist: CoincidenceHistogram) -> float:
+    """The factor T / (singles_a * singles_b * bin_width) of normalize_g2."""
+    if hist.singles_a <= 0 or hist.singles_b <= 0:
+        raise DataError("cannot normalize: zero singles in one channel")
+    return hist.acquisition_time / (
+        float(hist.singles_a) * float(hist.singles_b) * hist.bin_width
+    )
 
 
 def apply_gate(stream: TimeTagStream, period: float, open_fraction: float) -> TimeTagStream:

@@ -12,14 +12,19 @@ signal vanishes.
 
 The envelope is fitted by Levenberg-Marquardt (Marquardt, J. SIAM 11,
 431, 1963) over three reweighting passes.  Each residual evaluation
-fills one [J | r] buffer, whose Gram matrix gives the normal equations
-and chi2 together; the 2x2 or 3x3 damped system is solved by Cholesky on
-Python floats.  The first two passes, which only set the next weights,
-stop once the Gauss-Newton decrement puts the point within 1e-2 sigma of
-the pass's minimum.  The last pass, every pass on exact input, and a
-pass at a kink of the model end when a step improves chi2 by at most
-1e-12 of it.  The results agree with running every pass to that chi2
-rule within 5e-3 sigma.
+fills one [J | r | f] buffer, whose [J | r] Gram matrix gives the normal
+equations and chi2 together and whose model values f set the next
+pass's weights.  A pass after the first starts from the last pass's
+[J | r], rescaled row by row to the new weights, without evaluating it
+again.  The 2x2 or 3x3 damped systems are solved by one unrolled
+Cholesky factorization on Python floats (Golub & Van Loan, Matrix
+Computations, sec. 4.2), from which the covariance is inverted too: the
+fit makes no LAPACK call.  The first two passes, which only set the
+next weights, stop once the Gauss-Newton decrement puts the point within
+1e-2 sigma of the pass's minimum.  The last pass, every pass on exact
+input, and a pass at a kink of the model end when a step improves chi2
+by at most 1e-12 of it.  The results agree with running every pass to
+that chi2 rule within 5e-3 sigma.
 
 All three fits weight by reconstruct._weighted: points of finite variance
 count, with unit weights and sigma 0 if all of those are 0 (exact input),
@@ -93,48 +98,75 @@ def _check_weight_threshold(weight_threshold):
         raise ConfigError(f"weight_threshold must lie in [0, 1), got {weight_threshold}")
 
 
+def _cholesky(a, shift):
+    """The lower Cholesky factor of a + diag(shift), for a symmetric k x k
+    matrix a, k <= 3, given as a list of k rows of which only the lower
+    triangle is read.  Unrolled on Python floats: at k <= 3 a LAPACK call
+    costs more than its arithmetic.  A k < 3 matrix is the leading block
+    of the 3 x 3 one padded with the unit matrix, so the factor is always
+    the six floats (d0, l10, d1, l20, l21, d2) of
+    L = [[d0, 0, 0], [l10, d1, 0], [l20, l21, d2]].  None if the matrix is
+    not positive definite."""
+    k = len(shift)
+    s = a[0][0] + shift[0]
+    if not s > 0.0:
+        return None
+    d0 = math.sqrt(s)
+    if k == 1:
+        return d0, 0.0, 1.0, 0.0, 0.0, 1.0
+    row = a[1]
+    l10 = row[0] / d0
+    s = row[1] + shift[1] - l10 * l10
+    if not s > 0.0:
+        return None
+    d1 = math.sqrt(s)
+    if k == 2:
+        return d0, l10, d1, 0.0, 0.0, 1.0
+    row = a[2]
+    l20 = row[0] / d0
+    l21 = (row[1] - l20 * l10) / d1
+    s = row[2] + shift[2] - l20 * l20 - l21 * l21
+    if not s > 0.0:
+        return None
+    return d0, l10, d1, l20, l21, math.sqrt(s)
+
+
 def _cholesky_solve(a, shift, b):
-    """Solve (a + diag(shift)) x = b for a symmetric k x k matrix a by
-    Cholesky on Python floats: at k = 2 or 3 a LAPACK call costs more
-    than its arithmetic.  a is a list of k rows, of which only the lower
-    triangle is read.  Returns (x, z) with z = L^-1 b, so that
-    b^T (a + diag(shift))^-1 b = z.z, or None if the matrix is not
-    positive definite."""
-    L, z = [], []
-    for i, bi in enumerate(b):
-        row, Li = a[i], []
-        for j, Lj in enumerate(L):
-            s = row[j]
-            for lm, ljm in zip(Li, Lj):
-                s -= lm * ljm
-            Li.append(s / Lj[-1])
-        s = row[i] + shift[i]
-        for lm in Li:
-            s -= lm * lm
-        if not s > 0.0:
-            return None
-        d = math.sqrt(s)
-        for lm, zm in zip(Li, z):
-            bi -= lm * zm
-        Li.append(d)
-        L.append(Li)
-        z.append(bi / d)
-    x = z[:]
-    for i in range(len(x) - 1, -1, -1):
-        Li = L[i]
-        xi = x[i] = x[i] / Li[i]
-        for m in range(i):
-            x[m] -= Li[m] * xi
-    return x, z
+    """Solve (a + diag(shift)) x = b by the _cholesky factor L, forward
+    (z = L^-1 b) and back.  Returns (x, zz) with
+    zz = z.z = b^T (a + diag(shift))^-1 b, or None if the matrix is not
+    positive definite.  The padding rows add exact zeros, so x and zz
+    are, bit for bit, those of the k x k factorization."""
+    L = _cholesky(a, shift)
+    if L is None:
+        return None
+    d0, l10, d1, l20, l21, d2 = L
+    k = len(b)
+    z0 = b[0] / d0
+    z1 = (b[1] - l10 * z0) / d1 if k > 1 else 0.0
+    z2 = (b[2] - l20 * z0 - l21 * z1) / d2 if k > 2 else 0.0
+    x2 = z2 / d2
+    x1 = (z1 - l21 * x2) / d1
+    x0 = (z0 - l20 * x2 - l10 * x1) / d0
+    return [x0, x1, x2][:k], z0 * z0 + z1 * z1 + z2 * z2
 
 
-def _levenberg(residual_jac, p0, feasible=None, tol=0.0):
+def _gram(M, k):
+    """[[A | g], [g^T | chi2]] of the [J | r] columns of M, as lists."""
+    Mr = M[:, : k + 1]
+    return Mr.T.dot(Mr).tolist()
+
+
+def _levenberg(residual_jac, p0, feasible=None, tol=0.0, M=None):
     """Damped Gauss-Newton minimization of sum(r^2).
 
-    residual_jac(p) returns one (n, k + 1) array M = [J | r] with
-    J[i, j] = dr_i/dp_j, so that one M.T @ M gives the normal matrix
-    A = J^T J, the gradient g = J^T r and chi2 together.  The damped
-    system (A + lam D) delta = -g, D = diag(A), is solved by Cholesky.
+    residual_jac(p) returns one (n, k + 1 + m) array M = [J | r | ...]
+    with J[i, j] = dr_i/dp_j, so that one Gram matrix of its first k + 1
+    columns gives the normal matrix A = J^T J, the gradient g = J^T r and
+    chi2 together; any m further columns ride along untouched.  The
+    damped system (A + lam D) delta = -g, D = diag(A), is solved by
+    Cholesky.  The pass starts from M when it is given (M at p0, not
+    evaluated again), otherwise from residual_jac(p0).
 
     A pass ends when the Gauss-Newton decrement g^T (A + lam D)^-1 g
     (1 + lam), read off the first solve of an iteration while
@@ -144,12 +176,14 @@ def _levenberg(residual_jac, p0, feasible=None, tol=0.0):
     at tol = 0; at a kink of the model the decrement never falls.  A
     trial step to a point where feasible(p) is false is rejected, like
     an uphill one, without evaluating residual_jac there.  Returns
-    (p, A, chi2, converged, message, r), with A at p.
+    (p, A, chi2, converged, message, M), with A (a list of k rows) and M
+    at p.
     """
     p = [float(v) for v in p0]
     k = len(p)
-    M = residual_jac(p)
-    G = (M.T @ M).tolist()  # [[A | g], [g^T | chi2]]
+    if M is None:
+        M = residual_jac(p)
+    G = _gram(M, k)
     chi2 = G[k][k]
     lam = 1e-3
     converged = False
@@ -168,10 +202,10 @@ def _levenberg(residual_jac, p0, feasible=None, tol=0.0):
             if solved is None:
                 lam *= 10.0
                 continue
-            delta, z = solved
+            delta, zz = solved
             if first_solve:
                 first_solve = False
-                if lam <= 1e-3 and sum(map(operator.mul, z, z)) * (1.0 + lam) < tol * tol:
+                if lam <= 1e-3 and zz * (1.0 + lam) < tol * tol:
                     converged = True
                     message = "Gauss-Newton decrement below tolerance"
                     break
@@ -180,7 +214,7 @@ def _levenberg(residual_jac, p0, feasible=None, tol=0.0):
                 lam *= 10.0
                 continue
             M_new = residual_jac(p_new)
-            G_new = (M_new.T @ M_new).tolist()
+            G_new = _gram(M_new, k)
             chi2_new = G_new[k][k]
             if math.isfinite(chi2_new) and chi2_new <= chi2:
                 improvement = chi2 - chi2_new
@@ -198,21 +232,39 @@ def _levenberg(residual_jac, p0, feasible=None, tol=0.0):
             converged = True
             message = "no downhill step found (at a minimum)"
             break
-    return np.array(p), np.array(G)[:k, :k], chi2, converged, message, M[:, k]
+    return np.array(p), [row[:k] for row in G[:k]], chi2, converged, message, M
 
 
-def _covariance(A, scales):
-    """The parameter covariance inv(A), inverted with the parameters
-    rescaled to unit order by scales; None if A is singular."""
-    outer = np.outer(scales, scales)
-    try:
-        return np.linalg.inv(A * outer) * outer
-    except np.linalg.LinAlgError:
-        return None
+def _covariance(A):
+    """The parameter covariance inv(A), as L^-T L^-1 from the _cholesky
+    factor L of the normal matrix A (a list of k rows); None if a finite
+    A is singular (not positive definite).  A non-finite A gives NaN."""
+    L = _cholesky(A, (0.0,) * len(A))
+    if L is None:
+        if all(map(math.isfinite, itertools.chain.from_iterable(A))):
+            return None
+        return np.full((len(A), len(A)), np.nan)
+    d0, l10, d1, l20, l21, d2 = L
+    # The rows of L^-1, lower triangular.
+    m00, m11, m22 = 1.0 / d0, 1.0 / d1, 1.0 / d2
+    m10 = -l10 * m00 / d1
+    m21 = -l21 * m11 / d2
+    m20 = -(l20 * m00 + l21 * m10) / d2
+    c01 = m10 * m11 + m20 * m21
+    c02 = m20 * m22
+    c12 = m21 * m22
+    cov = np.array([
+        [m00 * m00 + m10 * m10 + m20 * m20, c01, c02],
+        [c01, m11 * m11 + m21 * m21, c12],
+        [c02, c12, m22 * m22],
+    ])
+    k = len(A)
+    return cov[:k, :k]
 
 
 class _PowerData:
-    """Debiased |psi|^2 samples with model-point variance evaluation.
+    """Debiased |psi|^2 samples on the bins the envelope fit uses, with
+    model-point variance evaluation.
 
     The squared modulus of a noisy complex estimate is biased up by
     tr(C); subtracting it debiases the sample.  Its Gaussian variance
@@ -220,16 +272,19 @@ class _PowerData:
     re-evaluated at the fitted model (measured values on the first pass):
     weights taken at the measured point would systematically favor
     downward fluctuations and narrow the fitted envelope.
+
+    The bins used are the valid ones whose variance at the measured
+    point, var0, _weighted uses; a bin with a non-finite value or
+    (co)variance has a non-finite var0, so that one rule drops it too.
+    tau, q and var0 hold the used bins, and exact is _weighted's flag.
     """
 
     def __init__(self, recon: ReconstructedTpwf):
         re = recon.re_psi
         im = recon.im_psi
-        self.valid = recon.valid & np.isfinite(re) & np.isfinite(im)
         var_re = recon.sigma_re**2
         var_im = recon.sigma_im**2
         cov = recon.cov_re_im
-        self.q = re**2 + im**2 - (var_re + var_im)
         # Unit direction of the measured psi; where the modulus vanishes
         # the directional variance term vanishes with it, so any unit
         # vector works.
@@ -238,29 +293,30 @@ class _PowerData:
         safe = np.where(nonzero, p, 1.0)
         cos_t = np.where(nonzero, re / safe, math.sqrt(0.5))
         sin_t = np.where(nonzero, im / safe, math.sqrt(0.5))
-        # Bins with a non-finite (co)variance are dropped by the fits; NaN
-        # in place of inf keeps inf - inf from being formed.
-        finite = np.isfinite(var_re) & np.isfinite(var_im) & np.isfinite(cov)
-        vr, vi, c = (np.where(finite, v, np.nan) for v in (var_re, var_im, cov))
-        self.directional = cos_t**2 * vr + 2.0 * cos_t * sin_t * c + sin_t**2 * vi
-        self.var_floor = 2.0 * (var_re**2 + var_im**2 + 2.0 * cov**2)
+        # A bin that is dropped may form inf * 0 or inf - inf here.
+        with np.errstate(invalid="ignore"):
+            q = re**2 + im**2 - (var_re + var_im)
+            self.directional = cos_t**2 * var_re + 2.0 * cos_t * sin_t * cov + sin_t**2 * var_im
+            self.var_floor = 2.0 * (var_re**2 + var_im**2 + 2.0 * cov**2)
+            var0 = self.variance_at(q)
+        used, self.exact = _weighted(np.where(recon.valid, var0, np.nan))
+        self.tau = recon.tau[used]
+        self.q = q[used]
+        self.var0 = var0[used]
+        self.directional = self.directional[used]
+        self.var_floor = self.var_floor[used]
 
     def variance_at(self, power):
         """Var(q) with the mean vector set to the given |psi|^2 along the
         measured direction."""
         return 4.0 * np.maximum(power, 0.0) * self.directional + self.var_floor
 
-    def keep(self, points):
-        """Restrict variance_at to the selected points."""
-        self.directional = self.directional[points]
-        self.var_floor = self.var_floor[points]
-
 
 def _envelope_residual_jac(tau, y, w, fixed_tc=None):
     """residual_jac for _levenberg: the weighted residuals r of
     A^2 * exp(-2|tau - tau0| / Tc) against y and their Jacobian J, at
     p = (A, tau0, Tc), or at p = (A, tau0) with Tc = fixed_tc, filled
-    into one column-major buffer [J | r].
+    into one column-major buffer [J | r | f] with the model values f.
 
     The columns are built in place, from |u| and the model values
     computed once.  Each is the product f * (2 sign(u) / Tc) * w, and so
@@ -274,13 +330,13 @@ def _envelope_residual_jac(tau, y, w, fixed_tc=None):
     def residual_jac(p):
         a, t_off = p[0], p[1]
         tc = p[2] if k == 3 else fixed_tc
-        M = np.empty((tau.size, k + 1), order="F")
+        M = np.empty((tau.size, k + 2), order="F")
         two_u = two_tau - 2.0 * t_off
         two_abs_u = np.abs(two_u)
         # x / -tc is -(x / tc) exactly.
         env = np.divide(two_abs_u, -tc)
         np.exp(env, out=env)
-        f = a * a * env
+        f = np.multiply(a * a, env, out=M[:, k + 1])
         r = np.subtract(f, y, out=M[:, k])
         r *= w
         env *= 2.0 * a
@@ -313,16 +369,10 @@ def fit_double_exponential(
     """
     _check_fix_corr_time(fix_corr_time)
     data = _PowerData(recon)
-    var0 = data.variance_at(data.q)
-    usable, exact = _weighted(np.where(data.valid & np.isfinite(data.q), var0, np.nan))
-    n = int(np.count_nonzero(usable))
+    tau, y, exact = data.tau, data.q, data.exact
+    n = y.size
     if n < 8:
         raise DataError(f"need at least 8 valid bins, got {n}")
-
-    tau = recon.tau[usable]
-    y = data.q[usable]
-    var0 = var0[usable]
-    data.keep(usable)
 
     q_pos = np.maximum(y, 0.0)
     peak = float(q_pos.max())
@@ -338,45 +388,40 @@ def fit_double_exponential(
         tc0 = math.sqrt(2.0 * max(second, 1e-30))
 
     free_tc = fix_corr_time is None
-
-    def envelope(p):
-        a, t_off = p[0], p[1]
-        tc = p[2] if free_tc else tc0
-        return a * a * np.exp(-2.0 * np.abs(tau - t_off) / tc)
-
     p0 = [a0, t0, tc0] if free_tc else [a0, t0]
-    scales = [max(abs(a0), 1e-12), max(tc0, 1e-12)]
-    if free_tc:
-        scales.append(max(tc0, 1e-12))
 
     # A trial Tc <= 0 makes the envelope grow away from tau0, and its
     # exponent overflows; the step is refused before it is evaluated.
     feasible = (lambda p: p[2] > 0.0) if free_tc else None
 
-    def solve(w, p, tol=0.0):
+    def solve(w, p, tol, M):
         residual_jac = _envelope_residual_jac(tau, y, w, None if free_tc else tc0)
-        return _levenberg(residual_jac, p, feasible, tol)
+        return _levenberg(residual_jac, p, feasible, tol, M)
 
-    w = np.ones_like(y) if exact else 1.0 / np.sqrt(var0)
+    w = np.ones_like(y) if exact else 1.0 / np.sqrt(data.var0)
     # The optimum of passes 1-2 only sets the next pass's weights.  Exact
     # input has no sigma units: only the chi2 rule ends its pass.
     tol = 0.0 if exact else _WEIGHT_PASS_TOL
-    p = p0
+    p, M = p0, None
     for i in range(3):
-        p, A, chi2, converged, message, r = solve(w, p, tol if i < 2 else 0.0)
+        p, A, chi2, converged, message, M = solve(w, p, tol if i < 2 else 0.0, M)
         if i == 2:
             break
-        # On exact input the model variance is 0, which ends the passes.
-        var_model = data.variance_at(envelope(p))
+        # The model values at p are M's last column.  On exact input the
+        # model variance is 0, which ends the passes.
+        var_model = data.variance_at(M[:, -1])
         if not (np.isfinite(var_model).all() and (var_model > 0.0).all()):
             if tol and converged:
                 # This pass is the last: finish it to the chi2 rule.
-                p, A, chi2, converged, message, r = solve(w, p)
+                p, A, chi2, converged, message, M = solve(w, p, 0.0, M)
             break
-        w = 1.0 / np.sqrt(var_model)
-    cov = _covariance(A, scales)
+        w_next = 1.0 / np.sqrt(var_model)
+        # The next pass starts at p from [J | r], reweighted row by row.
+        M[:, :-1] *= (w_next / w)[:, np.newaxis]
+        w = w_next
+    cov = _covariance(A)
     if cov is None:
-        cov = np.full(A.shape, np.nan)
+        cov = np.full((len(A), len(A)), np.nan)
         converged = False
         message = "singular covariance at optimum"
 
@@ -404,7 +449,7 @@ def fit_double_exponential(
     # The finest spacing, not np.median: with NumPy 2.4 on an AVX-512
     # x86-64 CPU, complex exp calls made after np.median ran about 3x
     # slower, and the many-seed calibration loop 25-30% slower.
-    spacing = float(np.abs(np.diff(recon.tau)).min())
+    spacing = float(np.abs(recon.tau[1:] - recon.tau[:-1]).min())
     if not all(math.isfinite(v) for v in (*params.values(), *sigmas.values())):
         converged = False
         message = f"{message}; non-finite parameter or error"
@@ -420,7 +465,7 @@ def fit_double_exponential(
         converged=converged,
         message=message,
         n_points=n,
-        residuals=r,
+        residuals=M[:, -2],
     )
 
 
@@ -443,23 +488,21 @@ def fit_constant_phase(
     (whose sigma is 0).
     """
     _check_weight_threshold(weight_threshold)
+    re, im = recon.re_psi, recon.im_psi
     power = recon.power()
     usable = recon.valid & np.isfinite(power)
     peak = float(power[usable].max(initial=0.0))
-    usable &= (power >= weight_threshold * peak) & (power > 0.0)
+    # The least positive float as a floor keeps out bins of zero power.
+    usable &= power >= max(weight_threshold * peak, math.ulp(0.0))
+    # The variance on every bin; a bin whose power squared underflows to
+    # 0 gets inf or NaN, which the weighting rule leaves out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var_phi = (
+            im**2 * recon.sigma_re**2 + re**2 * recon.sigma_im**2 - 2.0 * re * im * recon.cov_re_im
+        ) / power**2
 
-    re = recon.re_psi[usable]
-    im = recon.im_psi[usable]
-    square = power[usable] ** 2  # 0 for a subnormal power: that bin's variance is inf
-    var_phi = np.divide(
-        im**2 * recon.sigma_re[usable] ** 2
-        + re**2 * recon.sigma_im[usable] ** 2
-        - 2.0 * re * im * recon.cov_re_im[usable],
-        square, out=np.full_like(square, np.inf), where=square > 0.0,
-    )
-
-    used, exact = _weighted(var_phi)
-    if not used.any():
+    used, exact = _weighted(np.where(usable, var_phi, np.nan))
+    if not np.count_nonzero(used):
         raise DataError("no valid bins of nonzero power and usable phase error")
     phases = np.arctan2(im[used], re[used])
     weights = np.ones_like(phases) if exact else 1.0 / var_phi[used]
@@ -489,13 +532,15 @@ def fit_visibility(points) -> FitResult:
     """Weighted linear fit of g2(0) versus analyzer phase to
     offset + c*cos(2*phi) + s*sin(2*phi).
 
-    points is a sequence of (phi, g2, sigma).  A sigma the weighting rule
-    would leave out (negative, NaN, +-inf, or 0 among positive values) is
-    a ConfigError.  Reports the offset, the harmonic amplitude |B| and
-    phase, the visibility |B|/offset, and the phase locations of the
-    fitted extrema.
+    points is a sequence of (phi, g2, sigma).  A non-finite phi or g2,
+    and a sigma the weighting rule would leave out (negative, NaN, +-inf,
+    or 0 among positive values), is a ConfigError.  Reports the offset,
+    the harmonic amplitude |B| and phase, the visibility |B|/offset, and
+    the phase locations of the fitted extrema.
     """
     pts = [(float(p), float(y), float(s)) for p, y, s in points]
+    if not all(math.isfinite(p) and math.isfinite(y) for p, y, _ in pts):
+        raise ConfigError("phases and g2 values must be finite")
     if len({round(p % math.pi, 12) for p, _, _ in pts}) < 3:
         raise DataError("need at least 3 distinct analyzer phases")
     phi = np.array([p for p, _, _ in pts])

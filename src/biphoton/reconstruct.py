@@ -23,7 +23,9 @@ cancels exactly, not just to rounding.
 Poisson errors are propagated to first order through the closed-form
 derivatives of the inversion (_jacobian); _rate_variances is the one rule
 for the rate variances, and _sigma_arrays the one place that turns them
-into sigmas and the re/im covariance.
+into sigmas and the re/im covariance.  The three rates and counts travel
+stacked as (3, n) arrays down the one path _invert_arrays -> _jacobian ->
+_sigma_arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlate import CoincidenceHistogram, normalize_g2
+from .correlate import CoincidenceHistogram, _g2_scale, normalize_g2
 from .errors import ConfigError, DataError, InvalidBinError, NumericalError
 from .model import RECONSTRUCTION_PHASES
 
@@ -72,30 +74,31 @@ _PER_BIN_ARRAYS = (
 _NUM_GRAD = np.array([[-2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], [0.0, 1.0 / SQRT3, -1.0 / SQRT3]])
 
 
-#: What _invert_arrays returns: the results (re, im, gamma, valid) and
-#: the terms of the rates it computes them from (_rate_terms).
-_Inversion = namedtuple("_Inversion", "re im gamma valid y ybar num_re num_im")
+#: What _invert_arrays returns: values, the results re, im and gamma
+#: stacked (NaN on invalid bins), valid, and the terms of the stacked
+#: rates y it computes them from (_rate_terms).
+_Inversion = namedtuple("_Inversion", "values valid y ybar num")
 
 
-def _rate_terms(y0, y1, y2):
-    """The stacked rates y, their mean ybar, and the numerators
-    (2*gamma*Re psi, 2*gamma*Im psi), in forms in which a common additive
-    shift of (y0, y1, y2) cancels exactly in floating point, not only
-    algebraically."""
-    y = np.array([y0, y1, y2], dtype=float)
+def _rate_terms(y):
+    """The mean ybar of the stacked rates y and the numerators
+    num = (2*gamma*Re psi, 2*gamma*Im psi), stacked, in forms in which a
+    common additive shift of (y0, y1, y2) cancels exactly in floating
+    point, not only algebraically."""
     ybar = (y[0] + y[1] + y[2]) / 3.0
-    return y, ybar, (y[1] + y[2] - 2.0 * y[0]) / 3.0, (y[1] - y[2]) / SQRT3
+    return ybar, np.array([(y[1] + y[2] - 2.0 * y[0]) / 3.0, (y[1] - y[2]) / SQRT3])
 
 
-def _invert_arrays(y0, y1, y2, root="larger"):
-    """Vectorized closed-form inversion.
+def _invert_arrays(y, root="larger"):
+    """Vectorized closed-form inversion of the rates y, a float array
+    stacked on a leading axis of 3.
 
     Returns an _Inversion.  Invalid bins (radicand below tolerance, or
     gamma = 0) carry NaN results and valid = False.
     """
     if root not in ("larger", "smaller"):
         raise ConfigError(f"root must be 'larger' or 'smaller', got {root!r}")
-    y, ybar, num_re, num_im = _rate_terms(y0, y1, y2)
+    ybar, num = _rate_terms(y)
 
     ybar_sq = ybar**2
     radicand = 3.0 * ybar_sq - (2.0 / 3.0) * (y[0] ** 2 + y[1] ** 2 + y[2] ** 2)
@@ -108,12 +111,10 @@ def _invert_arrays(y0, y1, y2, root="larger"):
     gamma = np.sqrt(np.maximum(gamma_sq, 0.0))
     valid = valid & (gamma > 0.0)
 
-    two_gamma = 2.0 * gamma
-    with np.errstate(divide="ignore", invalid="ignore"):
-        re_psi = np.where(valid, num_re / two_gamma, np.nan)
-        im_psi = np.where(valid, num_im / two_gamma, np.nan)
-    gamma = np.where(valid, gamma, np.nan)
-    return _Inversion(re_psi, im_psi, gamma, valid, y, ybar, num_re, num_im)
+    values = np.full((3,) + ybar.shape, np.nan)
+    np.divide(num, 2.0 * gamma, out=values[:2], where=valid)
+    np.copyto(values[2:], gamma, where=valid)
+    return _Inversion(values, valid, y, ybar, num)
 
 
 def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
@@ -124,13 +125,13 @@ def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
     """
     if y0 < 0.0 or y1 < 0.0 or y2 < 0.0:
         raise ConfigError("rates must be non-negative")
-    re, im, gamma, valid = _invert_arrays(y0, y1, y2, root=root)[:4]
+    values, valid = _invert_arrays(np.array([y0, y1, y2], dtype=float), root=root)[:2]
     if not bool(valid):
         raise InvalidBinError(
             f"(y0, y1, y2) = ({y0}, {y1}, {y2}) cannot be inverted: negative "
             "radicand beyond tolerance or zero reference amplitude"
         )
-    return float(re), float(im), float(gamma)
+    return tuple(float(v) for v in values)
 
 
 def _jacobian(inversion):
@@ -138,7 +139,7 @@ def _jacobian(inversion):
 
     inversion is what _invert_arrays returns; the rates, their mean and
     the results are taken from it.  Vectorized over bins: returns J with
-    shape (3, 3) + y0.shape, J[i, k] the derivative of output i w.r.t.
+    shape (3, 3) + ybar.shape, J[i, k] the derivative of output i w.r.t.
     input k, NaN on invalid bins.
 
     With s = 2*gamma^2 - ybar, which is +sqrt(R) for the larger root and
@@ -146,18 +147,18 @@ def _jacobian(inversion):
 
         d(gamma^2)/dy_k = (1/3 + (dR/dy_k) / (2*s)) / 2,
 
-    and re, im = numerator / (2*gamma) follow by the quotient rule.  The
-    derivatives diverge as s -> 0, where the two roots meet.
+    and re, im = numerator / (2*gamma) follow by the quotient rule, both
+    rows at once.  The derivatives diverge as s -> 0, where the two roots
+    meet.
     """
-    re, im, gamma, _, y, ybar, _, _ = inversion
+    values, _, y, ybar, _ = inversion
+    gamma = values[2, ...]  # an array also for one bin: x**2 of a float64 scalar is pow()
     grad = _NUM_GRAD.reshape(_NUM_GRAD.shape + (1,) * ybar.ndim)
     J = np.empty((3, 3) + ybar.shape, dtype=float)
-    two_gamma = 2.0 * gamma
     with np.errstate(divide="ignore", invalid="ignore"):
         s = 2.0 * gamma**2 - ybar
         np.divide(1.0 / 3.0 + (2.0 * ybar - (4.0 / 3.0) * y) / (2.0 * s), 4.0 * gamma, out=J[2])
-        np.divide(grad[0] - 2.0 * re * J[2], two_gamma, out=J[0])
-        np.divide(grad[1] - 2.0 * im * J[2], two_gamma, out=J[1])
+        np.divide(grad - 2.0 * values[:2, np.newaxis] * J[2], 2.0 * gamma, out=J[:2])
     return J
 
 
@@ -185,14 +186,14 @@ def _sigma_arrays(J, var_y):
 
 def _rate_variances(ys, counts):
     """Poisson variances y_k^2 / n_k of the rates ys, stacked on a leading
-    axis of 3: infinite where n_k = 0 (the rate was not measured), and
-    zero everywhere when counts is None (exact input)."""
+    axis of 3 like the counts: infinite where n_k = 0 (the rate was not
+    measured), and zero everywhere when counts is None (exact input)."""
     if counts is None:
-        return np.zeros(np.shape(ys))
+        return np.zeros(ys.shape)
     counts = np.asarray(counts)
-    if np.any(counts < 0):
+    if np.count_nonzero(counts < 0):
         raise ConfigError("counts must be non-negative")
-    return np.where(counts > 0, np.square(ys) / np.maximum(counts, 1), np.inf)
+    return np.divide(np.square(ys), counts, out=np.full(ys.shape, np.inf), where=counts > 0)
 
 
 def propagate_errors(y, counts):
@@ -206,7 +207,7 @@ def propagate_errors(y, counts):
     y = np.asarray(y, dtype=float)
     if y.shape != (3,) or np.shape(counts) != (3,):
         raise ConfigError("y and counts must each hold three values")
-    sig = _sigma_arrays(_jacobian(_invert_arrays(*y)), _rate_variances(y, counts))[:3]
+    sig = _sigma_arrays(_jacobian(_invert_arrays(y)), _rate_variances(y, counts))[:3]
     return tuple(float(v) for v in sig)
 
 
@@ -338,7 +339,8 @@ def _weighted(spread):
     (used, exact); exact is False when nothing is used.
     """
     used = np.isfinite(spread)
-    exact = bool(used.any()) and not spread[used].any()
+    # np.count_nonzero is the cheaper any() on small arrays.
+    exact = bool(np.count_nonzero(used)) and not np.count_nonzero(spread[used])
     if not exact:
         used &= spread > 0.0
     return used, exact
@@ -396,6 +398,13 @@ def reconstruct_values(
         counts = [np.asarray(c) for c in (counts0, counts1, counts2)]
         if any(c.shape != tau.shape for c in counts):
             raise ConfigError("counts arrays must match tau in shape")
+        counts = np.array(counts, dtype=float)
+    return _reconstruct(tau, np.array(ys), counts, background_mode, gamma_mode, wing_level)
+
+
+def _reconstruct(tau, ys, counts, background_mode, gamma_mode, wing_level):
+    """reconstruct_values on checked input: the rates ys and the counts
+    (or None) stacked as (3,) + tau.shape float arrays."""
     var_y = _rate_variances(ys, counts)
 
     background = 0.0
@@ -406,30 +415,29 @@ def reconstruct_values(
         # Stationarity refinement: after subtracting the right constant,
         # the pooled reference amplitude must reproduce the wing level.
         for _ in range(2):
-            inversion = _invert_arrays(*(v - b_hat for v in ys))
+            inversion = _invert_arrays(ys - b_hat)
             sg = _sigma_arrays(_jacobian(inversion), var_y)[2]
-            pooled, _ = _pool_gamma(inversion.gamma, sg, inversion.valid)
+            pooled, _ = _pool_gamma(inversion.values[2], sg, inversion.valid)
             b_hat = wing_level - pooled**2
         background = max(b_hat, 0.0)
-        ys = [v - background for v in ys]
+        ys = ys - background
 
-    inversion = _invert_arrays(*ys)
-    re, im, gamma, valid = inversion[:4]
+    inversion = _invert_arrays(ys)
+    values, valid = inversion.values, inversion.valid
     n_bins = tau.size
-    if n_bins and (n_bins - int(valid.sum())) > MAX_INVALID_FRACTION * n_bins:
-        raise NumericalError(
-            f"{n_bins - int(valid.sum())} of {n_bins} bins failed to invert"
-        )
+    n_invalid = n_bins - int(np.count_nonzero(valid))
+    if n_bins and n_invalid > MAX_INVALID_FRACTION * n_bins:
+        raise NumericalError(f"{n_invalid} of {n_bins} bins failed to invert")
 
     sigma_re, sigma_im, sigma_gamma, cov_re_im = _sigma_arrays(_jacobian(inversion), var_y)
 
     if gamma_mode == "pooled":
-        pooled_gamma, pooled_sigma = _pool_gamma(gamma, sigma_gamma, valid)
+        pooled_gamma, pooled_sigma = _pool_gamma(values[2], sigma_gamma, valid)
         if pooled_gamma <= 0.0:
             raise NumericalError("pooled gamma is not positive")
-        re = np.where(valid, inversion.num_re / (2.0 * pooled_gamma), np.nan)
-        im = np.where(valid, inversion.num_im / (2.0 * pooled_gamma), np.nan)
-        gamma = np.where(valid, pooled_gamma, np.nan)
+        values = np.full(values.shape, np.nan)
+        np.divide(inversion.num, 2.0 * pooled_gamma, out=values[:2], where=valid)
+        np.copyto(values[2:], pooled_gamma, where=valid)
         # The numerators are linear in the rates, so the propagation is
         # exact with the pooled gamma held fixed (its own error is
         # negligible after pooling).
@@ -440,9 +448,9 @@ def reconstruct_values(
 
     return ReconstructedTpwf(
         tau=tau,
-        re_psi=re,
-        im_psi=im,
-        gamma=gamma,
+        re_psi=values[0],
+        im_psi=values[1],
+        gamma=values[2],
         sigma_re=sigma_re,
         sigma_im=sigma_im,
         sigma_gamma=sigma_gamma,
@@ -465,11 +473,11 @@ def _estimate_background(ys, var_y, wing_level):
     slope; B follows as wing_level - gamma^2.  Without signal variation
     the two are unidentifiable and the background is taken as zero.
     """
-    _, ybar, num_re, num_im = _rate_terms(*ys)
+    ybar, num = _rate_terms(ys)
     # Weight by the ybar error, Var(ybar) = sum(var_y) / 9, and debias the
     # quadratic by (Var num_re + Var num_im) / 4, which is the same sum / 9.
     var_m = var_y.sum(axis=0) / 9.0
-    c = (num_re**2 + num_im**2) / 4.0 - var_m
+    c = (num[0] ** 2 + num[1] ** 2) / 4.0 - var_m
     used, exact = _weighted(var_m)
     if not used.any():
         return 0.0  # no bin has a finite variance: not identifiable
@@ -500,22 +508,16 @@ def reconstruct_curve(
     the bins cannot be inverted.
     """
     hists = triple.histograms
-    rates = [normalize_g2(h)[0] for h in hists]
+    counts = np.array([h.counts for h in hists], dtype=float)
+    # The g2 of normalize_g2, without its sigmas.
+    rates = counts * np.array([[_g2_scale(h)] for h in hists])
     wing_level = None
     if background_mode == "wing_subtract":
         levels = [background_estimate(h, wing_fraction)[0] for h in hists]
         wing_level = float(np.mean(levels))
-    recon = reconstruct_values(
-        tau=hists[0].bin_centers(),
-        y0=rates[0],
-        y1=rates[1],
-        y2=rates[2],
-        counts0=hists[0].counts,
-        counts1=hists[1].counts,
-        counts2=hists[2].counts,
-        background_mode=background_mode,
-        gamma_mode=gamma_mode,
-        wing_level=wing_level,
+    _check_modes(background_mode, gamma_mode)
+    recon = _reconstruct(
+        hists[0].bin_centers(), rates, counts, background_mode, gamma_mode, wing_level
     )
     recon.meta["acquisition_time"] = hists[0].acquisition_time
     return recon

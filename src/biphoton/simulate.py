@@ -328,11 +328,11 @@ def _spill_ps(config: SimConfig) -> int:
     return math.ceil(spill * PS_PER_SECOND) + 1
 
 
-def _draw_segment(config, sampler, rng, start, stop, spare):
+def _draw_segment(config, sampler, rng, start, stop, spare, duration_ps, spill_ps):
     """The clicks [A, B] of the events in [start, stop) s: per channel an
     int64 array whose first spare entries are left for the caller,
     followed by the channel's unsorted picosecond timestamps, cropped to
-    [0, duration).
+    [0, duration_ps).  spill_ps is the acquisition's _spill_ps.
 
     Each channel's click times are built in one array, pair clicks first
     and then singles, and every later step works in place, chunk by
@@ -371,8 +371,6 @@ def _draw_segment(config, sampler, rng, start, stop, spare):
     # Only the segments within a click spill of either end can hold
     # clicks outside [0, duration): the first and the last, unless the
     # spill is longer than a segment.
-    duration_ps = _check_duration(config.duration, None)[1]
-    spill_ps = _spill_ps(config)
     crop = (seconds_to_ps(start) < spill_ps
             or seconds_to_ps(stop) + spill_ps >= duration_ps)
     bound = _JITTER_BOUND_SIGMAS * config.jitter_sigma
@@ -442,6 +440,8 @@ def generate_blocks(
 def _blocks(config: SimConfig, sampler: PairDelaySampler):
     edges = _segment_edges(config)
     dead_ps = seconds_to_ps(config.dead_time)
+    # Once per acquisition; SimConfig has checked the duration.
+    duration_ps = seconds_to_ps(config.duration)
     spill_ps = _spill_ps(config)
     carry = [np.empty(0, dtype=np.int64)] * 2
     # A start value dead_ps before 0 lets the first click through.
@@ -452,7 +452,8 @@ def _blocks(config: SimConfig, sampler: PairDelaySampler):
         # right before them and the dead-time state in the slot before
         # the carry, and they are merged in place.
         spare = 1 + max(carry[0].size, carry[1].size)
-        bufs = _draw_segment(config, sampler, _segment_rng(config, k), edges[k], edges[k + 1], spare)
+        bufs = _draw_segment(config, sampler, _segment_rng(config, k), edges[k], edges[k + 1],
+                             spare, duration_ps, spill_ps)
         cut = seconds_to_ps(edges[k + 1]) - spill_ps
         block = []
         for ch in (0, 1):

@@ -68,8 +68,8 @@ def central_difference_jacobian(y0, y1, y2, root="larger"):
         minus = [v.copy() for v in y]
         plus[k] = plus[k] + h
         minus[k] = minus[k] - h
-        rp, ip, gp, vp = _invert_arrays(*plus, root=root)[:4]
-        rm, im_, gm, vm = _invert_arrays(*minus, root=root)[:4]
+        (rp, ip, gp), vp = _invert_arrays(np.array(plus), root=root)[:2]
+        (rm, im_, gm), vm = _invert_arrays(np.array(minus), root=root)[:2]
         inv_2h = 1.0 / (2.0 * h)
         bad = ~(vp & vm)
         for i, (p, m) in enumerate(((rp, rm), (ip, im_), (gp, gm))):
@@ -289,7 +289,7 @@ class TestJacobian:
         # Central differences are ill-conditioned on the smaller root,
         # hence its looser tolerance.
         y = self.draws()
-        exact = _jacobian(_invert_arrays(*y, root=root))
+        exact = _jacobian(_invert_arrays(np.array(y), root=root))
         reference = central_difference_jacobian(*y, root=root)
         assert exact.shape == (3, 3, y[0].size)
         assert np.isfinite(exact).all() and np.isfinite(reference).all()
@@ -299,7 +299,7 @@ class TestJacobian:
 
     def test_nan_on_invalid_bins(self):
         y = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-        J = _jacobian(_invert_arrays(*y))
+        J = _jacobian(_invert_arrays(y))
         assert np.isnan(J[..., 0]).all()
         assert np.isfinite(J[..., 1]).all()
 
@@ -321,7 +321,7 @@ class TestJacobian:
             m.setattr(
                 reconstruct_module,
                 "_jacobian",
-                lambda inversion: _jacobian(_invert_arrays(*inversion.y)),
+                lambda inversion: _jacobian(_invert_arrays(inversion.y)),
             )
             expected = reconstruct_values(tau, *rates, *counts, **args)
         seen = []
@@ -441,7 +441,7 @@ class TestSigmaArraysOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_per_bin_jacobian(self, seed):
         ys, var_y = self.rates_and_variances(seed)
-        J = _jacobian(_invert_arrays(*ys))
+        J = _jacobian(_invert_arrays(ys))
         # Exact zeros of either sign, next to infinite variances.
         J[0, 1, ::7] = 0.0
         J[1, 2, 3::11] = -0.0

@@ -705,8 +705,10 @@ class TestSegmentedGenerator:
                     assert ts[0] >= 0 and ts[-1] < duration_ps
         got = self.concat(blocks)
         sampler = PairDelaySampler(setting, self.MODEL, 1.0, cfg.tau_window)
+        spill_ps = simulate._spill_ps(cfg)
         draws = [
-            simulate._draw_segment(cfg, sampler, simulate._segment_rng(cfg, k), edges[k], edges[k + 1], 0)
+            simulate._draw_segment(cfg, sampler, simulate._segment_rng(cfg, k), edges[k],
+                                   edges[k + 1], 0, duration_ps, spill_ps)
             for k in range(edges.size - 1)
         ]
         for ch in (0, 1):
