@@ -231,13 +231,15 @@ def _simulate_setting(config: PipelineConfig, index: int, out_dir: str) -> dict:
     }
 
 
-# Settings simulated at once: one per setting (see _CORRELATE_THREADS).
-_SIMULATE_THREADS = 3
+# The settings of a run, by index into RECONSTRUCTION_PHASES, and those
+# simulated at once: one thread each (see _CORRELATE_THREADS).
+_SETTINGS = range(len(RECONSTRUCTION_PHASES))
+_SIMULATE_THREADS = len(_SETTINGS)
 
 
 def run_simulate(config: PipelineConfig, out_dir: str, only_setting: int | None = None) -> dict:
     """Simulate the analyzer settings (concurrently) and write a manifest."""
-    indices = [only_setting] if only_setting is not None else [0, 1, 2]
+    indices = [only_setting] if only_setting is not None else list(_SETTINGS)
     for index in indices:  # an over-budget run makes no directory
         config.sim_config(index).validate_budget()
     os.makedirs(out_dir, exist_ok=True)
@@ -273,8 +275,8 @@ def _check_manifest_entry(entry) -> _ManifestSetting:
     if not isinstance(entry, dict):
         raise DataError("manifest setting entry must be a JSON object")
     index = bio._field(entry, "index", int, "manifest setting entry")
-    if index not in (0, 1, 2):
-        raise DataError(f"manifest setting index must be 0, 1 or 2, got {index!r}")
+    if index not in _SETTINGS:
+        raise DataError(f"manifest setting index must be 0 to {_SETTINGS[-1]}, got {index!r}")
     doc = f"manifest setting {index}"
     tags = []
     for key in ("tags_a", "tags_b"):
@@ -414,7 +416,7 @@ def _cmd_correlate(args) -> int:
 def _cmd_reconstruct(args) -> int:
     config = _load_config(args)
     if args.input_dir:
-        hist_paths = [os.path.join(args.input_dir, _hist_name(k)) for k in range(3)]
+        hist_paths = [os.path.join(args.input_dir, _hist_name(k)) for k in _SETTINGS]
         out = args.output or os.path.join(args.input_dir, "reconstruction.json")
     else:
         if not (args.hist0 and args.hist1 and args.hist2 and args.output):
@@ -486,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
     p_sim.add_argument("--output-dir", required=True)
     p_sim.add_argument(
-        "--phi-setting", type=int, choices=[0, 1, 2], help="simulate a single setting"
+        "--phi-setting", type=int, choices=_SETTINGS, help="simulate a single setting"
     )
     p_sim.set_defaults(func=_cmd_simulate)
 

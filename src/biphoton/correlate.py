@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,9 +192,9 @@ class CoincidenceHistogram:
     """Binned coincidence counts versus arrival-time difference.
 
     Bin geometry is stored in exact picoseconds; bin_width and
-    bin_centers() give it in seconds for analysis code.  mean_counts
-    optionally records the analytic per-bin expectation when the histogram
-    was produced by the rate-level simulator, for oracle comparisons.
+    bin_centers() give it in seconds for analysis code.  setting is the
+    analyzer the counts were taken at, or None for a plain g2 between two
+    detectors; a PhaseTriple requires it.
     """
 
     bin_width_ps: int
@@ -204,7 +204,6 @@ class CoincidenceHistogram:
     singles_a: int
     singles_b: int
     setting: AnalyzerSetting | None = None
-    mean_counts: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -220,10 +219,6 @@ class CoincidenceHistogram:
             raise DataError("singles totals must be non-negative")
         if sum(self.counts.tolist()) > self.singles_a * self.singles_b:  # int64 sums wrap
             raise DataError("total coincidences exceed singles_a * singles_b")
-        if self.mean_counts is not None:
-            self.mean_counts = np.asarray(self.mean_counts, dtype=float)
-            if self.mean_counts.shape != self.counts.shape:
-                raise ConfigError("mean_counts must match counts in shape")
 
     @property
     def n_bins(self) -> int:

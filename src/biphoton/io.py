@@ -521,7 +521,6 @@ def histogram_to_dict(hist: CoincidenceHistogram) -> dict:
         "singles_b": hist.singles_b,
         "setting": None if hist.setting is None else {
             "theta_rad": hist.setting.theta, "phi_rad": hist.setting.phi},
-        "mean_counts": hist.mean_counts,
     }
 
 
@@ -539,8 +538,6 @@ def histogram_from_dict(obj) -> CoincidenceHistogram:
             setting=None if setting is None else AnalyzerSetting(
                 theta=_field(setting, "theta_rad", float, f"{doc} setting"),
                 phi=_field(setting, "phi_rad", float, f"{doc} setting")),
-            mean_counts=None if obj.get("mean_counts") is None
-            else _field(obj, "mean_counts", np.dtype(float), doc),
         )
     except ConfigError as exc:
         raise DataError(f"malformed histogram document: {exc}") from exc
@@ -549,13 +546,12 @@ def histogram_from_dict(obj) -> CoincidenceHistogram:
 def recon_to_dict(recon: ReconstructedTpwf) -> dict:
     return {
         "format": RECON_FORMAT,
-        "units": {"tau": "s", "psi": "relative", "setting_angles": "rad"},
+        "units": {"tau": "s", "psi": "relative"},
         "tau_s": recon.tau,
         **{name: getattr(recon, name) for name, _ in _PER_BIN_ARRAYS},
         "background": recon.background,
         "background_mode": recon.background_mode,
         "gamma_mode": recon.gamma_mode,
-        "meta": dict(recon.meta),
     }
 
 
@@ -568,7 +564,6 @@ def recon_from_dict(obj) -> ReconstructedTpwf:
             background=_field(obj, "background", float, doc),
             background_mode=_field(obj, "background_mode", str, doc),
             gamma_mode=_field(obj, "gamma_mode", str, doc),
-            meta=dict(_field(obj, "meta", dict, doc)),
         )
     except ConfigError as exc:
         raise DataError(f"malformed reconstruction document: {exc}") from exc

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,8 +215,9 @@ def propagate_errors(y, counts):
 class PhaseTriple:
     """The three coincidence histograms at analyzer phases 0, pi/3, 2*pi/3.
 
-    All three must share bin geometry and acquisition time; settings,
-    when attached, must be the balanced analyzer at the expected phases.
+    All three must share bin geometry and acquisition time, and each must
+    carry its setting, the balanced analyzer at its slot's phase: one in
+    the wrong slot would invert to a wrong psi without any error.
     """
 
     y0: CoincidenceHistogram
@@ -229,9 +230,9 @@ class PhaseTriple:
         for a, b in ((self.y0, self.y1), (self.y0, self.y2)):
             if not math.isclose(a.acquisition_time, b.acquisition_time, rel_tol=1e-9):
                 raise DataError("histograms of a phase triple must share acquisition time")
-        for hist, phi in zip(self.histograms, RECONSTRUCTION_PHASES):
+        for slot, (hist, phi) in enumerate(zip(self.histograms, RECONSTRUCTION_PHASES)):
             if hist.setting is None:
-                continue
+                raise DataError(f"phase-triple histogram y{slot} carries no analyzer setting")
             if not math.isclose(hist.setting.theta, math.pi / 4.0, abs_tol=1e-9):
                 raise DataError("phase-triple histograms must be taken at theta = pi/4")
             if not math.isclose(hist.setting.phi, phi, abs_tol=1e-9):
@@ -268,7 +269,6 @@ class ReconstructedTpwf:
     background: float = 0.0
     background_mode: str = "none"
     gamma_mode: str = "per_bin"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.ndim(self.tau) != 1:
@@ -516,8 +516,6 @@ def reconstruct_curve(
         levels = [background_estimate(h, wing_fraction)[0] for h in hists]
         wing_level = float(np.mean(levels))
     _check_modes(background_mode, gamma_mode)
-    recon = _reconstruct(
+    return _reconstruct(
         hists[0].bin_centers(), rates, counts, background_mode, gamma_mode, wing_level
     )
-    recon.meta["acquisition_time"] = hists[0].acquisition_time
-    return recon

@@ -513,12 +513,11 @@ def rate_level_histogram(
     The per-bin expectation is the pair exposure distributed over the
     interference density plus the accidental floor R_A * R_B * bin_width *
     duration, from the channel click rates that the event-level path
-    draws (_click_rates), at which the singles are drawn too.  The
-    analytic means are kept on the histogram (mean_counts) so tests can
-    compare draws against their own expectation.  Much faster than the
-    event-level path and statistically equivalent when jitter and dead
-    time are off.  The seed-free means are computed once per inputs
-    (_rate_level_means); only the Poisson draws are made per call.
+    draws (_click_rates), at which the singles are drawn too.  Much
+    faster than the event-level path and statistically equivalent when
+    jitter and dead time are off.  The seed-free means are computed once
+    per inputs (_rate_level_means); only the Poisson draws are made per
+    call.
     """
     bw_ps, window_ps = check_binning(bin_width, config.tau_window)
     means, rates = _rate_level_means(
@@ -549,7 +548,6 @@ def rate_level_histogram(
         singles_a=singles_a,
         singles_b=singles_b,
         setting=setting,
-        mean_counts=means.copy(),
     )
 
 

@@ -28,9 +28,9 @@ from biphoton import (
     reconstruct_curve,
     reconstruct_values,
 )
+from helpers import forward_triple
 
 BALANCED = AnalyzerSetting.balanced
-PHASE_FACTORS = [np.exp(-2j * phi) for phi in RECONSTRUCTION_PHASES]
 
 
 def report(number, description, passed, detail=""):
@@ -38,10 +38,6 @@ def report(number, description, passed, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number}: {status} - {description}{suffix}")
     return passed
-
-
-def forward_triple(gamma, psi):
-    return [np.abs(gamma * f - psi) ** 2 for f in PHASE_FACTORS]
 
 
 def test_criterion_1_analytic_inversion_exactness():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from biphoton import io as bio
 from biphoton.cli import _CONFIG_KEYS, MANIFEST_NAME, PipelineConfig, main
+from helpers import forward_triple
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -652,6 +653,26 @@ class TestExitCodes:
         ) == 0
         assert main(["reconstruct", "--config", config, "--input-dir", str(out)]) == 2
 
+    def test_setting_less_histograms_are_two_before_any_file(self, tiny_run, tmp_path, capsys):
+        # Correlated without --phi-rad, a histogram carries no setting, so
+        # nothing shows the phase it was taken at: a phase triple of such
+        # histograms, in any order, is refused.
+        run_dir, _ = tiny_run
+        paths = []
+        for k in range(3):
+            paths.append(str(tmp_path / f"hist_phi{k}.json"))
+            assert main(["correlate", "--tags-a", str(run_dir / f"tags_phi{k}_A.bttg"),
+                         "--tags-b", str(run_dir / f"tags_phi{k}_B.bttg"),
+                         "--duration-s", "0.05", "--output", paths[-1]]) == 0
+        capsys.readouterr()
+        out = tmp_path / "reconstruction.json"
+        for hists in (paths, paths[1:] + paths[:1]):
+            args = ["reconstruct", "--hist0", hists[0], "--hist1", hists[1], "--hist2", hists[2]]
+            assert main([*args, "--output", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "data error: phase-triple histogram y0 carries no analyzer setting\n")
+            assert not out.exists()
+
     def test_numerical_failure_is_three(self, tmp_path):
         # all-zero-signal histograms with nonzero counts in y0 only make
         # every bin fail the radicand check
@@ -851,11 +872,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key", ["background_mode", "gamma_mode"])
     def test_fit_of_a_reconstruction_with_an_unknown_mode_is_two(self, tmp_path, capsys, key):
-        from biphoton import RECONSTRUCTION_PHASES, TpwfModel, reconstruct_values, tpwf_eval
+        from biphoton import TpwfModel, reconstruct_values, tpwf_eval
 
         tau = np.linspace(-100e-9, 100e-9, 41)
         psi = tpwf_eval(TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4), tau)
-        y = [np.abs(1.2 * np.exp(-2j * p) - psi) ** 2 for p in RECONSTRUCTION_PHASES]
+        y = forward_triple(1.2, psi)
         doc = bio.recon_to_dict(reconstruct_values(tau, *y, *(np.rint(1e4 * v) for v in y)))
         recon, fits = tmp_path / "reconstruction.json", tmp_path / "fits.json"
         bio.write_json(recon, doc)
@@ -868,11 +889,11 @@ class TestExitCodes:
         assert not fits.exists()
 
     def test_fit_of_a_reconstruction_with_a_negative_gamma_is_two(self, tmp_path, capsys):
-        from biphoton import RECONSTRUCTION_PHASES, TpwfModel, reconstruct_values, tpwf_eval
+        from biphoton import TpwfModel, reconstruct_values, tpwf_eval
 
         tau = np.linspace(-100e-9, 100e-9, 41)
         psi = tpwf_eval(TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4), tau)
-        y = [np.abs(1.2 * np.exp(-2j * p) - psi) ** 2 for p in RECONSTRUCTION_PHASES]
+        y = forward_triple(1.2, psi)
         doc = bio.recon_to_dict(reconstruct_values(tau, *y, *(np.rint(1e4 * v) for v in y)))
         gamma = doc["gamma"].copy()
         gamma[np.flatnonzero(doc["valid"])[0]] = -1.0
@@ -923,7 +944,8 @@ class TestExitCodes:
 
     def test_degenerate_fit_is_three_after_writing_fits(self, tmp_path):
         # The default config cut to 0.5 s at 2 ns bins, pooled: the
-        # envelope fit ends at a 0.22 ns FWHM.
+        # envelope fit ends at a 0.22 ns FWHM, below one bin, on a flat
+        # direction of its normal matrix, which has no covariance.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"sim": {"duration_s": 0.5}, "reconstruct": {"gamma_mode": "pooled"}}))
         config = str(config)
@@ -932,7 +954,9 @@ class TestExitCodes:
         assert main([*args, "--output-dir", str(out)]) == 3
         envelope = json.loads((out / "fits.json").read_text())["fits"]["envelope"]
         assert envelope["converged"] is False
-        assert "below one bin spacing" in envelope["message"]
+        assert envelope["message"].startswith("singular covariance at optimum")
+        assert envelope["params"]["fwhm"] < 2e-9
+        assert math.isnan(envelope["sigmas"]["fwhm"])
 
     def test_non_utf8_document_is_two(self, tmp_path):
         recon = tmp_path / "recon.json"

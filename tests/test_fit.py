@@ -29,6 +29,7 @@ from biphoton import (
 )
 from biphoton import fit as fit_module
 from biphoton.reconstruct import PhaseTriple
+from helpers import forward_triple
 
 BALANCED = AnalyzerSetting.balanced
 
@@ -36,8 +37,7 @@ BALANCED = AnalyzerSetting.balanced
 def noiseless_recon(model, n_bins=101, span=400e-9, gamma=1.2):
     tau = np.linspace(-span / 2, span / 2, n_bins)
     psi = tpwf_eval(model, tau)
-    y = [np.abs(gamma * np.exp(-2j * phi) - psi) ** 2 for phi in RECONSTRUCTION_PHASES]
-    return reconstruct_values(tau, *y)
+    return reconstruct_values(tau, *forward_triple(gamma, psi))
 
 
 def simulated_recon(
@@ -144,6 +144,12 @@ class TestDoubleExponentialFit:
             warnings.simplefilter("error")
             fit = fit_double_exponential(recon)
         assert fit.params["corr_time"] > 0.0
+        if seed in (1, 3, 5):
+            # These end on a flat direction of the normal matrix, whose
+            # pivot is rounding: 1e-13 or less of its diagonal entry.
+            assert not fit.converged
+            assert fit.message.startswith("singular covariance at optimum")
+            assert all(math.isnan(v) for v in fit.sigmas.values())
 
     def test_too_few_bins_rejected(self):
         model = TpwfModel(amplitude=1.0, corr_time=30e-9)
@@ -639,6 +645,15 @@ class TestLevenbergBranches:
         # gives NaN, which the fit reports as a non-finite error.
         assert fit_module._covariance([[1.0, 2.0], [2.0, 4.0]]) is None
         assert fit_module._covariance([[0.0]]) is None
+        # So is one whose pivot rounding leaves positive but tiny against
+        # its diagonal entry; a pivot above _MIN_RELATIVE_PIVOT counts.
+        for a in (1e10, 1.0, 1e-10):
+            for k in (2, 3):
+                for rho, singular in ((1e-6, False), (1e-10, True)):
+                    c = math.sqrt(1.0 - rho)
+                    A = np.eye(k) * a
+                    A[k - 1, k - 2] = A[k - 2, k - 1] = c * a
+                    assert (fit_module._covariance(A.tolist()) is None) == singular
         assert np.isnan(fit_module._covariance([[1.0, 0.0], [math.nan, 1.0]])).all()
 
     def test_singular_damped_matrix_is_retried(self, monkeypatch):
@@ -874,7 +889,7 @@ class TestConstantPhaseFit:
         psi = tpwf_eval(model, tau)
         outer = np.abs(tau) > 150e-9
         psi[outer] = 0.0
-        y = [np.abs(1.2 * np.exp(-2j * phi) - psi) ** 2 for phi in RECONSTRUCTION_PHASES]
+        y = forward_triple(1.2, psi)
         recon = reconstruct_values(tau, *y)
         assert (recon.power()[outer] == 0.0).all()
         with warnings.catch_warnings():

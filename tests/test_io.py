@@ -41,6 +41,7 @@ from biphoton import (
 from biphoton import correlate, cross_correlate
 from biphoton import io as bio
 from biphoton.cli import main as cli_main
+from helpers import forward_triple
 
 
 def stream(channel, ts, duration=1.0):
@@ -718,7 +719,6 @@ class TestDocuments:
             singles_a=123_456,
             singles_b=654_321,
             setting=AnalyzerSetting.balanced(RECONSTRUCTION_PHASES[1]),
-            mean_counts=np.linspace(0.0, 9.9, 100),
         )
 
     def test_histogram_round_trip(self, tmp_path):
@@ -732,7 +732,27 @@ class TestDocuments:
         assert back.acquisition_time == hist.acquisition_time
         assert back.singles_a == hist.singles_a
         assert back.setting == hist.setting
-        np.testing.assert_array_equal(back.mean_counts, hist.mean_counts)
+
+    def test_older_documents_with_removed_keys_load(self, tmp_path):
+        # Histogram documents once held the rate-level simulator's
+        # mean_counts, and reconstruction documents a meta object.
+        hist = self.make_hist()
+        hist_doc = bio.histogram_to_dict(hist)
+        assert "mean_counts" not in hist_doc
+        path = tmp_path / "hist.json"
+        bio.write_json(path, dict(hist_doc, mean_counts=np.linspace(0.0, 9.9, 100)))
+        back = bio.histogram_from_dict(bio.read_json(path))
+        np.testing.assert_array_equal(back.counts, hist.counts)
+        assert back.setting == hist.setting
+        assert bio.histogram_to_dict(back).keys() == hist_doc.keys()
+
+        recon_doc = _small_recon_document()
+        assert "meta" not in recon_doc
+        path = tmp_path / "recon.json"
+        bio.write_json(path, dict(recon_doc, meta={"acquisition_time": 12.5}))
+        back = bio.recon_from_dict(bio.read_json(path))
+        np.testing.assert_array_equal(back.im_psi, recon_doc["im_psi"])
+        assert bio.recon_to_dict(back).keys() == recon_doc.keys()
 
     @pytest.mark.parametrize("key, value", [
         ("bin_width_ps", 10**30),
@@ -755,7 +775,7 @@ class TestDocuments:
         model = TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4)
         tau = np.linspace(-100e-9, 100e-9, 41)
         psi = tpwf_eval(model, tau)
-        y = [np.abs(1.2 * np.exp(-2j * p) - psi) ** 2 for p in RECONSTRUCTION_PHASES]
+        y = forward_triple(1.2, psi)
         recon = reconstruct_values(tau, *y, gamma_mode="pooled")
         path = tmp_path / "recon.json"
         bio.write_json(path, bio.recon_to_dict(recon))
@@ -830,7 +850,7 @@ class TestDocuments:
         model = TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4)
         tau = np.linspace(-100e-9, 100e-9, 41)
         psi = tpwf_eval(model, tau)
-        y = [np.abs(1.2 * np.exp(-2j * p) - psi) ** 2 for p in RECONSTRUCTION_PHASES]
+        y = forward_triple(1.2, psi)
         fit = fit_double_exponential(reconstruct_values(tau, *y))
         doc = bio.fit_to_dict(fit, "envelope")
         text = bio.dumps_json(doc)
@@ -903,7 +923,7 @@ def mutated_documents(draw, valid):
 def _small_recon_document():
     tau = np.linspace(-100e-9, 100e-9, 5)
     psi = tpwf_eval(TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4), tau)
-    y = [np.abs(1.2 * np.exp(-2j * p) - psi) ** 2 for p in RECONSTRUCTION_PHASES]
+    y = forward_triple(1.2, psi)
     counts = [np.rint(1e3 * v) for v in y]
     return bio.recon_to_dict(reconstruct_values(tau, *y, *counts, gamma_mode="pooled"))
 
@@ -918,7 +938,6 @@ def _small_histogram_document():
             singles_a=100,
             singles_b=90,
             setting=AnalyzerSetting.balanced(RECONSTRUCTION_PHASES[2]),
-            mean_counts=np.array([2.5, 0.5, 6.0, 1.5]),
         )
     )
 

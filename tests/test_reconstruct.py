@@ -2,6 +2,7 @@
 cancellation, error propagation against a bootstrap oracle, and the
 histogram-level reconstruction modes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,14 +30,9 @@ from biphoton import (
 from biphoton import reconstruct as reconstruct_module
 from biphoton.correlate import normalize_g2
 from biphoton.reconstruct import _invert_arrays, _jacobian, _weighted
+from helpers import forward_triple
 
 BALANCED = AnalyzerSetting.balanced
-PHASE_FACTORS = [np.exp(-2j * phi) for phi in RECONSTRUCTION_PHASES]
-
-
-def forward_triple(gamma, psi):
-    """Definitional rates y_k = |gamma exp(-2 i phi_k) - psi|^2."""
-    return [np.abs(gamma * f - psi) ** 2 for f in PHASE_FACTORS]
 
 
 def bootstrap_sigmas(y, counts, n_rep, seed):
@@ -366,7 +362,7 @@ class TestJacobian:
         np.testing.assert_allclose(recon.sigma_gamma, np.full(n, pooled_sigma), rtol=1e-12)
 
 
-def make_hist(counts, duration, singles, phi_index, bin_width_ps=4000, mean=None):
+def make_hist(counts, duration, singles, phi_index, bin_width_ps=4000):
     counts = np.asarray(counts, dtype=np.int64)
     n = counts.size
     return CoincidenceHistogram(
@@ -377,7 +373,6 @@ def make_hist(counts, duration, singles, phi_index, bin_width_ps=4000, mean=None
         singles_a=singles,
         singles_b=singles,
         setting=BALANCED(RECONSTRUCTION_PHASES[phi_index]),
-        mean_counts=mean,
     )
 
 
@@ -394,9 +389,8 @@ def synthetic_triple(model, gamma, n_bins=100, exposure=4e7, background=0.0, see
     # choose singles so that scale = T/(Na*Nb*bw) satisfies scale*counts ~ y
     singles = int(round(math.sqrt(exposure / bw / duration) * duration))
     scale = duration / (singles * singles * bw)
-    for k, phi in enumerate(RECONSTRUCTION_PHASES):
-        y = np.abs(gamma * np.exp(-2j * phi) - psi) ** 2 + background
-        counts = rng.poisson(y / scale)
+    for k, y in enumerate(forward_triple(gamma, psi)):
+        counts = rng.poisson((y + background) / scale)
         hists.append(make_hist(counts, duration, singles, k))
     return PhaseTriple(*hists), centers, psi
 
@@ -502,7 +496,7 @@ class TestReconstructValues:
         gamma = 1.1
         tau = np.linspace(-200e-9, 200e-9, 101)
         psi = tpwf_eval(model, tau)
-        y = [np.abs(gamma * f - psi) ** 2 for f in PHASE_FACTORS]
+        y = forward_triple(gamma, psi)
         for mode in ("per_bin", "pooled"):
             recon = reconstruct_values(tau, *y, gamma_mode=mode)
             assert recon.valid.all()
@@ -524,7 +518,7 @@ class TestReconstructValues:
         gamma, background = 1.0, 0.6
         tau = np.linspace(-300e-9, 300e-9, 151)
         psi = tpwf_eval(model, tau)
-        y = [np.abs(gamma * f - psi) ** 2 + background for f in PHASE_FACTORS]
+        y = [v + background for v in forward_triple(gamma, psi)]
         biased = reconstruct_values(tau, *y, gamma_mode="pooled")
         # without subtraction the signal-free bins return gamma^2 + B, so
         # the pooled value sits at (or slightly above) that level
@@ -548,7 +542,7 @@ class TestReconstructValues:
         gamma, background = 1.5, 0.6
         tau = np.linspace(-300e-9, 300e-9, 151)
         psi = tpwf_eval(model, tau)
-        y = [np.abs(gamma * f - psi) ** 2 + background for f in PHASE_FACTORS]
+        y = [v + background for v in forward_triple(gamma, psi)]
         counts = [np.rint(1e4 * v).astype(np.int64) for v in y]
         counts[0][0] = 0
         recon = reconstruct_values(
@@ -701,6 +695,13 @@ class TestReconstructCurve:
         c = make_hist(np.ones(10), 1.0, 1000, 2)
         with pytest.raises(DataError):
             PhaseTriple(a, b, c)
+
+    @pytest.mark.parametrize("slot", range(3))
+    def test_setting_less_histogram_rejected(self, slot):
+        hists = [make_hist(np.ones(10), 1.0, 1000, k) for k in range(3)]
+        hists[slot] = dataclasses.replace(hists[slot], setting=None)
+        with pytest.raises(DataError, match=f"y{slot} carries no analyzer setting"):
+            PhaseTriple(*hists)
 
 
 class TestBackgroundEstimate:
