@@ -266,7 +266,7 @@ class _ManifestSetting:
     setting: AnalyzerSetting
     tags: tuple[str, str]
     duration: float
-    exposure: float | None
+    exposure: float
 
 
 def _check_manifest_entry(entry) -> _ManifestSetting:
@@ -290,7 +290,7 @@ def _check_manifest_entry(entry) -> _ManifestSetting:
     exposure = (None if entry.get("exposure_s") is None
                 else bio._field(entry, "exposure_s", float, doc))
     try:
-        _check_duration(duration, exposure)
+        exposure, _ = _check_duration(duration, exposure)
         return _ManifestSetting(index, AnalyzerSetting(theta=theta, phi=phi), tuple(tags),
                                 duration, exposure)
     except ConfigError as exc:

@@ -16,15 +16,15 @@ fills one [J | r | f] buffer, whose [J | r] Gram matrix gives the normal
 equations and chi2 together and whose model values f set the next
 pass's weights.  A pass after the first starts from the last pass's
 [J | r], rescaled row by row to the new weights, without evaluating it
-again.  The 2x2 or 3x3 damped systems are solved by one unrolled
-Cholesky factorization on Python floats (Golub & Van Loan, Matrix
-Computations, sec. 4.2), from which the covariance is inverted too: the
-fit makes no LAPACK call.  The first two passes, which only set the
-next weights, stop once the Gauss-Newton decrement puts the point within
-1e-2 sigma of the pass's minimum.  The last pass, every pass on exact
-input, and a pass at a kink of the model end when a step improves chi2
-by at most 1e-12 of it.  The results agree with running every pass to
-that chi2 rule within 5e-3 sigma.
+again.  The damped steps, the visibility fit's normal equations and the
+covariance of both fits are solved by one unrolled Cholesky
+factorization on Python floats (Golub & Van Loan, Matrix Computations,
+sec. 4.2): the module makes no LAPACK call.  The first two passes, which
+only set the next weights, stop once the Gauss-Newton decrement puts the
+point within 1e-2 sigma of the pass's minimum.  The last pass, every
+pass on exact input, and a pass at a kink of the model end when a step
+improves chi2 by at most 1e-12 of it.  The results agree with running
+every pass to that chi2 rule within 5e-3 sigma.
 
 All three fits weight by reconstruct._weighted: points of finite variance
 count, with unit weights and sigma 0 if all of those are 0 (exact input),
@@ -240,11 +240,11 @@ def _levenberg(residual_jac, p0, feasible=None, tol=0.0, M=None):
     return np.array(p), [row[:k] for row in G[:k]], chi2, converged, message, M
 
 
-def _covariance(A):
+def _covariance(A, exact=False):
     """The parameter covariance inv(A), as L^-T L^-1 from the _cholesky
-    factor L of the normal matrix A (a list of k rows); None if a finite
-    A is singular, or numerically so: a pivot below _MIN_RELATIVE_PIVOT
-    of its diagonal entry.  A non-finite A gives NaN."""
+    factor L of the normal matrix A (a list of k rows), 0 on exact input;
+    None if a finite A is singular, or numerically so: a pivot below
+    _MIN_RELATIVE_PIVOT of its diagonal entry.  A non-finite A gives NaN."""
     k = len(A)
     L = _cholesky(A, (0.0,) * k)
     if L is None or any(d * d < _MIN_RELATIVE_PIVOT * A[i][i]  # d0, d1, d2 of L
@@ -252,6 +252,8 @@ def _covariance(A):
         if all(map(math.isfinite, itertools.chain.from_iterable(A))):
             return None
         return np.full((k, k), np.nan)
+    if exact:
+        return np.zeros((k, k))
     d0, l10, d1, l20, l21, d2 = L
     # The rows of L^-1, lower triangular.
     m00, m11, m22 = 1.0 / d0, 1.0 / d1, 1.0 / d2
@@ -426,7 +428,7 @@ def fit_double_exponential(
         # The next pass starts at p from [J | r], reweighted row by row.
         M[:, :-1] *= (w_next / w)[:, np.newaxis]
         w = w_next
-    cov = _covariance(A)
+    cov = _covariance(A, exact)
     if cov is None:
         cov = np.full((len(A), len(A)), np.nan)
         converged = False
@@ -463,12 +465,11 @@ def fit_double_exponential(
     elif fwhm < spacing:
         converged = False
         message = f"{message}; FWHM {fwhm:.3g} s is below one bin spacing ({spacing:.3g} s)"
-    n_free = 3 if free_tc else 2
     return FitResult(
         params=params,
         sigmas=sigmas,
         chi2=chi2,
-        ndof=n - n_free,
+        ndof=n - len(A),
         converged=converged,
         message=message,
         n_points=n,
@@ -541,18 +542,16 @@ def fit_visibility(points) -> FitResult:
 
     points is a sequence of (phi, g2, sigma).  A non-finite phi or g2,
     and a sigma the weighting rule would leave out (negative, NaN, +-inf,
-    or 0 among positive values), is a ConfigError.  Reports the offset,
-    the harmonic amplitude |B| and phase, the visibility |B|/offset, and
-    the phase locations of the fitted extrema.
+    or 0 among positive values), is a ConfigError; phases that leave the
+    normal matrix singular by the _covariance pivot rule are a DataError.
+    Reports the offset, the harmonic amplitude |B| and phase, the
+    visibility |B|/offset, and the phase locations of the fitted extrema.
+    A phase has sigma inf at |B| = 0, and the visibility at |B| = 0 or
+    offset <= 0; every other sigma is 0 on exact input.
     """
-    pts = [(float(p), float(y), float(s)) for p, y, s in points]
-    if not all(math.isfinite(p) and math.isfinite(y) for p, y, _ in pts):
+    phi, y, sig = np.array([(float(p), float(y), float(s)) for p, y, s in points]).reshape(-1, 3).T
+    if not (np.isfinite(phi).all() and np.isfinite(y).all()):
         raise ConfigError("phases and g2 values must be finite")
-    if len({round(p % math.pi, 12) for p, _, _ in pts}) < 3:
-        raise DataError("need at least 3 distinct analyzer phases")
-    phi = np.array([p for p, _, _ in pts])
-    y = np.array([v for _, v, _ in pts])
-    sig = np.array([s for _, _, s in pts])
 
     used, exact = _weighted(sig)
     if not used.all():
@@ -560,17 +559,17 @@ def fit_visibility(points) -> FitResult:
     w = np.ones_like(y) if exact else 1.0 / sig
 
     X = np.column_stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)])
-    Xw = X * w[:, np.newaxis]
-    yw = y * w
-    A = Xw.T @ Xw
-    if np.linalg.cond(A) > 1e12:
-        raise DataError("degenerate design matrix: analyzer phases are not independent")
-    coef = np.linalg.solve(A, Xw.T @ yw)
-    cov = np.linalg.inv(A)
+    # The Gram matrix of the weighted [X | y] holds A = X^T W X and X^T W y.
+    G = _gram(np.column_stack([X, y]) * w[:, np.newaxis], 3)
+    A = [row[:3] for row in G[:3]]
+    cov = _covariance(A, exact)
+    if cov is None or not np.isfinite(cov).all():
+        raise DataError("singular normal matrix: analyzer phases are not independent")
+    coef, _ = _cholesky_solve(A, (0.0, 0.0, 0.0), [row[3] for row in G[:3]])
     resid = (X @ coef - y) * w
     chi2 = float(resid @ resid)
 
-    offset, c_amp, s_amp = (float(v) for v in coef)
+    offset, c_amp, s_amp = coef
     amplitude = math.hypot(c_amp, s_amp)
     harmonic_phase = math.atan2(s_amp, c_amp)
     # y = offset + R*cos(2*phi - delta): max at delta/2, min a quarter
@@ -579,20 +578,20 @@ def fit_visibility(points) -> FitResult:
     phi_min = (phi_max + math.pi / 2.0) % math.pi
     visibility = amplitude / offset if offset > 0.0 else math.inf
 
-    sig_diag = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    def spread(grad):  # the delta-method sigma, grad in (offset, c, s)
+        return math.sqrt(max(float(grad @ cov @ grad), 0.0))
+
+    sig_coef = [spread(e) for e in np.eye(3)]
+    sigma_amp = math.hypot(sig_coef[1], sig_coef[2])
+    sigma_delta = sigma_vis = math.inf
     if amplitude > 0.0:
-        grad_amp = np.array([0.0, c_amp / amplitude, s_amp / amplitude])
-        sigma_amp = float(math.sqrt(max(grad_amp @ cov @ grad_amp, 0.0)))
-        grad_delta = np.array([0.0, -s_amp / amplitude**2, c_amp / amplitude**2])
-        sigma_delta = float(math.sqrt(max(grad_delta @ cov @ grad_delta, 0.0)))
-        grad_vis = np.array(
-            [-amplitude / offset**2, c_amp / (amplitude * offset), s_amp / (amplitude * offset)]
-        )
-        sigma_vis = float(math.sqrt(max(grad_vis @ cov @ grad_vis, 0.0)))
-    else:
-        sigma_amp = float(math.hypot(sig_diag[1], sig_diag[2]))
-        sigma_delta = math.inf
-        sigma_vis = math.inf
+        # The gradients of R, delta and V = R / offset: u = (0, c, s) / R,
+        # (0, -s, c) / R^2 and (u - V e0) / offset.
+        u = np.array([0.0, c_amp, s_amp]) / amplitude
+        sigma_amp = spread(u)
+        sigma_delta = spread(np.array([0.0, -u[2], u[1]]) / amplitude)
+        if offset > 0.0:
+            sigma_vis = spread((u - [visibility, 0.0, 0.0]) / offset)
 
     return FitResult(
         params={
@@ -606,9 +605,9 @@ def fit_visibility(points) -> FitResult:
             "visibility": visibility,
         },
         sigmas={
-            "offset": float(sig_diag[0]),
-            "cos_amplitude": float(sig_diag[1]),
-            "sin_amplitude": float(sig_diag[2]),
+            "offset": sig_coef[0],
+            "cos_amplitude": sig_coef[1],
+            "sin_amplitude": sig_coef[2],
             "amplitude": sigma_amp,
             "harmonic_phase": sigma_delta,
             "phi_max": sigma_delta / 2.0,
@@ -616,9 +615,9 @@ def fit_visibility(points) -> FitResult:
             "visibility": sigma_vis,
         },
         chi2=chi2,
-        ndof=max(len(pts) - 3, 0),
+        ndof=phi.size - 3,
         converged=True,
-        message=f"linear harmonic fit over {len(pts)} points",
-        n_points=len(pts),
+        message=f"linear harmonic fit over {phi.size} points",
+        n_points=phi.size,
         residuals=resid,
     )

@@ -136,11 +136,12 @@ def _click_rates(pair_rate, singles_rate_a, singles_rate_b, rate_factor):
             max(pair_rate + singles_rate_b, pair_rate * rate_factor))
 
 
-def _check_seed(seed):
-    """The one seed rule: a non-negative int and no bool, checked in plain
-    Python so that a caller need not load numpy.random to check it."""
+def _check_seed(seed, name="seed"):
+    """The one seed rule, for a seed or a setting index (name): a
+    non-negative int and no bool, checked in plain Python so that a
+    caller need not load numpy.random to check it."""
     if isinstance(seed, bool) or not (isinstance(seed, int) and seed >= 0):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 def derive_setting_seed(seed: int, setting_index: int) -> int:
@@ -150,6 +151,7 @@ def derive_setting_seed(seed: int, setting_index: int) -> int:
     RNG state; results do not depend on execution order.
     """
     _check_seed(seed)
+    _check_seed(setting_index, "setting_index")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(setting_index,))
     return int(ss.generate_state(1, np.uint64)[0])
 

@@ -98,6 +98,17 @@ def config_dicts():
     )
 
 
+def test_readme_library_quick_start(capsys):
+    # README's "Library quick start" block runs as written and prints the
+    # fitted phase (0.9 rad set) and intensity FWHM (27.2 ns set).
+    text = README.read_text().split("## Library quick start", 1)[1]
+    block = text.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    phase, fwhm_ns = map(float, capsys.readouterr().out.split())
+    assert phase == pytest.approx(0.9, abs=0.1)
+    assert fwhm_ns == pytest.approx(27.2, rel=0.1)
+
+
 class TestPipelineConfig:
     def test_defaults_round_trip(self):
         config = PipelineConfig()

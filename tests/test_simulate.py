@@ -153,6 +153,12 @@ class TestGenerateStream:
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             derive_setting_seed(seed, 0)
 
+    @pytest.mark.parametrize("index", [-1, 1.5, True, "1"])
+    def test_setting_index_rule(self, index):
+        # The seed rule holds for the index too: True is not index 1.
+        with pytest.raises(ConfigError, match="setting_index must be a non-negative integer"):
+            derive_setting_seed(7, index)
+
     def test_derived_seeds_differ_by_setting(self):
         seeds = {derive_setting_seed(1234, k) for k in range(3)}
         assert len(seeds) == 3
