@@ -11,6 +11,7 @@ neighbours.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import closing
 from dataclasses import dataclass
@@ -51,6 +52,10 @@ _BLOCK_RECORDS = 2**16
 # take few steps.
 _SUB_CHUNK = 2**14
 
+_INT64_MAX = 2**63 - 1
+# Bin-centre arrays kept by _bin_centers; a many-seed study reads one.
+_CENTER_CACHE_ENTRIES = 8
+
 
 def seconds_to_ps(t: float) -> int:
     return int(round(t * PS_PER_SECOND))
@@ -80,10 +85,14 @@ def check_binning(bin_width: float, tau_max: float) -> tuple[int, int]:
     return bw_ps, tmax_ps
 
 
+@functools.lru_cache(maxsize=_CENTER_CACHE_ENTRIES)
 def _bin_centers(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
-    """Centres (s) of n_bins bins of bin_width_ps from tau_min_ps on."""
+    """Centres (s) of n_bins bins of bin_width_ps from tau_min_ps on, as a
+    read-only array computed once per binning."""
     edges = tau_min_ps + bin_width_ps * np.arange(n_bins, dtype=np.int64)
-    return (edges + 0.5 * bin_width_ps) / PS_PER_SECOND
+    centers = (edges + 0.5 * bin_width_ps) / PS_PER_SECOND
+    centers.flags.writeable = False
+    return centers
 
 
 def _channel_code(channel) -> int:
@@ -206,18 +215,26 @@ class CoincidenceHistogram:
     setting: AnalyzerSetting | None = None
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1 or self.counts.size == 0:
+        counts = self.counts = np.asarray(self.counts, dtype=np.int64)
+        n = counts.size
+        if counts.ndim != 1 or not n:
             raise ConfigError("counts must be a non-empty 1-d array")
         if not -_LIMIT_PS < self.tau_min_ps < self.tau_max_ps < _LIMIT_PS:
             raise ConfigError("bins must be of positive width and lie within +-2**62 ps")
-        if (self.counts < 0).any():
+        # Read as uint64, a negative count is 2**63 or more: one scan
+        # finds both a negative count and the largest one.
+        peak = int(counts.view(np.uint64).max())
+        if peak > _INT64_MAX:
             raise DataError("counts must be non-negative")
-        if not self.acquisition_time > 0.0:
-            raise ConfigError("acquisition_time must be > 0")
-        if self.singles_a < 0 or self.singles_b < 0:
-            raise DataError("singles totals must be non-negative")
-        if sum(self.counts.tolist()) > self.singles_a * self.singles_b:  # int64 sums wrap
+        if not 0.0 < self.acquisition_time < math.inf:
+            raise ConfigError(f"acquisition_time must be finite and > 0, got {self.acquisition_time}")
+        for name in ("singles_a", "singles_b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= 0):
+                raise DataError(f"{name} must be a non-negative integer, got {value!r}")
+        # The int64 sum wraps only where n * peak could pass 2**63 - 1.
+        total = int(counts.sum()) if peak <= _INT64_MAX // n else sum(counts.tolist())
+        if total > self.singles_a * self.singles_b:
             raise DataError("total coincidences exceed singles_a * singles_b")
 
     @property
@@ -233,7 +250,7 @@ class CoincidenceHistogram:
         return self.bin_width_ps / PS_PER_SECOND
 
     def bin_centers(self) -> np.ndarray:
-        """Bin-center tau values in seconds."""
+        """Bin-center tau values in seconds, as a read-only array."""
         return _bin_centers(self.tau_min_ps, self.bin_width_ps, self.n_bins)
 
     def same_binning(self, other: "CoincidenceHistogram") -> bool:

@@ -75,9 +75,9 @@ _NUM_GRAD = np.array([[-2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], [0.0, 1.0 / SQRT3, -1.
 
 
 #: What _invert_arrays returns: values, the results re, im and gamma
-#: stacked (NaN on invalid bins), valid, and the terms of the stacked
-#: rates y it computes them from (_rate_terms).
-_Inversion = namedtuple("_Inversion", "values valid y ybar num")
+#: stacked (NaN on invalid bins), valid, the terms of the stacked rates y
+#: it computes them from (_rate_terms), and two_gamma = 2*gamma.
+_Inversion = namedtuple("_Inversion", "values valid y ybar num two_gamma")
 
 
 def _rate_terms(y):
@@ -85,13 +85,22 @@ def _rate_terms(y):
     num = (2*gamma*Re psi, 2*gamma*Im psi), stacked, in forms in which a
     common additive shift of (y0, y1, y2) cancels exactly in floating
     point, not only algebraically."""
-    ybar = (y[0] + y[1] + y[2]) / 3.0
-    return ybar, np.array([(y[1] + y[2] - 2.0 * y[0]) / 3.0, (y[1] - y[2]) / SQRT3])
+    # A sum over the leading axis of a (3, n) array adds its rows in
+    # order: y0 + y1 + y2.
+    ybar = y.sum(axis=0)
+    ybar /= 3.0
+    num = np.empty((2,) + ybar.shape)
+    np.add(y[1], y[2], out=num[0])
+    num[0] -= 2.0 * y[0]
+    num[0] /= 3.0
+    np.subtract(y[1], y[2], out=num[1])
+    num[1] /= SQRT3
+    return ybar, num
 
 
 def _invert_arrays(y, root="larger"):
-    """Vectorized closed-form inversion of the rates y, a float array
-    stacked on a leading axis of 3.
+    """Vectorized closed-form inversion of the rates y, a (3, n) float
+    array, one column per bin.
 
     Returns an _Inversion.  Invalid bins (radicand below tolerance, or
     gamma = 0) carry NaN results and valid = False.
@@ -100,21 +109,27 @@ def _invert_arrays(y, root="larger"):
         raise ConfigError(f"root must be 'larger' or 'smaller', got {root!r}")
     ybar, num = _rate_terms(y)
 
-    ybar_sq = ybar**2
-    radicand = 3.0 * ybar_sq - (2.0 / 3.0) * (y[0] ** 2 + y[1] ** 2 + y[2] ** 2)
+    ybar_sq = np.square(ybar)
+    radicand = np.square(y).sum(axis=0)
+    radicand *= 2.0 / 3.0
+    np.subtract(3.0 * ybar_sq, radicand, out=radicand)
     valid = radicand >= -RADICAND_REL_TOL * ybar_sq
-    root_term = np.sqrt(np.maximum(radicand, 0.0))
+    root_term = np.maximum(radicand, 0.0, out=radicand)
+    np.sqrt(root_term, out=root_term)
     if root == "larger":
-        gamma_sq = 0.5 * (ybar + root_term)
+        gamma = np.add(ybar, root_term, out=root_term)
     else:
-        gamma_sq = 0.5 * (ybar - root_term)
-    gamma = np.sqrt(np.maximum(gamma_sq, 0.0))
-    valid = valid & (gamma > 0.0)
+        gamma = np.subtract(ybar, root_term, out=root_term)
+    gamma *= 0.5  # gamma^2
+    np.maximum(gamma, 0.0, out=gamma)
+    np.sqrt(gamma, out=gamma)
+    valid &= gamma > 0.0
 
+    two_gamma = 2.0 * gamma
     values = np.full((3,) + ybar.shape, np.nan)
-    np.divide(num, 2.0 * gamma, out=values[:2], where=valid)
-    np.copyto(values[2:], gamma, where=valid)
-    return _Inversion(values, valid, y, ybar, num)
+    np.divide(num, two_gamma, out=values[:2], where=valid)
+    np.copyto(values[2], gamma, where=valid)
+    return _Inversion(values, valid, y, ybar, num, two_gamma)
 
 
 def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
@@ -125,13 +140,13 @@ def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
     """
     if y0 < 0.0 or y1 < 0.0 or y2 < 0.0:
         raise ConfigError("rates must be non-negative")
-    values, valid = _invert_arrays(np.array([y0, y1, y2], dtype=float), root=root)[:2]
-    if not bool(valid):
+    values, valid = _invert_arrays(np.array([[y0], [y1], [y2]], dtype=float), root=root)[:2]
+    if not valid[0]:
         raise InvalidBinError(
             f"(y0, y1, y2) = ({y0}, {y1}, {y2}) cannot be inverted: negative "
             "radicand beyond tolerance or zero reference amplitude"
         )
-    return tuple(float(v) for v in values)
+    return tuple(float(v) for v in values[:, 0])
 
 
 def _jacobian(inversion):
@@ -139,8 +154,8 @@ def _jacobian(inversion):
 
     inversion is what _invert_arrays returns; the rates, their mean and
     the results are taken from it.  Vectorized over bins: returns J with
-    shape (3, 3) + ybar.shape, J[i, k] the derivative of output i w.r.t.
-    input k, NaN on invalid bins.
+    shape (3, 3, n), J[i, k] the derivative of output i w.r.t. input k,
+    NaN on invalid bins.
 
     With s = 2*gamma^2 - ybar, which is +sqrt(R) for the larger root and
     -sqrt(R) for the smaller one, and dR/dy_k = 2*ybar - (4/3)*y_k,
@@ -151,14 +166,24 @@ def _jacobian(inversion):
     rows at once.  The derivatives diverge as s -> 0, where the two roots
     meet.
     """
-    values, _, y, ybar, _ = inversion
-    gamma = values[2, ...]  # an array also for one bin: x**2 of a float64 scalar is pow()
-    grad = _NUM_GRAD.reshape(_NUM_GRAD.shape + (1,) * ybar.ndim)
+    values, _, y, ybar, _, two_gamma = inversion
     J = np.empty((3, 3) + ybar.shape, dtype=float)
+    # Each row is built in place, operation for operation as
+    # J[2] = (1/3 + (2*ybar - (4/3)*y) / (2*s)) / (4*gamma) and
+    # J[:2] = (grad - 2*values[:2] * J[2]) / (2*gamma).
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = 2.0 * gamma**2 - ybar
-        np.divide(1.0 / 3.0 + (2.0 * ybar - (4.0 / 3.0) * y) / (2.0 * s), 4.0 * gamma, out=J[2])
-        np.divide(grad - 2.0 * values[:2, np.newaxis] * J[2], 2.0 * gamma, out=J[:2])
+        two_s = np.square(values[2])
+        two_s *= 2.0
+        two_s -= ybar  # s
+        two_s *= 2.0
+        d = np.multiply(4.0 / 3.0, y, out=J[2])
+        np.subtract(2.0 * ybar, d, out=d)
+        d /= two_s
+        d += 1.0 / 3.0
+        d /= 2.0 * two_gamma
+        np.multiply(2.0 * values[:2, np.newaxis], d, out=J[:2])
+        np.subtract(_NUM_GRAD[..., np.newaxis], J[:2], out=J[:2])
+        J[:2] /= two_gamma
     return J
 
 
@@ -174,12 +199,14 @@ def _sigma_arrays(J, var_y):
     np.multiply(J[0], J[1], out=prod[3])
     # A J shared by every bin broadcasts over them.
     prod = prod.reshape(prod.shape + (1,) * (np.ndim(var_y) - prod.ndim + 1))
+    # A rate that an output does not depend on adds nothing to its error,
+    # even when that rate's variance is infinite (zero counts): its term
+    # stays 0.
+    terms = np.zeros(np.broadcast_shapes(prod.shape, np.shape(var_y)))
+    np.multiply(prod, var_y, out=terms, where=prod != 0.0)
     with np.errstate(invalid="ignore"):
-        terms = prod * var_y
-        # A rate that an output does not depend on adds nothing to its
-        # error, even when that rate's variance is infinite (zero counts).
-        np.copyto(terms, 0.0, where=prod == 0.0)
-        total = 0 + terms[:, 0] + terms[:, 1] + terms[:, 2]
+        # Over the rate axis, in order, from an initial 0.
+        total = np.add.reduce(terms, axis=1, initial=0.0)
     sigma = np.sqrt(total[:3])
     return sigma[0], sigma[1], sigma[2], total[3]
 
@@ -207,8 +234,9 @@ def propagate_errors(y, counts):
     y = np.asarray(y, dtype=float)
     if y.shape != (3,) or np.shape(counts) != (3,):
         raise ConfigError("y and counts must each hold three values")
-    sig = _sigma_arrays(_jacobian(_invert_arrays(y)), _rate_variances(y, counts))[:3]
-    return tuple(float(v) for v in sig)
+    y = y.reshape(3, 1)  # one bin
+    sig = _sigma_arrays(_jacobian(_invert_arrays(y)), _rate_variances(y, np.reshape(counts, (3, 1))))[:3]
+    return tuple(float(v[0]) for v in sig)
 
 
 @dataclass(frozen=True)
@@ -385,6 +413,8 @@ def reconstruct_values(
     """
     _check_modes(background_mode, gamma_mode)
     tau = np.asarray(tau, dtype=float)
+    if tau.ndim != 1:  # the inversion runs on (3, n) stacks
+        raise ConfigError("tau must be a 1-d array")
     ys = [np.asarray(v, dtype=float) for v in (y0, y1, y2)]
     for v in ys:
         if v.shape != tau.shape:

@@ -70,6 +70,8 @@ _CHUNK = 2**13
 # Timing jitter is clipped at this many sigmas (a two-sided tail of
 # 1.2e-15), which bounds how far a click lands from its event.
 _JITTER_BOUND_SIGMAS = 8.0
+# The name under which SimConfig checks click_spill() as a tag-axis time.
+_SPILL_NAME = f"tau_window / 2 + {_JITTER_BOUND_SIGMAS:g} * jitter_sigma"
 # Rate-level mean arrays kept by _rate_level_means; a many-seed study of
 # one config needs one per analyzer setting.
 _MEAN_CACHE_ENTRIES = 8
@@ -108,7 +110,7 @@ class SimConfig:
         _time_ps("dead_time", self.dead_time)
         if not self.tau_window > 0.0:
             raise ConfigError("tau_window must be > 0")
-        _time_ps(f"tau_window / 2 + {_JITTER_BOUND_SIGMAS:g} * jitter_sigma", self.click_spill())
+        _time_ps(_SPILL_NAME, self.click_spill())
 
     def click_spill(self) -> float:
         """Largest distance (s) from an event to one of its clicks:

@@ -362,6 +362,42 @@ class TestNormalize:
         with pytest.raises(DataError, match="singles_a \\* singles_b"):
             CoincidenceHistogram(4000, -6000, np.full(3, 2**62), 1.0, 10, 10)
 
+    def test_counts_bounded_by_singles_product_exactly(self):
+        # Below the wrap bound the int64 sum is the total: equal to the
+        # singles product is accepted, one more is refused.
+        CoincidenceHistogram(4000, -4000, np.array([6, 3]), 1.0, 3, 3)
+        with pytest.raises(DataError, match="singles_a \\* singles_b"):
+            CoincidenceHistogram(4000, -4000, np.array([6, 4]), 1.0, 3, 3)
+
+    @pytest.mark.parametrize("counts", [[1, -1], [-(2**63), 0], [2**62, -1, 2**62]])
+    def test_negative_counts_rejected(self, counts):
+        with pytest.raises(DataError, match="counts must be non-negative"):
+            CoincidenceHistogram(4000, -4000 * (len(counts) // 2), np.array(counts), 1.0, 10, 10)
+
+    @pytest.mark.parametrize("acquisition_time", [math.inf, math.nan, 0.0, -1.0])
+    def test_acquisition_time_must_be_finite_and_positive(self, acquisition_time):
+        # An infinite acquisition time gave g2 = inf in every bin.
+        with pytest.raises(ConfigError, match="acquisition_time must be finite and > 0"):
+            CoincidenceHistogram(4000, -8000, np.ones(4, dtype=np.int64), acquisition_time, 10, 10)
+
+    @pytest.mark.parametrize("singles", [10.5, True, -1, "10", np.int64(10), None])
+    @pytest.mark.parametrize("channel", ["singles_a", "singles_b"])
+    def test_singles_must_be_non_negative_integers(self, singles, channel):
+        # The seed rule: an int and no bool (10.5 and True were accepted).
+        kwargs = {"singles_a": 10, "singles_b": 10, channel: singles}
+        with pytest.raises(DataError, match=f"{channel} must be a non-negative integer"):
+            CoincidenceHistogram(4000, -8000, np.ones(4, dtype=np.int64), 1.0, **kwargs)
+
+    def test_bin_centers_are_shared_and_read_only(self):
+        # Computed once per binning: every histogram of the same bins
+        # returns the same read-only array.
+        a = CoincidenceHistogram(4000, -8000, np.ones(4, dtype=np.int64), 1.0, 10, 10)
+        b = CoincidenceHistogram(4000, -8000, np.zeros(4, dtype=np.int64), 2.0, 10, 10)
+        assert a.bin_centers() is b.bin_centers()
+        assert list(a.bin_centers()) == [-6e-9, -2e-9, 2e-9, 6e-9]
+        with pytest.raises(ValueError):
+            a.bin_centers()[0] = 0.0
+
 
 class TestGate:
     def test_identity_when_fully_open(self):

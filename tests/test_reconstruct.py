@@ -272,6 +272,23 @@ class TestPropagateErrors:
             )
 
 
+    def test_single_bin_paths_equal_the_vector_path_bit_for_bit(self):
+        # One bin travels as a (3, 1) stack down the vector path, so its
+        # rates are summed in the same order: before, about 1 bin in
+        # 1,000 differed from reconstruct_values in the last digit.
+        rng = np.random.default_rng(31)
+        n = 10_000
+        psi = rng.uniform(0.0, 0.9, n) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        ys = np.array(forward_triple(1.0, psi))
+        counts = rng.integers(1, 1000, (3, n))
+        recon = reconstruct_values(np.zeros(n), *ys, *counts)
+        for i in range(n):
+            y = [float(v) for v in ys[:, i]]
+            assert reconstruct_bin(*y) == (recon.re_psi[i], recon.im_psi[i], recon.gamma[i])
+            assert propagate_errors(y, counts[:, i]) == (
+                recon.sigma_re[i], recon.sigma_im[i], recon.sigma_gamma[i])
+
+
 class TestJacobian:
     @staticmethod
     def draws(n=100_000, seed=45):
@@ -491,6 +508,11 @@ class TestSigmaArraysOracle:
 
 
 class TestReconstructValues:
+    @pytest.mark.parametrize("shape", [(), (2, 2)])
+    def test_tau_must_be_one_dimensional(self, shape):
+        with pytest.raises(ConfigError, match="tau must be a 1-d array"):
+            reconstruct_values(np.zeros(shape), *(np.ones(shape),) * 3)
+
     def test_noiseless_round_trip(self):
         model = TpwfModel(amplitude=0.8, corr_time=39.3e-9, tau_offset=3e-9, phase=0.9)
         gamma = 1.1
