@@ -541,7 +541,7 @@ def main(argv=None) -> int:
         loc = f" at byte {exc.byte_offset}" if exc.byte_offset is not None else ""
         print(f"data error{loc}: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, BiphotonError) as exc:
+    except BiphotonError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

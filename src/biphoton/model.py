@@ -167,8 +167,8 @@ def forward_g2(setting: AnalyzerSetting, gamma, psi, background: float = 0.0):
     the interference term by sin(2*theta)^2.  With psi = 0 the rate is
     flat in phi.
     """
-    if not background >= 0.0:
-        raise ConfigError(f"background must be >= 0, got {background}")
+    if not 0.0 <= background < math.inf:
+        raise ConfigError(f"background must be finite and >= 0, got {background}")
     amp = forward_two_photon_amplitude(setting, gamma, psi)
     result = 4.0 * np.abs(amp) ** 2 + background
     if np.ndim(result) == 0:
@@ -208,8 +208,8 @@ def bandwidth_to_corr_time(fwhm_hz: float) -> float:
     maximum transforms to the envelope exp(-pi*delta_nu*|tau|), so the
     decay time is 1/(pi*delta_nu).
     """
-    if not fwhm_hz > 0.0:
-        raise ConfigError(f"bandwidth must be > 0, got {fwhm_hz}")
+    if not 0.0 < fwhm_hz < math.inf:
+        raise ConfigError(f"bandwidth must be finite and > 0, got {fwhm_hz}")
     return 1.0 / (math.pi * fwhm_hz)
 
 

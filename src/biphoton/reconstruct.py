@@ -21,11 +21,12 @@ corrects.  Both numerators are computed in a form where the common shift
 cancels exactly, not just to rounding.
 
 Poisson errors are propagated to first order through the closed-form
-derivatives of the inversion (_jacobian); _rate_variances is the one rule
-for the rate variances, and _sigma_arrays the one place that turns them
-into sigmas and the re/im covariance.  The three rates and counts travel
-stacked as (3, n) arrays down the one path _invert_arrays -> _jacobian ->
-_sigma_arrays.
+derivatives of the inversion (_jacobian); _check_rates is the one rule
+for the rates given to reconstruct_bin, reconstruct_values and
+propagate_errors, _rate_variances the one rule for the rate variances,
+and _sigma_arrays the one place that turns them into sigmas and the
+re/im covariance.  The three rates and counts travel stacked as (3, n)
+arrays down the one path _invert_arrays -> _jacobian -> _sigma_arrays.
 """
 
 from __future__ import annotations
@@ -138,9 +139,9 @@ def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
     Raises InvalidBinError when the radicand is negative beyond tolerance
     or the reference amplitude comes out zero.
     """
-    if y0 < 0.0 or y1 < 0.0 or y2 < 0.0:
-        raise ConfigError("rates must be non-negative")
-    values, valid = _invert_arrays(np.array([[y0], [y1], [y2]], dtype=float), root=root)[:2]
+    y = np.array([[y0], [y1], [y2]], dtype=float)
+    _check_rates(y)
+    values, valid = _invert_arrays(y, root=root)[:2]
     if not valid[0]:
         raise InvalidBinError(
             f"(y0, y1, y2) = ({y0}, {y1}, {y2}) cannot be inverted: negative "
@@ -189,7 +190,7 @@ def _jacobian(inversion):
 
 def _sigma_arrays(J, var_y):
     """First-order propagation of independent rate variances var_y[k]
-    through J (as returned by _jacobian, or a (3, 3) J shared by every
+    through J (as returned by _jacobian, or a (3, 3, 1) J shared by every
     bin).  Returns (sigma_re, sigma_im, sigma_gamma, cov_re_im).
 
     The three variances and the covariance are summed at once over the
@@ -197,8 +198,6 @@ def _sigma_arrays(J, var_y):
     prod = np.empty((4,) + J.shape[1:])
     np.multiply(J, J, out=prod[:3])
     np.multiply(J[0], J[1], out=prod[3])
-    # A J shared by every bin broadcasts over them.
-    prod = prod.reshape(prod.shape + (1,) * (np.ndim(var_y) - prod.ndim + 1))
     # A rate that an output does not depend on adds nothing to its error,
     # even when that rate's variance is infinite (zero counts): its term
     # stays 0.
@@ -209,6 +208,12 @@ def _sigma_arrays(J, var_y):
         total = np.add.reduce(terms, axis=1, initial=0.0)
     sigma = np.sqrt(total[:3])
     return sigma[0], sigma[1], sigma[2], total[3]
+
+
+def _check_rates(ys):
+    """The one rule for input rates: every rate finite and >= 0."""
+    if not np.all((ys >= 0.0) & (ys < np.inf)):
+        raise ConfigError("rates must be finite and >= 0")
 
 
 def _rate_variances(ys, counts):
@@ -234,6 +239,7 @@ def propagate_errors(y, counts):
     y = np.asarray(y, dtype=float)
     if y.shape != (3,) or np.shape(counts) != (3,):
         raise ConfigError("y and counts must each hold three values")
+    _check_rates(y)
     y = y.reshape(3, 1)  # one bin
     sig = _sigma_arrays(_jacobian(_invert_arrays(y)), _rate_variances(y, np.reshape(counts, (3, 1))))[:3]
     return tuple(float(v[0]) for v in sig)
@@ -405,6 +411,7 @@ def reconstruct_values(
 ) -> ReconstructedTpwf:
     """Reconstruct from normalized rate arrays (the histogram-free core).
 
+    Every rate must be finite and >= 0 (ConfigError otherwise).
     The three counts arrays, given together, set the Poisson errors;
     without them the input is exact and every valid bin's sigma is zero.
     wing_level feeds the background subtraction when background_mode is
@@ -419,6 +426,8 @@ def reconstruct_values(
     for v in ys:
         if v.shape != tau.shape:
             raise ConfigError("rate arrays must match tau in shape")
+    ys = np.array(ys)
+    _check_rates(ys)
 
     given = [c is not None for c in (counts0, counts1, counts2)]
     if any(given) and not all(given):
@@ -429,7 +438,7 @@ def reconstruct_values(
         if any(c.shape != tau.shape for c in counts):
             raise ConfigError("counts arrays must match tau in shape")
         counts = np.array(counts, dtype=float)
-    return _reconstruct(tau, np.array(ys), counts, background_mode, gamma_mode, wing_level)
+    return _reconstruct(tau, ys, counts, background_mode, gamma_mode, wing_level)
 
 
 def _reconstruct(tau, ys, counts, background_mode, gamma_mode, wing_level):
@@ -473,7 +482,7 @@ def _reconstruct(tau, ys, counts, background_mode, gamma_mode, wing_level):
         # negligible after pooling).
         J = np.zeros((3, 3))
         J[:2] = _NUM_GRAD / (2.0 * pooled_gamma)
-        sigma_re, sigma_im, _, cov_re_im = _sigma_arrays(J, var_y)
+        sigma_re, sigma_im, _, cov_re_im = _sigma_arrays(J[..., np.newaxis], var_y)
         sigma_gamma = np.full(n_bins, pooled_sigma)
 
     return ReconstructedTpwf(

@@ -10,7 +10,6 @@ import pytest
 from scipy import stats
 
 from biphoton import (
-    AnalyzerSetting,
     PhaseTriple,
     RECONSTRUCTION_PHASES,
     SimConfig,
@@ -28,9 +27,7 @@ from biphoton import (
     reconstruct_curve,
     reconstruct_values,
 )
-from helpers import forward_triple
-
-BALANCED = AnalyzerSetting.balanced
+from helpers import BALANCED, forward_triple
 
 
 def report(number, description, passed, detail=""):

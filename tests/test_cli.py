@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from biphoton import io as bio
 from biphoton.cli import _CONFIG_KEYS, MANIFEST_NAME, PipelineConfig, main
-from helpers import forward_triple
+from helpers import forward_triple, phase_histogram
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -687,21 +687,9 @@ class TestExitCodes:
     def test_numerical_failure_is_three(self, tmp_path):
         # all-zero-signal histograms with nonzero counts in y0 only make
         # every bin fail the radicand check
-        from biphoton import CoincidenceHistogram
-        from biphoton.model import AnalyzerSetting, RECONSTRUCTION_PHASES
-
         out = tmp_path
-        for k, phi in enumerate(RECONSTRUCTION_PHASES):
-            counts = np.full(20, 50 if k == 0 else 0, dtype=np.int64)
-            hist = CoincidenceHistogram(
-                bin_width_ps=4000,
-                tau_min_ps=-40_000,
-                counts=counts,
-                acquisition_time=1.0,
-                singles_a=1000,
-                singles_b=1000,
-                setting=AnalyzerSetting.balanced(phi),
-            )
+        for k in range(3):
+            hist = phase_histogram(np.full(20, 50 if k == 0 else 0), 1.0, 1000, k)
             bio.write_json(out / f"hist_phi{k}.json", bio.histogram_to_dict(hist))
         assert main(["reconstruct", "--input-dir", str(out)]) == 3
 
@@ -711,20 +699,8 @@ class TestExitCodes:
         ("tau_min_ps", -10**30),
     ])
     def test_histogram_bins_beyond_2_62_ps_are_two(self, tmp_path, capsys, key, value):
-        from biphoton import CoincidenceHistogram
-        from biphoton.model import AnalyzerSetting, RECONSTRUCTION_PHASES
-
-        for k, phi in enumerate(RECONSTRUCTION_PHASES):
-            hist = CoincidenceHistogram(
-                bin_width_ps=4000,
-                tau_min_ps=-8000,
-                counts=np.array([30, 50, 40, 20]),
-                acquisition_time=1.0,
-                singles_a=1000,
-                singles_b=1000,
-                setting=AnalyzerSetting.balanced(phi),
-            )
-            doc = bio.histogram_to_dict(hist)
+        for k in range(3):
+            doc = bio.histogram_to_dict(phase_histogram([30, 50, 40, 20], 1.0, 1000, k))
             doc[key] = value
             bio.write_json(tmp_path / f"hist_phi{k}.json", doc)
         assert main(["reconstruct", "--input-dir", str(tmp_path)]) == 2
@@ -921,19 +897,8 @@ class TestExitCodes:
 
     def test_histogram_counts_beyond_the_singles_product_are_two(self, tmp_path, capsys):
         # 3 * 2**62 summed in int64 reads -2**62, below 10 * 10.
-        from biphoton import CoincidenceHistogram
-        from biphoton.model import AnalyzerSetting, RECONSTRUCTION_PHASES
-
-        for k, phi in enumerate(RECONSTRUCTION_PHASES):
-            hist = CoincidenceHistogram(
-                bin_width_ps=4000,
-                tau_min_ps=-6000,
-                counts=np.array([3, 5, 4]),
-                acquisition_time=1.0,
-                singles_a=10,
-                singles_b=10,
-                setting=AnalyzerSetting.balanced(phi),
-            )
+        for k in range(3):
+            hist = phase_histogram([3, 5, 4], 1.0, 10, k, tau_min_ps=-6000)
             doc = bio.histogram_to_dict(hist)
             doc["counts"] = [2**62] * 3
             bio.write_json(tmp_path / f"hist_phi{k}.json", doc)

@@ -21,12 +21,9 @@ from biphoton import (
     cross_correlate,
     normalize_g2,
 )
+from helpers import stream
 
 NS = 1000  # picoseconds
-
-
-def stream(channel, ts_ps, duration=1.0, exposure=None):
-    return TimeTagStream(channel, np.asarray(ts_ps, dtype=np.int64), duration, exposure)
 
 
 def brute_force_counts(a_ps, b_ps, bin_width_ps, tau_max_ps):

@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 from biphoton import (
-    AnalyzerSetting,
     ConfigError,
     DataError,
-    RECONSTRUCTION_PHASES,
     ReconstructedTpwf,
     SimConfig,
     TpwfModel,
@@ -28,33 +26,13 @@ from biphoton import (
     visibility_curve,
 )
 from biphoton import fit as fit_module
-from biphoton.reconstruct import PhaseTriple
-from helpers import forward_triple
-
-BALANCED = AnalyzerSetting.balanced
+from helpers import BALANCED, SHIPPED_MODEL, forward_triple, rate_level_triple
 
 
 def noiseless_recon(model, n_bins=101, span=400e-9, gamma=1.2):
     tau = np.linspace(-span / 2, span / 2, n_bins)
     psi = tpwf_eval(model, tau)
     return reconstruct_values(tau, *forward_triple(gamma, psi))
-
-
-def simulated_recon(
-    model, gamma, seed, duration=30.0, pair_rate=3000.0, singles_rate=2000.0, gamma_mode="pooled"
-):
-    hists = []
-    for k, phi in enumerate(RECONSTRUCTION_PHASES):
-        cfg = SimConfig(
-            pair_rate=pair_rate,
-            singles_rate_a=singles_rate,
-            singles_rate_b=singles_rate,
-            duration=duration,
-            tau_window=400e-9,
-            seed=derive_setting_seed(seed, k),
-        )
-        hists.append(rate_level_histogram(cfg, BALANCED(phi), model, gamma, 4e-9))
-    return reconstruct_curve(PhaseTriple(*hists), gamma_mode=gamma_mode)
 
 
 class TestDoubleExponentialFit:
@@ -94,19 +72,8 @@ class TestDoubleExponentialFit:
         # 1 s at 2 ns bins leaves bins with no counts: their sigma is
         # infinite and cov_re_im is +inf or -inf.  The fit drops them
         # without forming inf - inf.
-        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
-        hists = []
-        for k, phi in enumerate(RECONSTRUCTION_PHASES):
-            cfg = SimConfig(
-                pair_rate=2000.0,
-                singles_rate_a=1000.0,
-                singles_rate_b=1000.0,
-                duration=1.0,
-                tau_window=400e-9,
-                seed=derive_setting_seed(3, k),
-            )
-            hists.append(rate_level_histogram(cfg, BALANCED(phi), model, 1.0, 2e-9))
-        recon = reconstruct_curve(PhaseTriple(*hists), gamma_mode="pooled")
+        triple = rate_level_triple(3, duration=1.0, bin_width=2e-9)
+        recon = reconstruct_curve(triple, gamma_mode="pooled")
         assert np.any(recon.cov_re_im == np.inf) and np.any(recon.cov_re_im == -np.inf)
         finite = (
             recon.valid
@@ -127,19 +94,8 @@ class TestDoubleExponentialFit:
         # 0.5 s at 2 ns bins, pooled: every seed tries trial steps with
         # Tc <= 0, whose growing exponent used to overflow in exp,
         # multiply and matmul.  Such steps are refused before evaluation.
-        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
-        hists = []
-        for k, phi in enumerate(RECONSTRUCTION_PHASES):
-            cfg = SimConfig(
-                pair_rate=2000.0,
-                singles_rate_a=1000.0,
-                singles_rate_b=1000.0,
-                duration=0.5,
-                tau_window=400e-9,
-                seed=derive_setting_seed(seed, k),
-            )
-            hists.append(rate_level_histogram(cfg, BALANCED(phi), model, 1.0, 2e-9))
-        recon = reconstruct_curve(PhaseTriple(*hists), gamma_mode="pooled")
+        triple = rate_level_triple(seed, duration=0.5, bin_width=2e-9)
+        recon = reconstruct_curve(triple, gamma_mode="pooled")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = fit_double_exponential(recon)
@@ -182,7 +138,7 @@ class TestDoubleExponentialFit:
     def test_exact_input_has_sigma_zero(self, monkeypatch, fix_corr_time):
         # Unit weights carry no sigma: every sigma is 0, and chi2 and the
         # parameters are those of the fit whose covariance ignores it.
-        recon = noiseless_recon(DEFAULT_MODEL)
+        recon = noiseless_recon(SHIPPED_MODEL)
         fit = fit_double_exponential(recon, fix_corr_time=fix_corr_time)
         assert fit.converged
         assert all(v == 0.0 for v in fit.sigmas.values())
@@ -248,7 +204,9 @@ class TestDoubleExponentialFit:
         model = TpwfModel(amplitude=1.0, corr_time=bandwidth_to_corr_time(8.1e6), phase=0.9)
         pulls = []
         for seed in range(12):
-            recon = simulated_recon(model, gamma=1.2, seed=200 + seed)
+            triple = rate_level_triple(200 + seed, model=model, gamma=1.2, duration=30.0,
+                                       pair_rate=3000.0, singles_rate=2000.0)
+            recon = reconstruct_curve(triple, gamma_mode="pooled")
             fit = fit_double_exponential(recon)
             assert fit.converged
             pulls.append((fit.params["fwhm"] - model.intensity_fwhm) / fit.sigmas["fwhm"])
@@ -262,18 +220,9 @@ class TestDoubleExponentialFit:
         model = TpwfModel(amplitude=1.0, corr_time=bandwidth_to_corr_time(8.1e6), phase=0.9)
         in_window = 0
         for seed in range(12):
-            hists = []
-            for k, phi in enumerate(RECONSTRUCTION_PHASES):
-                cfg = SimConfig(
-                    pair_rate=12_000.0,
-                    singles_rate_a=2000.0,
-                    singles_rate_b=2000.0,
-                    duration=40.0,
-                    tau_window=400e-9,
-                    seed=derive_setting_seed(700 + seed, k),
-                )
-                hists.append(rate_level_histogram(cfg, BALANCED(phi), model, 1.2, 1e-9))
-            recon = reconstruct_curve(PhaseTriple(*hists), gamma_mode="pooled")
+            triple = rate_level_triple(700 + seed, model=model, gamma=1.2, duration=40.0,
+                                       pair_rate=12_000.0, singles_rate=2000.0, bin_width=1e-9)
+            recon = reconstruct_curve(triple, gamma_mode="pooled")
             fit = fit_double_exponential(recon)
             assert fit.ndof > 700
             if 0.8 <= fit.reduced_chi2 <= 1.2:
@@ -422,14 +371,10 @@ def _assert_agrees_with_reference(fit, ref, sigma_rel=1e-3, param_tol=5e-3):
     assert fit.chi2 == pytest.approx(ref.chi2, rel=1e-3)
 
 
-DEFAULT_MODEL = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
-
-
 def default_recon(seed, duration=10.0, gamma_mode="per_bin"):
     """The per-seed reconstruction at the shipped default config (10 s),
     or with duration=100.0 that of the many-seed calibration study."""
-    return simulated_recon(DEFAULT_MODEL, 1.0, seed, duration=duration, pair_rate=2000.0,
-                           singles_rate=1000.0, gamma_mode=gamma_mode)
+    return reconstruct_curve(rate_level_triple(seed, duration=duration), gamma_mode=gamma_mode)
 
 
 class TestEnvelopeFitBitIdentical:
@@ -517,7 +462,7 @@ class TestEnvelopeFitAgreesWithReference:
 
     def test_exact_input_ends_only_by_the_chi2_rule(self, monkeypatch):
         tols = _record_tols(monkeypatch)
-        fit = fit_double_exponential(noiseless_recon(DEFAULT_MODEL))
+        fit = fit_double_exponential(noiseless_recon(SHIPPED_MODEL))
         assert tols == [0.0]  # the model variance, 0, ends the passes
         assert (fit.converged, fit.message) == (True, "chi2 converged")
 
@@ -907,8 +852,9 @@ class TestConstantPhaseFit:
         assert abs(math.remainder(fit.params["phase"] - target, 2 * math.pi)) < 0.2
 
     def test_simulated_recovery_within_two_sigma(self):
-        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
-        fit = fit_constant_phase(simulated_recon(model, gamma=1.2, seed=300))
+        triple = rate_level_triple(300, gamma=1.2, duration=30.0, pair_rate=3000.0,
+                                   singles_rate=2000.0)
+        fit = fit_constant_phase(reconstruct_curve(triple, gamma_mode="pooled"))
         assert abs(fit.params["phase"] - 0.9) < 2.0 * fit.sigmas["phase"]
         assert fit.sigmas["phase"] < 0.05
 
@@ -925,9 +871,8 @@ class TestConstantPhaseFit:
         # Exact input with psi = 0 beyond |tau| > 150 ns: those bins have
         # no phase (arctan2(0, 0) = 0), so even at threshold 0 they are
         # left out, before any division by their power.
-        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
         tau = np.linspace(-200e-9, 200e-9, 101)
-        psi = tpwf_eval(model, tau)
+        psi = tpwf_eval(SHIPPED_MODEL, tau)
         outer = np.abs(tau) > 150e-9
         psi[outer] = 0.0
         y = forward_triple(1.2, psi)

@@ -41,11 +41,7 @@ from biphoton import (
 from biphoton import correlate, cross_correlate
 from biphoton import io as bio
 from biphoton.cli import main as cli_main
-from helpers import forward_triple
-
-
-def stream(channel, ts, duration=1.0):
-    return TimeTagStream(channel, np.asarray(ts, dtype=np.int64), duration)
+from helpers import SHIPPED_MODEL, forward_triple, phase_histogram, stream
 
 
 class TestTimetagBinary:
@@ -348,9 +344,8 @@ class TestTagStreamBoundaries:
         end_ps = correlate.seconds_to_ps(duration)
         config = SimConfig(pair_rate=1e6, singles_rate_a=5e7, singles_rate_b=5e7,
                            duration=duration, jitter_sigma=1e-9, seed=11)
-        model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
         setting = AnalyzerSetting.balanced(RECONSTRUCTION_PHASES[0])
-        blocks = list(generate_blocks(config, setting, model, 1.0))
+        blocks = list(generate_blocks(config, setting, SHIPPED_MODEL, 1.0))
         for ch, channel in enumerate("AB"):
             ts = np.concatenate([block[ch] for block in blocks])
             assert ts.size > 10**4 and ts[-1] < end_ps
@@ -665,9 +660,8 @@ class TestArrayEncoding:
 def _fine_recon_document():
     """The document of a 20,000-bin reconstruction from rate-level
     histograms, with a few hundred invalid (NaN) bins."""
-    model = TpwfModel(amplitude=1.0, corr_time=39.3e-9, phase=0.9)
     config = SimConfig(pair_rate=2e5, singles_rate_a=2e5, singles_rate_b=2e5, duration=2.0, seed=5)
-    hists = [rate_level_histogram(config, AnalyzerSetting.balanced(phi), model, 1.0, 0.04e-9)
+    hists = [rate_level_histogram(config, AnalyzerSetting.balanced(phi), SHIPPED_MODEL, 1.0, 0.04e-9)
              for phi in RECONSTRUCTION_PHASES]
     recon = reconstruct_curve(PhaseTriple(*hists))
     assert recon.valid.size == 20_000 and 0 < np.count_nonzero(~recon.valid)
@@ -710,19 +704,8 @@ class TestStreamedJson:
 
 
 class TestDocuments:
-    def make_hist(self):
-        return CoincidenceHistogram(
-            bin_width_ps=4000,
-            tau_min_ps=-200_000,
-            counts=np.arange(100, dtype=np.int64),
-            acquisition_time=12.5,
-            singles_a=123_456,
-            singles_b=654_321,
-            setting=AnalyzerSetting.balanced(RECONSTRUCTION_PHASES[1]),
-        )
-
     def test_histogram_round_trip(self, tmp_path):
-        hist = self.make_hist()
+        hist = phase_histogram(np.arange(100), 12.5, (123_456, 654_321), 1)
         path = tmp_path / "hist.json"
         bio.write_json(path, bio.histogram_to_dict(hist))
         back = bio.histogram_from_dict(bio.read_json(path))
@@ -736,7 +719,7 @@ class TestDocuments:
     def test_older_documents_with_removed_keys_load(self, tmp_path):
         # Histogram documents once held the rate-level simulator's
         # mean_counts, and reconstruction documents a meta object.
-        hist = self.make_hist()
+        hist = phase_histogram(np.arange(100), 12.5, (123_456, 654_321), 1)
         hist_doc = bio.histogram_to_dict(hist)
         assert "mean_counts" not in hist_doc
         path = tmp_path / "hist.json"
@@ -929,17 +912,7 @@ def _small_recon_document():
 
 
 def _small_histogram_document():
-    return bio.histogram_to_dict(
-        CoincidenceHistogram(
-            bin_width_ps=4000,
-            tau_min_ps=-8000,
-            counts=np.array([3, 0, 7, 1], dtype=np.int64),
-            acquisition_time=2.0,
-            singles_a=100,
-            singles_b=90,
-            setting=AnalyzerSetting.balanced(RECONSTRUCTION_PHASES[2]),
-        )
-    )
+    return bio.histogram_to_dict(phase_histogram([3, 0, 7, 1], 2.0, (100, 90), 2))
 
 
 def json_equal(a, b) -> bool:

@@ -20,8 +20,8 @@ from biphoton import (
     visibility_curve,
 )
 from biphoton.model import _gamma_value, g2_integrals
+from helpers import BALANCED
 
-BALANCED = AnalyzerSetting.balanced
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
@@ -157,6 +157,11 @@ class TestForwardG2:
         with pytest.raises(ConfigError):
             forward_g2(BALANCED(0.0), 1.0, 0.0, background=-0.1)
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_background_rejected(self, value):
+        with pytest.raises(ConfigError, match="background must be finite and >= 0"):
+            forward_g2(BALANCED(0.0), 1.0, 0.5, background=value)
+
     def test_gamma_validation(self):
         with pytest.raises(ConfigError):
             ReferenceAmplitude(-0.5)
@@ -284,6 +289,12 @@ class TestBandwidthConversion:
             bandwidth_to_intensity_fwhm(0.0)
         with pytest.raises(ConfigError):
             bandwidth_to_intensity_fwhm(-1.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite(self, value):
+        for convert in (bandwidth_to_corr_time, bandwidth_to_intensity_fwhm):
+            with pytest.raises(ConfigError, match="bandwidth must be finite and > 0"):
+                convert(value)
 
 
 class TestVisibilityCurve:

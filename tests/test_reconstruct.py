@@ -4,20 +4,18 @@ histogram-level reconstruction modes."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from biphoton import (
-    AnalyzerSetting,
-    CoincidenceHistogram,
     ConfigError,
     DataError,
     InvalidBinError,
     NumericalError,
     PhaseTriple,
-    RECONSTRUCTION_PHASES,
     ReconstructedTpwf,
     TpwfModel,
     background_estimate,
@@ -30,9 +28,7 @@ from biphoton import (
 from biphoton import reconstruct as reconstruct_module
 from biphoton.correlate import normalize_g2
 from biphoton.reconstruct import _invert_arrays, _jacobian, _weighted
-from helpers import forward_triple
-
-BALANCED = AnalyzerSetting.balanced
+from helpers import forward_triple, phase_histogram
 
 
 def bootstrap_sigmas(y, counts, n_rep, seed):
@@ -258,8 +254,9 @@ class TestPropagateErrors:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_reconstruct_values_bin_by_bin(self, seed):
-        # Bins with zero counts and invalid bins included.
-        ys, _ = TestSigmaArraysOracle.rates_and_variances(seed)
+        # Bins with zero counts and invalid bins included; the public entry
+        # points take only rates >= 0.
+        ys = np.abs(TestSigmaArraysOracle.rates_and_variances(seed)[0])
         counts = np.random.default_rng(seed + 100).poisson(3.0, ys.shape)
         ys[:, 0], counts[:, 0] = 1.0, [0, 100, 100]
         assert (counts == 0).any()
@@ -379,20 +376,6 @@ class TestJacobian:
         np.testing.assert_allclose(recon.sigma_gamma, np.full(n, pooled_sigma), rtol=1e-12)
 
 
-def make_hist(counts, duration, singles, phi_index, bin_width_ps=4000):
-    counts = np.asarray(counts, dtype=np.int64)
-    n = counts.size
-    return CoincidenceHistogram(
-        bin_width_ps=bin_width_ps,
-        tau_min_ps=-bin_width_ps * (n // 2),
-        counts=counts,
-        acquisition_time=duration,
-        singles_a=singles,
-        singles_b=singles,
-        setting=BALANCED(RECONSTRUCTION_PHASES[phi_index]),
-    )
-
-
 def synthetic_triple(model, gamma, n_bins=100, exposure=4e7, background=0.0, seed=50):
     """Poisson histograms around exact per-bin rates; the g2 normalization
     scale is arranged to be 1 so truth comparisons are direct."""
@@ -402,13 +385,12 @@ def synthetic_triple(model, gamma, n_bins=100, exposure=4e7, background=0.0, see
     psi = tpwf_eval(model, centers)
     hists = []
     duration = 1.0
-    singles = int(math.sqrt(exposure / (duration / (bw))) * math.sqrt(1.0 / bw) * 1)
     # choose singles so that scale = T/(Na*Nb*bw) satisfies scale*counts ~ y
     singles = int(round(math.sqrt(exposure / bw / duration) * duration))
     scale = duration / (singles * singles * bw)
     for k, y in enumerate(forward_triple(gamma, psi)):
         counts = rng.poisson((y + background) / scale)
-        hists.append(make_hist(counts, duration, singles, k))
+        hists.append(phase_histogram(counts, duration, singles, k))
     return PhaseTriple(*hists), centers, psi
 
 
@@ -469,16 +451,16 @@ class TestSigmaArraysOracle:
 
     @pytest.mark.parametrize("pooled_gamma", [0.8, 1.3])
     def test_pooled_jacobian(self, pooled_gamma):
-        # The pooled-mode J is (3, 3), shared by every bin; its gamma row
-        # and the d(Im)/dy0 entry are zero.
+        # The pooled-mode J is (3, 3, 1), shared by every bin; its gamma
+        # row and the d(Im)/dy0 entry are zero.
         _, var_y = self.rates_and_variances(7)
         J = np.zeros((3, 3))
         J[:2] = reconstruct_module._NUM_GRAD / (2.0 * pooled_gamma)
-        _assert_identical(reconstruct_module._sigma_arrays(J, var_y),
+        _assert_identical(reconstruct_module._sigma_arrays(J[..., np.newaxis], var_y),
                           _reference_sigma_arrays(J, var_y))
 
     def test_reconstructions_with_zero_count_bins(self, monkeypatch):
-        ys, _ = self.rates_and_variances(11)
+        ys = np.abs(self.rates_and_variances(11)[0])  # reconstruct_values takes rates >= 0
         counts = np.random.default_rng(12).poisson(3.0, ys.shape)
         assert (counts == 0).any()
         tau = np.arange(ys.shape[1], dtype=float)
@@ -618,11 +600,26 @@ class TestReconstructValues:
         with pytest.raises(ConfigError, match="counts must be non-negative"):
             propagate_errors([1.0, 1.0, 1.0], [100, -1, 100])
 
+    @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda y: reconstruct_bin(*y),
+        lambda y: reconstruct_values(np.zeros(1), *([v] for v in y)),
+        lambda y: propagate_errors(y, [10, 10, 10]),
+    ], ids=["reconstruct_bin", "reconstruct_values", "propagate_errors"])
+    def test_rates_must_be_finite_and_non_negative(self, call, bad):
+        # One rule at the three rate entry points, refused before any
+        # arithmetic can warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="rates must be finite and >= 0"):
+                call([bad, 1.0, 1.0])
+
     @pytest.mark.parametrize("gamma_mode", ["per_bin", "pooled"])
     def test_exact_input_has_zero_sigma_on_valid_bins(self, gamma_mode):
         # Exact input propagates zero variances: sigma 0 on valid bins, and
-        # NaN where counts would give NaN too (per-bin invalid bins).
-        ys, _ = TestSigmaArraysOracle.rates_and_variances(5)
+        # NaN where counts would give NaN too (per-bin invalid bins).  The
+        # public entry points take only rates >= 0.
+        ys = np.abs(TestSigmaArraysOracle.rates_and_variances(5)[0])
         tau = np.zeros(ys.shape[1])
         exact = reconstruct_values(tau, *ys, gamma_mode=gamma_mode)
         counted = reconstruct_values(tau, *ys, *np.full(ys.shape, 100), gamma_mode=gamma_mode)
@@ -705,22 +702,22 @@ class TestReconstructCurve:
         assert recon.gamma[recon.valid][0] == pytest.approx(1.2, rel=0.02)
 
     def test_mismatched_binning_rejected(self):
-        a = make_hist(np.ones(10), 1.0, 1000, 0)
-        b = make_hist(np.ones(10), 1.0, 1000, 1, bin_width_ps=8000)
-        c = make_hist(np.ones(10), 1.0, 1000, 2)
+        a = phase_histogram(np.ones(10), 1.0, 1000, 0)
+        b = phase_histogram(np.ones(10), 1.0, 1000, 1, bin_width_ps=8000)
+        c = phase_histogram(np.ones(10), 1.0, 1000, 2)
         with pytest.raises(DataError):
             PhaseTriple(a, b, c)
 
     def test_wrong_setting_rejected(self):
-        a = make_hist(np.ones(10), 1.0, 1000, 0)
-        b = make_hist(np.ones(10), 1.0, 1000, 2)  # phi = 2pi/3 in slot 1
-        c = make_hist(np.ones(10), 1.0, 1000, 2)
+        a = phase_histogram(np.ones(10), 1.0, 1000, 0)
+        b = phase_histogram(np.ones(10), 1.0, 1000, 2)  # phi = 2pi/3 in slot 1
+        c = phase_histogram(np.ones(10), 1.0, 1000, 2)
         with pytest.raises(DataError):
             PhaseTriple(a, b, c)
 
     @pytest.mark.parametrize("slot", range(3))
     def test_setting_less_histogram_rejected(self, slot):
-        hists = [make_hist(np.ones(10), 1.0, 1000, k) for k in range(3)]
+        hists = [phase_histogram(np.ones(10), 1.0, 1000, k) for k in range(3)]
         hists[slot] = dataclasses.replace(hists[slot], setting=None)
         with pytest.raises(DataError, match=f"y{slot} carries no analyzer setting"):
             PhaseTriple(*hists)
@@ -728,7 +725,7 @@ class TestReconstructCurve:
 
 class TestBackgroundEstimate:
     def test_flat_histogram_level(self):
-        h = make_hist(np.full(60, 400), 1.0, 20_000, 0)
+        h = phase_histogram(np.full(60, 400), 1.0, 20_000, 0)
         level, sigma = background_estimate(h, wing_fraction=0.2)
         g2_level = 400 * 1.0 / (20_000**2 * 4e-9)
         assert level == pytest.approx(g2_level, rel=1e-12)
@@ -749,7 +746,7 @@ class TestBackgroundEstimate:
         psi = tpwf_eval(model, centers)
         y = np.abs(1.0 * np.exp(-2j * 0.0) - psi) ** 2
         counts = np.round(y * 1e6).astype(np.int64)
-        h = make_hist(counts, 1.0, int(5e8), 0)
+        h = phase_histogram(counts, 1.0, int(5e8), 0)
         levels = [
             background_estimate(h, wing_fraction=f)[0] for f in (0.05, 0.1, 0.2, 0.3, 0.4)
         ]
@@ -757,7 +754,7 @@ class TestBackgroundEstimate:
         assert levels[-1] > levels[0]
 
     def test_too_few_wing_bins_rejected(self):
-        h = make_hist(np.full(20, 10), 1.0, 1000, 0)
+        h = phase_histogram(np.full(20, 10), 1.0, 1000, 0)
         with pytest.raises(ConfigError):
             background_estimate(h, wing_fraction=0.1)  # 2 bins per side
         with pytest.raises(ConfigError):

@@ -14,7 +14,6 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from biphoton import (
-    AnalyzerSetting,
     ConfigError,
     NumericalError,
     PairDelaySampler,
@@ -35,8 +34,7 @@ from biphoton import simulate
 from biphoton.correlate import seconds_to_ps
 from biphoton.model import g2_integrals
 from biphoton.simulate import _dead_time_filter
-
-BALANCED = AnalyzerSetting.balanced
+from helpers import BALANCED
 
 
 def chi2_pvalue(observed, expected):
