@@ -337,8 +337,8 @@ def run_correlate(run_dir: str, config: PipelineConfig, manifest: dict) -> tuple
     the histograms, in manifest order."""
     bio._document(manifest, "manifest", MANIFEST_FORMAT)
     entries = manifest.get("settings")
-    if not isinstance(entries, list):
-        raise DataError("manifest has no 'settings' list")
+    if not isinstance(entries, list) or not entries:
+        raise DataError("manifest has no non-empty 'settings' list")
     records = [_check_manifest_entry(entry) for entry in entries]
     paths = [os.path.join(run_dir, _hist_name(record.index)) for record in records]
     if len(set(paths)) < len(paths):

@@ -309,21 +309,18 @@ def _merge_blocks(blocks_a, blocks_b, tmax_ps, bw_ps, counts) -> int:
 
     b holds the B tags in (a_next - T, b_last], where a_next is the first
     A tag not yet counted and b_last the last B tag read.  An A tag a has
-    all its partners (b in (a - T, a + T]) loaded once a + T < b_last or
-    B has ended; the next B block is read only when a_next is not ready.
+    all its partners (b in (a - T, a + T]) loaded once a + T < b_last;
+    the next B block is read only when a_next is not.  b_last starts at
+    -2**62, below every tag, and is 2**62 + T once B has ended, so that
+    every A tag is ready; both fit in int64, as tags and T are below 2**62.
     """
     b = np.empty(0, dtype=np.int64)
-    b_last = None
+    b_last = -_LIMIT_PS
     total = 0
     for a in blocks_a:
         i = 0
         while i < a.size:
-            if blocks_b is None:
-                ready = a.size
-            elif b_last is None:
-                ready = i
-            else:
-                ready = int(np.searchsorted(a, b_last - tmax_ps, side="left"))
+            ready = int(np.searchsorted(a, b_last - tmax_ps, side="left"))
             # B tags <= a_next - T partner no pending A tag.
             b = b[np.searchsorted(b, a[i] - tmax_ps, side="right"):]
             if ready > i:
@@ -332,15 +329,14 @@ def _merge_blocks(blocks_a, blocks_b, tmax_ps, bw_ps, counts) -> int:
                 continue
             block = next(blocks_b, None)
             if block is None:
-                blocks_b = None
+                b_last = _LIMIT_PS + tmax_ps
             elif block.size:
                 b = np.concatenate((b, block)) if b.size else block
                 b_last = block[-1]
             # A concatenated b is a copy: hold it, not the block too.
             del block
-    if blocks_b is not None:
-        for _ in blocks_b:  # read to the end: a fault in B's tail still raises
-            pass
+    for _ in blocks_b:  # read to the end: a fault in B's tail still raises
+        pass
     return total
 
 

@@ -76,12 +76,16 @@ def _create_temp(path):
     The kernel gives it mode 0o666 less the process umask, as for
     open(path, "w"), and os.replace keeps that mode.  (tempfile.mkstemp
     would give 0600.)  The umask is never read or set, so writers in
-    several threads do not race on it.
+    several threads do not race on it.  An error names path, not the
+    temp file.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    return os.open(tmp, flags, 0o666), tmp
+    try:
+        return os.open(tmp, flags, 0o666), tmp
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 class TimeTagWriter:

@@ -313,8 +313,19 @@ class ReconstructedTpwf:
                 raise ConfigError(f"field {name} does not match the bin count")
         _check_modes(self.background_mode, self.gamma_mode)
         self.valid = np.asarray(self.valid, dtype=bool)
-        if (self.gamma[self.valid] < 0.0).any():
+        # Invalid bins carry the NaNs, and a NaN or inf sigma stays
+        # allowed: zero counts and the degenerate point gamma = |psi| give them.
+        checked = np.array([self.tau, self.re_psi, self.im_psi, self.gamma,
+                            self.sigma_re, self.sigma_im, self.sigma_gamma])
+        checked[1:4, ~self.valid] = 0.0
+        if not np.isfinite(checked[:4]).all():
+            raise ConfigError(
+                "tau must be finite, and re_psi, im_psi and gamma finite on valid bins"
+            )
+        if (checked[3] < 0.0).any():
             raise ConfigError("reconstructed gamma must be >= 0 on valid bins")
+        if (checked[4:] < 0.0).any():
+            raise ConfigError("sigma_re, sigma_im and sigma_gamma must not be negative")
 
     @property
     def n_valid(self) -> int:

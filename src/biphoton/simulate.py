@@ -332,11 +332,11 @@ def _spill_ps(config: SimConfig) -> int:
     return math.ceil(spill * PS_PER_SECOND) + 1
 
 
-def _draw_segment(config, sampler, rng, start, stop, spare, duration_ps, spill_ps):
+def _draw_segment(config, sampler, rng, start, stop, spare):
     """The clicks [A, B] of the events in [start, stop) s: per channel an
     int64 array whose first spare entries are left for the caller,
-    followed by the channel's unsorted picosecond timestamps, cropped to
-    [0, duration_ps).  spill_ps is the acquisition's _spill_ps.
+    followed by the channel's unsorted picosecond timestamps.  Clicks
+    outside [0, duration) are kept; _blocks drops them once sorted.
 
     Each channel's click times are built in one array, pair clicks first
     and then singles, and every later step works in place, chunk by
@@ -372,11 +372,6 @@ def _draw_segment(config, sampler, rng, start, stop, spare, duration_ps, spill_p
     del midpoints
     _uniform(rng, times_b[spare + n_pairs :], start, span)
 
-    # Only the segments within a click spill of either end can hold
-    # clicks outside [0, duration): the first and the last, unless the
-    # spill is longer than a segment.
-    crop = (seconds_to_ps(start) < spill_ps
-            or seconds_to_ps(stop) + spill_ps >= duration_ps)
     bound = _JITTER_BOUND_SIGMAS * config.jitter_sigma
     clicks = []
     for times_s in (times_a, times_b):
@@ -390,11 +385,6 @@ def _draw_segment(config, sampler, rng, start, stop, spare, duration_ps, spill_p
                 part += np.clip(jitter, -bound, bound, out=jitter)
             part *= PS_PER_SECOND
             ts[i : i + _CHUNK] = np.rint(part, out=part)
-        if crop:
-            inside = ts[spare:] >= 0
-            inside &= ts[spare:] < duration_ps
-            if not inside.all():
-                ts = ts[: spare + _compact(ts[spare:], inside).size]
         clicks.append(ts)
     return clicks
 
@@ -429,12 +419,13 @@ def generate_blocks(
     A click lands at most tau_window/2 plus the jitter bound from its
     event, so after segment k every click earlier than the next edge
     minus that spill is final; the later ones carry into the next
-    segment and are merged in order.  Final clicks then pass the
-    non-paralyzable dead time, whose state across a boundary is the last
-    kept timestamp (prepended to the block, which the filter always
-    keeps, and dropped again).  Memory is bounded by the segment size,
-    not by the duration.  Identical inputs and seed give bit-identical
-    blocks.
+    segment and are merged in order; the last segment cuts at the end
+    instead, and the clicks before 0, which sort first, are skipped.
+    Final clicks then pass the non-paralyzable dead time, whose state
+    across a boundary is the last kept timestamp (prepended to the
+    block, which the filter always keeps, and dropped again).  Memory
+    is bounded by the segment size, not by the duration.  Identical
+    inputs and seed give bit-identical blocks.
     """
     config.validate_budget()
     sampler = PairDelaySampler(setting, model, gamma, config.tau_window)
@@ -442,6 +433,7 @@ def generate_blocks(
 
 
 def _blocks(config: SimConfig, sampler: PairDelaySampler):
+    """generate_blocks on checked inputs, with the setting's sampler."""
     edges = _segment_edges(config)
     dead_ps = seconds_to_ps(config.dead_time)
     # Once per acquisition; SimConfig has checked the duration.
@@ -457,16 +449,19 @@ def _blocks(config: SimConfig, sampler: PairDelaySampler):
         # the carry, and they are merged in place.
         spare = 1 + max(carry[0].size, carry[1].size)
         bufs = _draw_segment(config, sampler, _segment_rng(config, k), edges[k], edges[k + 1],
-                             spare, duration_ps, spill_ps)
-        cut = seconds_to_ps(edges[k + 1]) - spill_ps
+                             spare)
+        # Every cut is below the end: later clicks carry to the last segment.
+        cut = duration_ps if k == n_segments - 1 else seconds_to_ps(edges[k + 1]) - spill_ps
         block = []
         for ch in (0, 1):
             buf = bufs[ch]
             head = spare - carry[ch].size
             buf[head:spare] = carry[ch]
+            buf[head:].sort()
+            # The clicks before 0 sort first: start past them.
+            head += int(np.searchsorted(buf[head:], 0))
             ts = buf[head:]
-            ts.sort()
-            split = ts.size if k == n_segments - 1 else int(np.searchsorted(ts, cut))
+            split = int(np.searchsorted(ts, cut))
             carry[ch] = ts[split:].copy()
             if dead_ps > 0 and split:
                 buf[head - 1] = last_kept[ch]

@@ -711,6 +711,7 @@ class TestExitCodes:
         "key, value",
         [
             pytest.param("settings", MISSING, id="settings-missing"),
+            pytest.param("settings", [], id="settings-empty"),
             pytest.param("format", MISSING, id="format-missing"),
             pytest.param("format", "coincidence-histogram/1", id="format-histogram"),
             pytest.param("tags_a", MISSING, id="tags_a-missing"),
@@ -875,20 +876,32 @@ class TestExitCodes:
         assert err.startswith("data error") and f"unknown {key} 'foo'" in err
         assert not fits.exists()
 
-    def test_fit_of_a_reconstruction_with_a_negative_gamma_is_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param("gamma", -1.0, "gamma must be >= 0 on valid bins", id="gamma-negative"),
+            pytest.param("tau_s", math.nan, "tau must be finite", id="tau_s-nan"),
+            pytest.param("tau_s", math.inf, "tau must be finite", id="tau_s-inf"),
+            pytest.param("sigma_re", -0.1, "must not be negative", id="sigma_re-negative"),
+            pytest.param("re_psi", math.nan, "finite on valid bins", id="re_psi-nan"),
+        ],
+    )
+    def test_fit_of_a_reconstruction_that_breaks_its_rules_is_two(self, tmp_path, capsys, key,
+                                                                  value, message):
+        # One entry of a valid bin edited; invalid bins carry NaNs anyway.
         from biphoton import TpwfModel, reconstruct_values, tpwf_eval
 
         tau = np.linspace(-100e-9, 100e-9, 41)
         psi = tpwf_eval(TpwfModel(amplitude=0.8, corr_time=30e-9, phase=0.4), tau)
         y = forward_triple(1.2, psi)
         doc = bio.recon_to_dict(reconstruct_values(tau, *y, *(np.rint(1e4 * v) for v in y)))
-        gamma = doc["gamma"].copy()
-        gamma[np.flatnonzero(doc["valid"])[0]] = -1.0
+        edited = doc[key].copy()
+        edited[np.flatnonzero(doc["valid"])[0]] = value
         recon, fits = tmp_path / "reconstruction.json", tmp_path / "fits.json"
-        bio.write_json(recon, {**doc, "gamma": gamma})
+        bio.write_json(recon, {**doc, key: edited})
         assert main(["fit", "--recon", str(recon), "--output", str(fits)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error") and "gamma must be >= 0 on valid bins" in err
+        assert err.startswith("data error") and message in err
         assert not fits.exists()
 
     def test_zero_gamma_is_one(self, tmp_path):
@@ -906,6 +919,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error") and "exceed singles_a * singles_b" in err
         assert not (tmp_path / "reconstruction.json").exists()
+
+    def test_output_in_a_missing_directory_names_the_target(self, tmp_path, capsys):
+        # The document goes to a temp file beside the target first; the
+        # message names the target, not that file.
+        for k in range(3):
+            hist = phase_histogram([30, 50, 40, 20], 1.0, 1000, k)
+            bio.write_json(tmp_path / f"hist_phi{k}.json", bio.histogram_to_dict(hist))
+        target = tmp_path / "no" / "such" / "r.json"
+        assert main(["reconstruct", "--input-dir", str(tmp_path), "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error") and str(target) in err and ".tmp-" not in err
 
     @pytest.mark.parametrize(
         "command, bin_width_ns",
