@@ -14,13 +14,16 @@ Time-tag binary layout (fixed width, seekable, trivially parseable):
 JSON documents carry explicit units in their field names and serialize
 floats with 17 significant digits, which round-trips IEEE doubles
 exactly.  A JSON file is written one array at a time, so no more than
-one array's text is held.  All writes go through a temp file and rename,
-so readers never see a partial file; the file gets the mode that
-open() would give it, 0o666 less the umask.
+one array's text is held.
+
+Every output file goes through _OutputFile: it appears only when
+complete, an i/o error names the output path, not a temp file, and a
+failed write leaves no temp file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -69,46 +72,80 @@ def _raw_records(n: int) -> np.ndarray:
     return np.empty(max(1, min(n, correlate._BLOCK_RECORDS // 8)), dtype=_RECORD_DTYPE)
 
 
-def _create_temp(path):
-    """Create an empty temp file, open for writing, beside path; return
-    its descriptor and name.
-
-    The kernel gives it mode 0o666 less the process umask, as for
-    open(path, "w"), and os.replace keeps that mode.  (tempfile.mkstemp
-    would give 0600.)  The umask is never read or set, so writers in
-    several threads do not race on it.  An error names path, not the
-    temp file.
-    """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise an OSError as the same subclass, naming path, not the
+    temp file beside it."""
     try:
-        return os.open(tmp, flags, 0o666), tmp
+        yield
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
-class TimeTagWriter:
+class _OutputFile:
+    """A binary file (self._fh) that appears at path only once complete.
+
+    Its bytes go to a hidden temp file beside path, of mode 0o666 less
+    the umask as open() gives (mkstemp gives 0600); the umask is never
+    read or set, so threads do not race on it.  close() renames the temp
+    file to path, and a second close() does nothing; discard(), an
+    exception inside a with block, or a failed close() removes it."""
+
+    def __init__(self, path):
+        self.path = path
+        directory = os.path.dirname(os.path.abspath(path))
+        self._tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+        with _naming(path):
+            self._fh = os.fdopen(os.open(self._tmp, flags, 0o666), "wb")
+
+    def close(self):
+        if self._tmp is None:
+            return
+        try:
+            with _naming(self.path):
+                self._fh.close()
+                os.replace(self._tmp, self.path)
+        except BaseException:
+            self.discard()
+            raise
+        self._tmp = None
+
+    def discard(self):
+        tmp, self._tmp = self._tmp, None
+        if tmp is not None:
+            try:
+                self._fh.close()
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
+
+
+class TimeTagWriter(_OutputFile):
     """Writes one channel's clicks to a binary time-tag file, block by
     block, so that no more than one block is held.
 
-    The header goes to a temp file in the target directory on creation;
-    append() packs records into a raw record buffer (_raw_records) and
-    writes them from it, and counts them (n_records).
-    Each block must hold integers that continue the channel's
-    non-decreasing timestamp order (correlate._tag_fault), or append()
-    raises DataError.  close() renames the temp file
-    to path, so readers never see a partial file; used as a context
-    manager, an exception discards the temp file instead.
+    The header is written on creation; append() packs records into a raw
+    record buffer (_raw_records), writes them from it and counts them
+    (n_records).  Each block must hold integers that continue the
+    channel's non-decreasing timestamp order (correlate._tag_fault), or
+    append() raises DataError.
     """
 
     def __init__(self, path, channel: str):
-        self.path = path
         self.n_records = 0
         self._code = correlate._channel_code(channel)
         self._last = None
-        fd, self._tmp = _create_temp(path)
-        self._fh = os.fdopen(fd, "wb")
+        super().__init__(path)
         try:
             self._fh.write(_HEADER.pack(TIMETAG_MAGIC, TIMETAG_VERSION, 1))
         except BaseException:
@@ -129,34 +166,6 @@ class TimeTagWriter:
             self._fh.write(part)
         self.n_records += ts.size
         self._last = ts[-1]
-
-    def close(self):
-        """Finish the file and move it into place; if either step fails,
-        as the final flush does on a full disk, discard the temp file."""
-        try:
-            self._fh.close()
-            os.replace(self._tmp, self.path)
-        except BaseException:
-            self.discard()
-            raise
-
-    def discard(self):
-        """Drop the temp file, even if closing it fails; path is left as
-        it was."""
-        try:
-            self._fh.close()
-        finally:
-            if os.path.exists(self._tmp):
-                os.unlink(self._tmp)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.close()
-        else:
-            self.discard()
 
 
 def write_timetags(path, stream: TimeTagStream):
@@ -448,19 +457,11 @@ def dumps_json(obj) -> str:
 
 
 def write_json(path, obj):
-    """Write dumps_json(obj) to path piece by piece, so that no more than
-    one array's text is held.  The text goes to a temp file in the
-    target directory, renamed to path once it is complete."""
-    fd, tmp = _create_temp(path)
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(_encode(obj, 0))
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write dumps_json(obj) to path (an _OutputFile) piece by piece, so
+    that no more than one array's text is held."""
+    with _OutputFile(path) as out:
+        out._fh.writelines(piece.encode() for piece in _encode(obj, 0))
+        out._fh.write(b"\n")
 
 
 def read_json(path):

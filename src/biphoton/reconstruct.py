@@ -99,15 +99,13 @@ def _rate_terms(y):
     return ybar, num
 
 
-def _invert_arrays(y, root="larger"):
+def _invert_arrays(y):
     """Vectorized closed-form inversion of the rates y, a (3, n) float
     array, one column per bin.
 
     Returns an _Inversion.  Invalid bins (radicand below tolerance, or
     gamma = 0) carry NaN results and valid = False.
     """
-    if root not in ("larger", "smaller"):
-        raise ConfigError(f"root must be 'larger' or 'smaller', got {root!r}")
     ybar, num = _rate_terms(y)
 
     ybar_sq = np.square(ybar)
@@ -117,10 +115,7 @@ def _invert_arrays(y, root="larger"):
     valid = radicand >= -RADICAND_REL_TOL * ybar_sq
     root_term = np.maximum(radicand, 0.0, out=radicand)
     np.sqrt(root_term, out=root_term)
-    if root == "larger":
-        gamma = np.add(ybar, root_term, out=root_term)
-    else:
-        gamma = np.subtract(ybar, root_term, out=root_term)
+    gamma = np.add(ybar, root_term, out=root_term)  # the larger root
     gamma *= 0.5  # gamma^2
     np.maximum(gamma, 0.0, out=gamma)
     np.sqrt(gamma, out=gamma)
@@ -133,7 +128,7 @@ def _invert_arrays(y, root="larger"):
     return _Inversion(values, valid, y, ybar, num, two_gamma)
 
 
-def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
+def reconstruct_bin(y0: float, y1: float, y2: float):
     """Invert one bin's three rates into (re_psi, im_psi, gamma).
 
     Raises InvalidBinError when the radicand is negative beyond tolerance
@@ -141,7 +136,7 @@ def reconstruct_bin(y0: float, y1: float, y2: float, root: str = "larger"):
     """
     y = np.array([[y0], [y1], [y2]], dtype=float)
     _check_rates(y)
-    values, valid = _invert_arrays(y, root=root)[:2]
+    values, valid = _invert_arrays(y)[:2]
     if not valid[0]:
         raise InvalidBinError(
             f"(y0, y1, y2) = ({y0}, {y1}, {y2}) cannot be inverted: negative "
@@ -158,8 +153,8 @@ def _jacobian(inversion):
     shape (3, 3, n), J[i, k] the derivative of output i w.r.t. input k,
     NaN on invalid bins.
 
-    With s = 2*gamma^2 - ybar, which is +sqrt(R) for the larger root and
-    -sqrt(R) for the smaller one, and dR/dy_k = 2*ybar - (4/3)*y_k,
+    With s = 2*gamma^2 - ybar, which is +sqrt(R) on the larger root, and
+    dR/dy_k = 2*ybar - (4/3)*y_k,
 
         d(gamma^2)/dy_k = (1/3 + (dR/dy_k) / (2*s)) / 2,
 
@@ -219,12 +214,13 @@ def _check_rates(ys):
 def _rate_variances(ys, counts):
     """Poisson variances y_k^2 / n_k of the rates ys, stacked on a leading
     axis of 3 like the counts: infinite where n_k = 0 (the rate was not
-    measured), and zero everywhere when counts is None (exact input)."""
+    measured), and zero everywhere when counts is None (exact input).
+    Every count must be finite and >= 0 (ConfigError otherwise)."""
     if counts is None:
         return np.zeros(ys.shape)
     counts = np.asarray(counts)
-    if np.count_nonzero(counts < 0):
-        raise ConfigError("counts must be non-negative")
+    if not np.all((counts >= 0) & (counts < np.inf)):
+        raise ConfigError("counts must be non-negative and finite")
     return np.divide(np.square(ys), counts, out=np.full(ys.shape, np.inf), where=counts > 0)
 
 
@@ -422,7 +418,7 @@ def reconstruct_values(
 ) -> ReconstructedTpwf:
     """Reconstruct from normalized rate arrays (the histogram-free core).
 
-    Every rate must be finite and >= 0 (ConfigError otherwise).
+    Every rate and count must be finite and >= 0 (ConfigError otherwise).
     The three counts arrays, given together, set the Poisson errors;
     without them the input is exact and every valid bin's sigma is zero.
     wing_level feeds the background subtraction when background_mode is

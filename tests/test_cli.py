@@ -922,14 +922,19 @@ class TestExitCodes:
 
     def test_output_in_a_missing_directory_names_the_target(self, tmp_path, capsys):
         # The document goes to a temp file beside the target first; the
-        # message names the target, not that file.
+        # message names the target, not that file, whether the temp file
+        # cannot be made (a missing directory) or not renamed (onto an
+        # existing directory).
         for k in range(3):
             hist = phase_histogram([30, 50, 40, 20], 1.0, 1000, k)
             bio.write_json(tmp_path / f"hist_phi{k}.json", bio.histogram_to_dict(hist))
-        target = tmp_path / "no" / "such" / "r.json"
-        assert main(["reconstruct", "--input-dir", str(tmp_path), "--output", str(target)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("i/o error") and str(target) in err and ".tmp-" not in err
+        existing = tmp_path / "isdir" / "r.json"
+        existing.mkdir(parents=True)
+        for target in (tmp_path / "no" / "such" / "r.json", existing):
+            assert main(["reconstruct", "--input-dir", str(tmp_path), "--output", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error") and str(target) in err and ".tmp-" not in err
+        assert os.listdir(existing) == [] and os.listdir(existing.parent) == ["r.json"]
 
     @pytest.mark.parametrize(
         "command, bin_width_ns",

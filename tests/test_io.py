@@ -150,6 +150,22 @@ class TestTimetagBinary:
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("write", [
+        lambda path: bio.write_timetags(path, stream("A", [1, 2])),
+        lambda path: bio.write_json(path, {"x": 1.5}),
+    ], ids=["tags", "json"])
+    def test_output_onto_a_directory_names_the_target(self, tmp_path, write):
+        # The rename fails; the error names the target, not the temp file,
+        # and the temp file is gone.
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "kept").write_bytes(b"x")
+        with pytest.raises(IsADirectoryError) as err:
+            write(target)
+        assert err.value.filename == str(target) and err.value.filename2 is None
+        assert os.listdir(tmp_path) == ["out"]
+        assert os.listdir(target) == ["kept"] and (target / "kept").read_bytes() == b"x"
+
 
 class TestTagWriter:
     def test_blocks_give_the_one_block_file(self, tmp_path):
@@ -168,6 +184,25 @@ class TestTagWriter:
         assert not path.exists()
         writer.close()
         assert path.stat().st_size == 16 + 2 * 9
+
+    def test_close_inside_the_block_is_the_close(self, tmp_path):
+        path = tmp_path / "tags.bttg"
+        with bio.TimeTagWriter(path, "A") as writer:
+            writer.append(np.array([1, 2], dtype=np.int64))
+            writer.close()
+        assert os.listdir(tmp_path) == ["tags.bttg"]
+        assert bio.read_timetags(path)[1].tolist() == [1, 2]
+
+    def test_second_close_is_a_no_op(self, tmp_path):
+        path = tmp_path / "tags.bttg"
+        writer = bio.TimeTagWriter(path, "A")
+        writer.append(np.array([1, 2], dtype=np.int64))
+        writer.close()
+        written = path.read_bytes()
+        writer.close()
+        writer.discard()
+        assert os.listdir(tmp_path) == ["tags.bttg"]
+        assert path.read_bytes() == written and len(written) == 16 + 2 * 9
 
     def test_unknown_channel_rejected(self, tmp_path):
         # The writer, the file reader and the stream share one channel rule.

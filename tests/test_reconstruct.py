@@ -48,7 +48,7 @@ def bootstrap_sigmas(y, counts, n_rep, seed):
     )
 
 
-def central_difference_jacobian(y0, y1, y2, root="larger"):
+def central_difference_jacobian(y0, y1, y2):
     """Reference Jacobian by central differences of the inversion, six
     extra inversions per call; NaN where a perturbed inversion fails."""
     y = [np.asarray(v, dtype=float) for v in (y0, y1, y2)]
@@ -60,8 +60,8 @@ def central_difference_jacobian(y0, y1, y2, root="larger"):
         minus = [v.copy() for v in y]
         plus[k] = plus[k] + h
         minus[k] = minus[k] - h
-        (rp, ip, gp), vp = _invert_arrays(np.array(plus), root=root)[:2]
-        (rm, im_, gm), vm = _invert_arrays(np.array(minus), root=root)[:2]
+        (rp, ip, gp), vp = _invert_arrays(np.array(plus))[:2]
+        (rm, im_, gm), vm = _invert_arrays(np.array(minus))[:2]
         inv_2h = 1.0 / (2.0 * h)
         bad = ~(vp & vm)
         for i, (p, m) in enumerate(((rp, rm), (ip, im_), (gp, gm))):
@@ -140,23 +140,13 @@ class TestReconstructBin:
             )
 
     def test_root_choice_boundary_continuity(self):
-        # gamma = |psi|: the two roots coincide; both return gamma = |psi|
+        # gamma = |psi|: the two roots coincide at gamma = |psi|
         for theta in (0.0, 0.7, 2.0):
             psi = np.exp(1j * theta)
             y = [float(v) for v in forward_triple(1.0, psi)]
             re, im, gamma = reconstruct_bin(*y)
             assert gamma == pytest.approx(1.0, abs=1e-6)
             assert math.hypot(re, im) == pytest.approx(1.0, abs=1e-6)
-            smaller = reconstruct_bin(*y, root="smaller")
-            assert smaller[2] == pytest.approx(gamma, abs=2e-6)
-
-    def test_root_override_swaps_roles(self):
-        y = [float(v) for v in forward_triple(2.0, 0.5 + 0.25j)]
-        larger = reconstruct_bin(*y)
-        smaller = reconstruct_bin(*y, root="smaller")
-        # the smaller root returns |psi| in place of gamma
-        assert smaller[2] == pytest.approx(math.hypot(0.5, 0.25), rel=1e-10)
-        assert larger[2] == pytest.approx(2.0, rel=1e-12)
 
 
 class TestBackgroundCancellation:
@@ -294,18 +284,15 @@ class TestJacobian:
         psi = gamma * rng.uniform(0.0, 0.9, n) * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
         return forward_triple(gamma, psi)
 
-    @pytest.mark.parametrize("root,tol", [("larger", 1e-6), ("smaller", 1e-2)])
-    def test_closed_form_matches_central_differences(self, root, tol):
-        # Central differences are ill-conditioned on the smaller root,
-        # hence its looser tolerance.
+    def test_closed_form_matches_central_differences(self):
         y = self.draws()
-        exact = _jacobian(_invert_arrays(np.array(y), root=root))
-        reference = central_difference_jacobian(*y, root=root)
+        exact = _jacobian(_invert_arrays(np.array(y)))
+        reference = central_difference_jacobian(*y)
         assert exact.shape == (3, 3, y[0].size)
         assert np.isfinite(exact).all() and np.isfinite(reference).all()
         scale = np.max(np.abs(exact.reshape(9, -1)), axis=0)
         err = np.max(np.abs((exact - reference).reshape(9, -1)), axis=0)
-        assert np.max(err / scale) < tol
+        assert np.max(err / scale) < 1e-6
 
     def test_nan_on_invalid_bins(self):
         y = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
@@ -592,13 +579,15 @@ class TestReconstructValues:
         with pytest.raises(ConfigError):
             reconstruct_values(tau, ones, ones, ones, *counts)
 
-    def test_negative_counts_rejected(self):
+    @pytest.mark.parametrize("bad", [-1, math.nan, math.inf])
+    def test_negative_counts_rejected(self, bad):
+        # An infinite count gave sigma 0, as for exact input; a NaN, sigma inf.
         ones = np.ones(3)
-        counts = [np.full(3, 100), np.array([100, -1, 100]), np.full(3, 100)]
+        counts = [np.full(3, 100), np.array([100, bad, 100]), np.full(3, 100)]
         with pytest.raises(ConfigError, match="counts must be non-negative"):
             reconstruct_values(np.zeros(3), ones, ones, ones, *counts)
         with pytest.raises(ConfigError, match="counts must be non-negative"):
-            propagate_errors([1.0, 1.0, 1.0], [100, -1, 100])
+            propagate_errors([1.2, 2.0, 1.5], [100, bad, 100])
 
     @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
     @pytest.mark.parametrize("call", [
