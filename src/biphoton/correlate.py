@@ -45,12 +45,17 @@ _CHANNELS = ("A", "B")  # a tag file stores a channel as its index here
 # 5 MB less but 7-15 % more time in per-block overhead.
 _BLOCK_RECORDS = 2**16
 
-# A tags per sub-chunk of the pair kernel: bounds its temporaries and
-# its buffer of binned pairs.  A step of the kernel's walk compares up to
-# _SUB_CHUNK // 16 pairs, split among the A tags still walking, so that
-# few A tags with many B partners each (a sparse A against a dense B)
-# take few steps.
+# A tags per sub-chunk of the pair kernel: bounds its temporaries.  A
+# step of the kernel's walk compares up to _SUB_CHUNK // 16 pairs, split
+# among the A tags still walking, so that few A tags with many B
+# partners each (a sparse A against a dense B) take few steps.
 _SUB_CHUNK = 2**14
+
+# Bins of a histogram at most (8 MiB of int64 counts), so that a binning
+# too fine for its window is a ConfigError, not a failed allocation.  The
+# 0.02 ns re-binning over +-200 ns takes 20,000 bins, and 1 ps bins over
+# +-400 ns 800,000.
+_MAX_BINS = 2**20
 
 _INT64_MAX = 2**63 - 1
 # Bin-centre arrays kept by _bin_centers; a many-seed study reads one.
@@ -74,14 +79,19 @@ def _time_ps(name: str, seconds: float) -> int:
 
 
 def check_binning(bin_width: float, tau_max: float) -> tuple[int, int]:
-    """The integer-picosecond binning rule: bin_width at least 1 ps and
-    tau_max a positive multiple of it.  Returns both in picoseconds."""
+    """The integer-picosecond binning rule: bin_width at least 1 ps,
+    tau_max a positive multiple of it, and at most _MAX_BINS bins over
+    [-tau_max, tau_max).  Returns both in picoseconds."""
     bw_ps = _time_ps("bin_width", bin_width)
     tmax_ps = _time_ps("tau_max", tau_max)
     if bw_ps <= 0:
         raise ConfigError(f"bin_width must be >= 1 ps, got {bin_width}")
     if tmax_ps <= 0 or tmax_ps % bw_ps != 0:
         raise ConfigError("tau_max must be a positive multiple of bin_width")
+    n_bins = 2 * tmax_ps // bw_ps
+    if n_bins > _MAX_BINS:
+        raise ConfigError(f"bin_width and tau_max give {n_bins} bins, "
+                          f"more than the {_MAX_BINS} allowed")
     return bw_ps, tmax_ps
 
 
@@ -273,11 +283,11 @@ def cross_correlate(
     The streams are TimeTagStreams or any source with the same channel,
     exposure, len() and blocks() (a file-backed one is io.TimeTagFile).
     Their blocks are merged in time: at most one A block is held, with
-    the B tags that can still partner a pending A tag, and each A tag is
-    counted once all its partners are loaded.  Cost is O(N_a + N_b) for
-    the merges plus O(pairs).  Memory is bounded by the block and the
-    pair kernel's sub-chunk: it grows neither with the acquisition nor
-    with the pairs per tag.
+    the B tags that can still partner an A tag not yet counted, and each
+    A tag is counted once all its partners are loaded.  Cost is
+    O(N_a + N_b) for the merges plus O(pairs).  Memory is bounded by the
+    block and the pair kernel's sub-chunk: it grows neither with the
+    acquisition nor with the pairs per tag.
     Every block of both streams is read, so a fault anywhere in either
     is raised.  Segment counts add: segments of a long acquisition may
     be processed independently (with tau_max overlap) and merged by
@@ -289,8 +299,7 @@ def cross_correlate(
 
     counts = np.zeros(2 * tmax_ps // bw_ps, dtype=np.int64)
     with closing(stream_a.blocks()) as blocks_a, closing(stream_b.blocks()) as blocks_b:
-        total = _merge_blocks(blocks_a, blocks_b, tmax_ps, bw_ps, counts)
-    assert int(counts.sum()) == total  # every windowed pair lands in a bin
+        _merge_blocks(blocks_a, blocks_b, tmax_ps, bw_ps, counts)
 
     return CoincidenceHistogram(
         bin_width_ps=bw_ps,
@@ -303,9 +312,8 @@ def cross_correlate(
     )
 
 
-def _merge_blocks(blocks_a, blocks_b, tmax_ps, bw_ps, counts) -> int:
-    """Add the pairs of two sorted block sequences to counts; return
-    their number.
+def _merge_blocks(blocks_a, blocks_b, tmax_ps, bw_ps, counts) -> None:
+    """Add the pairs of two sorted block sequences to counts.
 
     b holds the B tags in (a_next - T, b_last], where a_next is the first
     A tag not yet counted and b_last the last B tag read.  An A tag a has
@@ -316,15 +324,14 @@ def _merge_blocks(blocks_a, blocks_b, tmax_ps, bw_ps, counts) -> int:
     """
     b = np.empty(0, dtype=np.int64)
     b_last = -_LIMIT_PS
-    total = 0
     for a in blocks_a:
         i = 0
         while i < a.size:
             ready = int(np.searchsorted(a, b_last - tmax_ps, side="left"))
-            # B tags <= a_next - T partner no pending A tag.
+            # B tags <= a_next - T partner no A tag still to count.
             b = b[np.searchsorted(b, a[i] - tmax_ps, side="right"):]
             if ready > i:
-                total += _count_pairs(a[i:ready], b, tmax_ps, bw_ps, counts)
+                _count_pairs(a[i:ready], b, tmax_ps, bw_ps, counts)
                 i = ready
                 continue
             block = next(blocks_b, None)
@@ -337,12 +344,11 @@ def _merge_blocks(blocks_a, blocks_b, tmax_ps, bw_ps, counts) -> int:
             del block
     for _ in blocks_b:  # read to the end: a fault in B's tail still raises
         pass
-    return total
 
 
-def _count_pairs(a, b, tmax_ps, bw_ps, counts) -> int:
+def _count_pairs(a, b, tmax_ps, bw_ps, counts) -> None:
     """Add the pairs of a against b with tau = a - b in [-T, T) to
-    counts; return their number.
+    counts.
 
     a is taken _SUB_CHUNK tags at a time, against the B tags in the
     sub-chunk's window (a[0] - T, a[-1] + T].  lo, the number of B tags
@@ -353,15 +359,15 @@ def _count_pairs(a, b, tmax_ps, bw_ps, counts) -> int:
     first b > a + T (sentinels stop it past the window).  While many
     tags walk, each step takes one partner per tag; once few are left,
     each takes a stride of partners, so that a sparse A against a dense
-    B costs few steps.  Cost is O(len(a) + len(b)) for the merges plus
-    O(pairs); every temporary, and the buffer of pairs not yet binned,
-    is bounded by the sub-chunk and b.
+    B costs few steps.  Each step's pairs are binned where they are
+    found: their tau + T, in [0, 2T), is floor-divided by the bin width in
+    place and added to counts with np.add.at, at a cost proportional to
+    the pairs.  Cost is O(len(a) + len(b)) for the merges plus O(pairs);
+    every temporary is bounded by the sub-chunk and b.
     """
     # The widest stride; as many sentinels past the window stop any
     # stride there.
     widest = max(1, _SUB_CHUNK // 16)
-    total = held = 0
-    pending = []  # tau + T of the pairs not yet binned
     for start in range(0, a.size, _SUB_CHUNK):
         sub = a[start : start + _SUB_CHUNK]
         window = b[
@@ -381,29 +387,13 @@ def _count_pairs(a, b, tmax_ps, bw_ps, counts) -> int:
             stride = max(1, widest // shifted_a.size)
             shifted = shifted_a[:, None] - partners[j[:, None] + np.arange(stride)]
             inside = shifted >= 0  # a prefix of each row
-            found = shifted[inside]
+            found = shifted[inside]  # tau + T, in [0, 2T)
+            found //= bw_ps
+            np.add.at(counts, found, 1)
             go_on = np.flatnonzero(inside[:, -1])
-            if found.size:
-                pending.append(found)
-                held += found.size
-                if held >= _SUB_CHUNK:
-                    total += _bin_pending(pending, bw_ps, counts)
-                    held = 0
             shifted_a = shifted_a[go_on]
             j = j[go_on]
             j += stride
-    if pending:
-        total += _bin_pending(pending, bw_ps, counts)
-    return total
-
-
-def _bin_pending(pending, bw_ps, counts) -> int:
-    """Add the pending tau + T values to counts, empty the list, and
-    return how many were added."""
-    shifted = np.concatenate(pending) if len(pending) > 1 else pending[0]
-    counts += np.bincount(shifted // bw_ps, minlength=counts.size)
-    pending.clear()
-    return shifted.size
 
 
 def normalize_g2(hist: CoincidenceHistogram):

@@ -103,7 +103,7 @@ class AnalyzerSetting:
         phi = phi - math.floor(phi / math.pi) * math.pi
         if phi >= math.pi:  # guard against rounding at the boundary
             phi -= math.pi
-        return cls(theta=math.pi / 4.0, phi=max(phi, 0.0))
+        return cls(theta=math.pi / 4.0, phi=phi if phi > 0.0 else 0.0)  # -0.0 too
 
 
 @dataclass(frozen=True)

@@ -609,6 +609,14 @@ class TestCorrelateCommand:
         assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
         assert not out.exists()
 
+    def test_negative_zero_phi_is_written_as_zero(self, tiny_run, tmp_path):
+        run_dir, _ = tiny_run
+        out = tmp_path / "hist.json"
+        assert main(["correlate", "--tags-a", str(run_dir / "tags_phi0_A.bttg"),
+                     "--tags-b", str(run_dir / "tags_phi0_B.bttg"), "--duration-s", "0.05",
+                     "--phi-rad", "-0", "--output", str(out)]) == 0
+        assert '"phi_rad": 0\n' in out.read_text()
+
     def test_zero_duration_meets_the_duration_rule(self, tiny_run, tmp_path, capsys):
         # A flag given as 0 is given: the duration rule refuses it, not
         # the message for a missing flag.
@@ -1031,6 +1039,19 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert sorted(os.listdir(run_dir)) == before
         assert not out.exists()
+
+    def test_too_many_bins_is_one_before_any_file(self, tiny_run):
+        # 1 ps bins over +-10 ms are 2e10 bins: refused at load, not in
+        # allocating their counts.
+        run_dir, _ = tiny_run
+        before = sorted(os.listdir(run_dir))
+        done = run_cli(["correlate", "--input-dir", str(run_dir),
+                        "--bin-width-ns", "0.001", "--tau-max-ns", "1e7"])
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: correlate.bin_width_ns = 0.001, correlate.tau_max_ns = 10000000.0: "
+            "bin_width and tau_max give 20000000000 bins, more than the 1048576 allowed\n")
+        assert sorted(os.listdir(run_dir)) == before
 
     def test_missing_file_is_two(self, tmp_path):
         assert main(["correlate", "--input-dir", str(tmp_path / "nowhere")]) == 2

@@ -174,6 +174,18 @@ class TestCrossCorrelate:
         with pytest.raises(ConfigError, match="2\\*\\*62"):
             correlate.check_binning(5e6, 5e6)
 
+    def test_bin_count_bound(self):
+        # The 0.02 ns re-binning, 1 ps bins over +-400 ns and the bound
+        # itself pass; one more bin on each side, or 1 ps bins over
+        # +-10 ms, fail.
+        assert correlate.check_binning(0.02e-9, 200e-9) == (20, 200_000)
+        assert correlate.check_binning(1e-12, 400e-9) == (1, 400_000)
+        assert correlate.check_binning(1e-12, 2**19 * 1e-12) == (1, 2**19)
+        with pytest.raises(ConfigError, match="1048578 bins, more than the 1048576 allowed"):
+            correlate.check_binning(1e-12, (2**19 + 1) * 1e-12)
+        with pytest.raises(ConfigError, match="20000000000 bins, more than the 1048576 allowed"):
+            cross_correlate(stream("A", [0], 1.0), stream("B", [0], 1.0), 1e-12, 1e-2)
+
 
 # Sorted tag lists: 5 to 40 tags in a 20 ps span (dense, many equal
 # timestamps) or up to 120 in a 300 ps span, shifted by up to 300 ps so

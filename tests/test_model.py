@@ -110,6 +110,7 @@ class TestAnalyzerTransform:
         s = BALANCED(math.pi + 0.3)
         assert abs(s.phi - 0.3) < 1e-12
         assert s.theta == math.pi / 4
+        assert math.copysign(1.0, BALANCED(-0.0).phi) == 1.0  # -0.0 wraps to +0.0
 
     @pytest.mark.parametrize("phi", NON_FINITE)
     def test_balanced_refuses_non_finite_phi(self, phi):

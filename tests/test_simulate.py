@@ -447,6 +447,11 @@ class TestRateLevelHistogram:
                 self.cfg(tau_window=301e-9), BALANCED(0.0), self.MODEL, 1.0, 4e-9
             )
 
+    def test_too_many_bins_rejected(self):
+        # 1 ps bins over +-10 ms are 2e10 bins.
+        with pytest.raises(ConfigError, match="20000000000 bins, more than the 1048576"):
+            rate_level_histogram(self.cfg(tau_window=1e-2), BALANCED(0.0), self.MODEL, 1.0, 1e-12)
+
     def test_event_level_agreement(self):
         # The floor R_A * R_B * dt * T counts every cross-event coincidence,
         # pair clicks included: 3200^2 * 4 ns * 40 s ~ 1.6 counts/bin.  The
