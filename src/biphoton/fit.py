@@ -17,16 +17,17 @@ equations and chi2 together and whose model values f set the next
 pass's weights.  A pass after the first starts from the last pass's
 [J | r], rescaled row by row to the new weights, without evaluating it
 again.  The damped steps, the visibility fit's normal equations and the
-covariance of both fits are solved by one unrolled Cholesky
-factorization on Python floats (Golub & Van Loan, Matrix Computations,
-sec. 4.2): the module makes no LAPACK call.  Each pass stops once the
-Gauss-Newton decrement puts the point within its tolerance of the pass's
-minimum, set by what the end point feeds: 3e-2 sigma and 1e-2 sigma for
-the two passes that only set the next weights, 1e-3 sigma for the last,
-the estimate of record (_PASS_TOLS).  Every pass on exact input, and a
-pass at a kink of the model, ends when a step improves chi2 by at most
-1e-12 of it, which is also every pass's second exit.  The results agree
-with running every pass to that chi2 rule within 5e-3 sigma.
+covariance of both fits are solved by one row-by-row Cholesky
+factorization on Python floats, for any number of parameters (Golub &
+Van Loan, Matrix Computations, sec. 4.2): the module makes no LAPACK
+call.  Each pass stops once the Gauss-Newton decrement puts the point
+within its tolerance of the pass's minimum, set by what the end point
+feeds: 3e-2 sigma and 1e-2 sigma for the two passes that only set the
+next weights, 1e-3 sigma for the last, the estimate of record
+(_PASS_TOLS).  Every pass on exact input, and a pass at a kink of the
+model, ends when a step improves chi2 by at most 1e-12 of it, which is
+also every pass's second exit.  The results agree with running every
+pass to that chi2 rule within 5e-3 sigma.
 
 All three fits weight by reconstruct._weighted: points of finite variance
 count, with unit weights and sigma 0 if all of those are 0 (exact input),
@@ -104,57 +105,59 @@ def _check_weight_threshold(weight_threshold):
         raise ConfigError(f"weight_threshold must lie in [0, 1), got {weight_threshold}")
 
 
+def _forward(L, b):
+    """z = L^-1 b by forward substitution, for a lower triangular L given
+    as its rows (row i the list L[i][:i + 1]); reads b[:len(L)]."""
+    z = []
+    for i in range(len(L)):
+        Li = L[i]
+        s = b[i]
+        for m in range(i):
+            s -= Li[m] * z[m]
+        z.append(s / Li[i])
+    return z
+
+
 def _cholesky(a, shift):
-    """The lower Cholesky factor of a + diag(shift), for a symmetric k x k
-    matrix a, k <= 3, given as a list of k rows of which only the lower
-    triangle is read.  Unrolled on Python floats: at k <= 3 a LAPACK call
-    costs more than its arithmetic.  A k < 3 matrix is the leading block
-    of the 3 x 3 one padded with the unit matrix, so the factor is always
-    the six floats (d0, l10, d1, l20, l21, d2) of
-    L = [[d0, 0, 0], [l10, d1, 0], [l20, l21, d2]].  None if the matrix is
-    not positive definite."""
-    k = len(shift)
-    s = a[0][0] + shift[0]
-    if not s > 0.0:
-        return None
-    d0 = math.sqrt(s)
-    if k == 1:
-        return d0, 0.0, 1.0, 0.0, 0.0, 1.0
-    row = a[1]
-    l10 = row[0] / d0
-    s = row[1] + shift[1] - l10 * l10
-    if not s > 0.0:
-        return None
-    d1 = math.sqrt(s)
-    if k == 2:
-        return d0, l10, d1, 0.0, 0.0, 1.0
-    row = a[2]
-    l20 = row[0] / d0
-    l21 = (row[1] - l20 * l10) / d1
-    s = row[2] + shift[2] - l20 * l20 - l21 * l21
-    if not s > 0.0:
-        return None
-    return d0, l10, d1, l20, l21, math.sqrt(s)
+    """The rows of the lower Cholesky factor L of a + diag(shift), row i
+    the list L[i][:i + 1], or None if that is not positive definite
+    (Golub & Van Loan, Matrix Computations, sec. 4.2).  a is a symmetric
+    k x k matrix as k rows, of which only the lower triangle is read.
+    Python floats: at the k of these fits LAPACK costs more than the
+    arithmetic.  Row i is _forward of a[i] by the rows above it; every
+    sum subtracts its terms in ascending index order."""
+    L = []
+    for i in range(len(shift)):
+        Li = _forward(L, a[i])
+        s = a[i][i] + shift[i]
+        for u in Li:
+            s -= u * u
+        if not s > 0.0:
+            return None
+        Li.append(math.sqrt(s))
+        L.append(Li)
+    return L
 
 
 def _cholesky_solve(a, shift, b):
-    """Solve (a + diag(shift)) x = b by the _cholesky factor L, forward
-    (z = L^-1 b) and back.  Returns (x, zz) with
+    """Solve (a + diag(shift)) x = b by the _cholesky factor L: forward
+    (z = L^-1 b), then back, each x[i] subtracting the terms of the
+    highest index first.  Returns (x, zz) with
     zz = z.z = b^T (a + diag(shift))^-1 b, or None if the matrix is not
-    positive definite.  The padding rows add exact zeros, so x and zz
-    are, bit for bit, those of the k x k factorization."""
+    positive definite."""
     L = _cholesky(a, shift)
     if L is None:
         return None
-    d0, l10, d1, l20, l21, d2 = L
-    k = len(b)
-    z0 = b[0] / d0
-    z1 = (b[1] - l10 * z0) / d1 if k > 1 else 0.0
-    z2 = (b[2] - l20 * z0 - l21 * z1) / d2 if k > 2 else 0.0
-    x2 = z2 / d2
-    x1 = (z1 - l21 * x2) / d1
-    x0 = (z0 - l20 * x2 - l10 * x1) / d0
-    return [x0, x1, x2][:k], z0 * z0 + z1 * z1 + z2 * z2
+    x = _forward(L, b)
+    zz = 0.0
+    for v in x:
+        zz += v * v
+    for i in range(len(x) - 1, -1, -1):
+        Li = L[i]
+        xi = x[i] = x[i] / Li[i]
+        for m in range(i):
+            x[m] -= Li[m] * xi
+    return x, zz
 
 
 def _gram(M, k):
@@ -248,28 +251,22 @@ def _covariance(A, exact=False):
     _MIN_RELATIVE_PIVOT of its diagonal entry.  A non-finite A gives NaN."""
     k = len(A)
     L = _cholesky(A, (0.0,) * k)
-    if L is None or any(d * d < _MIN_RELATIVE_PIVOT * A[i][i]  # d0, d1, d2 of L
-                        for i, d in enumerate((L[0], L[2], L[5])[:k])):
+    if L is None or any(Li[i] * Li[i] < _MIN_RELATIVE_PIVOT * A[i][i] for i, Li in enumerate(L)):
         if all(map(math.isfinite, itertools.chain.from_iterable(A))):
             return None
         return np.full((k, k), np.nan)
     if exact:
         return np.zeros((k, k))
-    d0, l10, d1, l20, l21, d2 = L
-    # The rows of L^-1, lower triangular.
-    m00, m11, m22 = 1.0 / d0, 1.0 / d1, 1.0 / d2
-    m10 = -l10 * m00 / d1
-    m21 = -l21 * m11 / d2
-    m20 = -(l20 * m00 + l21 * m10) / d2
-    c01 = m10 * m11 + m20 * m21
-    c02 = m20 * m22
-    c12 = m21 * m22
-    cov = np.array([
-        [m00 * m00 + m10 * m10 + m20 * m20, c01, c02],
-        [c01, m11 * m11 + m21 * m21, c12],
-        [c02, c12, m22 * m22],
-    ])
-    return cov[:k, :k]
+    # M[j], column j of L^-1, is _forward of the unit vector e_j; C[i][j]
+    # sums M[i][m] M[j][m] over m >= j, i <= j, in ascending order.
+    M = [_forward(L, e) for e in np.eye(k).tolist()]
+    cov = np.empty((k, k))
+    for i, j in itertools.combinations_with_replacement(range(k), 2):
+        s = M[i][j] * M[j][j]
+        for m in range(j + 1, k):
+            s += M[i][m] * M[j][m]
+        cov[i, j] = cov[j, i] = s
+    return cov
 
 
 class _PowerData:

@@ -532,10 +532,11 @@ def _record_tols(monkeypatch):
 
 
 def _reference_cholesky_solve(a, shift, b):
-    """fit._cholesky_solve as it was before it was unrolled: the generic
-    Cholesky loop on Python floats, frozen as the oracle for the unrolled
-    solve.  Returns (x, z) with z = L^-1 b, or None if a + diag(shift) is
-    not positive definite."""
+    """A Cholesky solve on Python floats that factors and substitutes
+    forward in one pass over the rows, frozen as the oracle for
+    fit._cholesky_solve: the two must agree bit for bit, so each sum here
+    runs in the order the solver's must.  Returns (x, z) with z = L^-1 b,
+    or None if a + diag(shift) is not positive definite."""
     L, z = [], []
     for i, bi in enumerate(b):
         row, Li = a[i], []
@@ -582,10 +583,11 @@ class TestLevenbergBranches:
     """Each exit and retry branch of fit._levenberg."""
 
     def test_cholesky_solve(self):
-        # The unrolled solve equals the frozen generic loop bit for bit,
-        # x and the decrement z.z alike, at every k it is used at.
+        # The solve equals the frozen oracle bit for bit, x and the
+        # decrement z.z alike, at k = 1 to 6.  z.z is summed in ascending
+        # order here: from Python 3.12, sum() compensates its rounding.
         rng = np.random.default_rng(3)
-        for k in (1, 2, 3):
+        for k in range(1, 7):
             for _ in range(500):
                 # Columns of very different scales, as in the envelope fit.
                 X = rng.normal(size=(10, k)) * 10.0 ** rng.uniform(-9.0, 9.0, k)
@@ -594,12 +596,16 @@ class TestLevenbergBranches:
                 b = (rng.normal(size=k) * np.sqrt(np.diag(X.T @ X))).tolist()
                 x, zz = fit_module._cholesky_solve(a, shift, b)
                 x_ref, z_ref = _reference_cholesky_solve(a, shift, b)
+                zz_ref = 0.0
+                for v in z_ref:
+                    zz_ref += v * v
                 assert x == x_ref
-                assert zz == sum(v * v for v in z_ref)
+                assert zz == zz_ref
             assert x == pytest.approx(np.linalg.solve(np.add(a, np.diag(shift)), b), rel=1e-9)
         for a in ([[1.0, 2.0], [2.0, 1.0]], [[0.0]], [[math.nan]], [[0.0, 0.0], [0.0, 0.0]],
                   [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 2.0, 1.0]],
-                  [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]]):
+                  [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]],
+                  np.diag([1.0] * 5 + [0.0]).tolist()):
             k = len(a)
             assert fit_module._cholesky_solve(a, [0.0] * k, [1.0] * k) is None
             assert _reference_cholesky_solve(a, [0.0] * k, [1.0] * k) is None
@@ -609,14 +615,19 @@ class TestLevenbergBranches:
 
     def test_covariance_inverts_the_normal_matrix(self):
         # L^-T L^-1 from the same Cholesky factor agrees with
-        # np.linalg.inv to 1e-13 of sqrt(C_ii C_jj), at k = 1, 2 and 3.
+        # np.linalg.inv to 1e-13 of sqrt(C_ii C_jj), at k = 1 to 6.  The
+        # reference inverts A scaled to a unit diagonal: at these column
+        # scales inv(A) itself errs by up to 1.8e-13 at k = 6 against the
+        # exact rational inverse, the scaled one and _covariance by less
+        # than 1e-14.
         rng = np.random.default_rng(4)
-        for k in (1, 2, 3):
+        for k in range(1, 7):
             for _ in range(500):
                 X = rng.normal(size=(10, k)) * 10.0 ** rng.uniform(-9.0, 9.0, k)
                 A = X.T @ X
                 cov = fit_module._covariance(A.tolist())
-                ref = np.linalg.inv(A)
+                unit = np.outer(*2 * [1.0 / np.sqrt(np.diag(A))])
+                ref = np.linalg.inv(A * unit) * unit
                 scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
                 assert cov.shape == (k, k)
                 assert np.all(np.abs(cov - ref) <= 1e-13 * scale)
@@ -625,14 +636,16 @@ class TestLevenbergBranches:
         assert fit_module._covariance([[1.0, 2.0], [2.0, 4.0]]) is None
         assert fit_module._covariance([[0.0]]) is None
         # So is one whose pivot rounding leaves positive but tiny against
-        # its diagonal entry; a pivot above _MIN_RELATIVE_PIVOT counts.
+        # its diagonal entry, at whichever pivot that happens; a pivot
+        # above _MIN_RELATIVE_PIVOT counts.
         for a in (1e10, 1.0, 1e-10):
-            for k in (2, 3):
-                for rho, singular in ((1e-6, False), (1e-10, True)):
-                    c = math.sqrt(1.0 - rho)
-                    A = np.eye(k) * a
-                    A[k - 1, k - 2] = A[k - 2, k - 1] = c * a
-                    assert (fit_module._covariance(A.tolist()) is None) == singular
+            for k in (2, 3, 6):
+                for p in range(1, k):
+                    for rho, singular in ((1e-6, False), (1e-10, True)):
+                        c = math.sqrt(1.0 - rho)
+                        A = np.eye(k) * a
+                        A[p, p - 1] = A[p - 1, p] = c * a
+                        assert (fit_module._covariance(A.tolist()) is None) == singular
         assert np.isnan(fit_module._covariance([[1.0, 0.0], [math.nan, 1.0]])).all()
 
     def test_singular_damped_matrix_is_retried(self, monkeypatch):
