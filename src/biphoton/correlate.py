@@ -11,7 +11,6 @@ neighbours.
 
 from __future__ import annotations
 
-import functools
 import math
 from contextlib import closing
 from dataclasses import dataclass
@@ -58,8 +57,6 @@ _SUB_CHUNK = 2**14
 _MAX_BINS = 2**20
 
 _INT64_MAX = 2**63 - 1
-# Bin-centre arrays kept by _bin_centers; a many-seed study reads one.
-_CENTER_CACHE_ENTRIES = 8
 
 
 def seconds_to_ps(t: float) -> int:
@@ -93,16 +90,6 @@ def check_binning(bin_width: float, tau_max: float) -> tuple[int, int]:
         raise ConfigError(f"bin_width and tau_max give {n_bins} bins, "
                           f"more than the {_MAX_BINS} allowed")
     return bw_ps, tmax_ps
-
-
-@functools.lru_cache(maxsize=_CENTER_CACHE_ENTRIES)
-def _bin_centers(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
-    """Centres (s) of n_bins bins of bin_width_ps from tau_min_ps on, as a
-    read-only array computed once per binning."""
-    edges = tau_min_ps + bin_width_ps * np.arange(n_bins, dtype=np.int64)
-    centers = (edges + 0.5 * bin_width_ps) / PS_PER_SECOND
-    centers.flags.writeable = False
-    return centers
 
 
 def _channel_code(channel) -> int:
@@ -240,8 +227,8 @@ class CoincidenceHistogram:
             raise ConfigError(f"acquisition_time must be finite and > 0, got {self.acquisition_time}")
         for name in ("singles_a", "singles_b"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, int) and value >= 0):
-                raise DataError(f"{name} must be a non-negative integer, got {value!r}")
+            if isinstance(value, bool) or not (isinstance(value, int) and 0 <= value <= _INT64_MAX):
+                raise DataError(f"{name} must be a non-negative integer below 2**63, got {value!r}")
         # The int64 sum wraps only where n * peak could pass 2**63 - 1.
         total = int(counts.sum()) if peak <= _INT64_MAX // n else sum(counts.tolist())
         if total > self.singles_a * self.singles_b:
@@ -260,8 +247,10 @@ class CoincidenceHistogram:
         return self.bin_width_ps / PS_PER_SECOND
 
     def bin_centers(self) -> np.ndarray:
-        """Bin-center tau values in seconds, as a read-only array."""
-        return _bin_centers(self.tau_min_ps, self.bin_width_ps, self.n_bins)
+        """Bin-center tau values in seconds, a new array on each call: the
+        exact int64 left edges plus half a bin width, over 10**12 ps/s."""
+        edges = self.tau_min_ps + self.bin_width_ps * np.arange(self.n_bins, dtype=np.int64)
+        return (edges + 0.5 * self.bin_width_ps) / PS_PER_SECOND
 
     def same_binning(self, other: "CoincidenceHistogram") -> bool:
         return (

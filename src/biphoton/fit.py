@@ -250,11 +250,11 @@ def _covariance(A, exact=False):
     None if a finite A is singular, or numerically so: a pivot below
     _MIN_RELATIVE_PIVOT of its diagonal entry.  A non-finite A gives NaN."""
     k = len(A)
+    if not all(map(math.isfinite, itertools.chain.from_iterable(A))):
+        return np.full((k, k), np.nan)
     L = _cholesky(A, (0.0,) * k)
     if L is None or any(Li[i] * Li[i] < _MIN_RELATIVE_PIVOT * A[i][i] for i, Li in enumerate(L)):
-        if all(map(math.isfinite, itertools.chain.from_iterable(A))):
-            return None
-        return np.full((k, k), np.nan)
+        return None
     if exact:
         return np.zeros((k, k))
     # M[j], column j of L^-1, is _forward of the unit vector e_j; C[i][j]

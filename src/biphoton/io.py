@@ -234,29 +234,24 @@ def _check_block(path, offset, channels, timestamps, code, last, end_ps):
 
 
 def _read_block(fh, raw, path, start, count, code, last, end_ps):
-    """Read the count records from record start on, through the raw
-    record buffer, and return them checked (_check_block) as
-    (channels, timestamps); channels is None with a channel code."""
+    """Read the count records from record start on, one part of the raw
+    record buffer at a time, and return them checked (_check_block) as
+    (channels, timestamps); channels is None with a channel code.  fh
+    reads to the end of the file before it reads short, so a short read
+    means the file shrank after _check_header sized it: DataError with
+    the byte offset of the first record not read."""
     size = _RECORD_DTYPE.itemsize
     offset = _HEADER.size + start * size
-    raw_bytes = raw.view(np.uint8)
     channels = np.empty(count, dtype=np.uint8)
     timestamps = np.empty(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        n_bytes = fh.readinto(raw_bytes[: min(raw.size, count - filled) * size])
-        n = n_bytes // size
-        if not n:
-            raise DataError(
-                f"{path}: file shrank while being read",
-                byte_offset=offset + filled * size,
-            )
-        channels[filled : filled + n] = raw["channel"][:n]
-        timestamps[filled : filled + n] = raw["timestamp"][:n]
-        filled += n
-        # A read may end inside a record; read its bytes again.
-        if n_bytes % size:
-            fh.seek(-(n_bytes % size), os.SEEK_CUR)
+    for first in range(0, count, raw.size):
+        part = raw[: min(raw.size, count - first)]
+        n = fh.readinto(part.view(np.uint8)) // size
+        if n < part.size:
+            raise DataError(f"{path}: file shrank while being read",
+                            byte_offset=offset + (first + n) * size)
+        channels[first : first + n] = part["channel"]
+        timestamps[first : first + n] = part["timestamp"]
     _check_block(path, offset, channels, timestamps, code, last, end_ps)
     return (channels if code is None else None), timestamps
 
@@ -270,13 +265,14 @@ def _record_blocks(path, n_records, code, end_ps):
 
     The records are read into one raw record buffer (_raw_records),
     reused for the whole file, and unpacked from it into the block's
-    arrays.  No block is bound while the reader is suspended, so it
-    holds 9/64 of a block besides the blocks its consumer holds.
+    arrays.  The file's buffer is one record, so that a read of more
+    goes straight into raw, and a short read is retried until the file
+    ends.  No block is bound while the reader is suspended, so it holds
+    9/64 of a block besides the blocks its consumer holds.
     """
     last = {}  # channel code -> its last timestamp so far
     raw = _raw_records(n_records)
-    # Unbuffered: every read goes straight into raw.
-    with open(path, "rb", buffering=0) as fh:
+    with open(path, "rb", buffering=_RECORD_DTYPE.itemsize) as fh:
         fh.seek(_HEADER.size)
         for start in range(0, n_records, correlate._BLOCK_RECORDS):
             count = min(correlate._BLOCK_RECORDS, n_records - start)

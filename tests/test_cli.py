@@ -928,6 +928,22 @@ class TestExitCodes:
         assert err.startswith("data error") and "exceed singles_a * singles_b" in err
         assert not (tmp_path / "reconstruction.json").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param({"counts": [30, 2**63, 40, 20]}, "counts must be", id="counts"),
+        pytest.param({"singles_a": 2**63}, "singles_a must be", id="singles-2**63"),
+        # This one ended in an OverflowError traceback from the g2 scale.
+        pytest.param({"singles_a": 10**400, "singles_b": 10**400}, "singles_a must be",
+                     id="singles-10**400"),
+    ])
+    def test_histogram_integers_beyond_int64_are_two(self, tmp_path, capsys, edit, message):
+        for k in range(3):
+            doc = bio.histogram_to_dict(phase_histogram([30, 50, 40, 20], 1.0, 1000, k))
+            bio.write_json(tmp_path / f"hist_phi{k}.json", {**doc, **edit})
+        assert main(["reconstruct", "--input-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and message in err and "Traceback" not in err
+        assert not (tmp_path / "reconstruction.json").exists()
+
     def test_output_in_a_missing_directory_names_the_target(self, tmp_path, capsys):
         # The document goes to a temp file beside the target first; the
         # message names the target, not that file, whether the temp file

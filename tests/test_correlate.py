@@ -3,6 +3,7 @@ oracle, normalization, gating, and the histogram invariants."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -389,23 +390,36 @@ class TestNormalize:
         with pytest.raises(ConfigError, match="acquisition_time must be finite and > 0"):
             CoincidenceHistogram(4000, -8000, np.ones(4, dtype=np.int64), acquisition_time, 10, 10)
 
-    @pytest.mark.parametrize("singles", [10.5, True, -1, "10", np.int64(10), None])
+    @pytest.mark.parametrize("singles", [10.5, True, -1, "10", np.int64(10), None,
+                                         pytest.param(2**63, id="2**63"),
+                                         pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("channel", ["singles_a", "singles_b"])
     def test_singles_must_be_non_negative_integers(self, singles, channel):
-        # The seed rule: an int and no bool (10.5 and True were accepted).
+        # The seed rule: an int and no bool (10.5 and True were accepted),
+        # and one that fits in int64 (10**400 overflowed normalize_g2).
         kwargs = {"singles_a": 10, "singles_b": 10, channel: singles}
         with pytest.raises(DataError, match=f"{channel} must be a non-negative integer"):
             CoincidenceHistogram(4000, -8000, np.ones(4, dtype=np.int64), 1.0, **kwargs)
 
-    def test_bin_centers_are_shared_and_read_only(self):
-        # Computed once per binning: every histogram of the same bins
-        # returns the same read-only array.
-        a = CoincidenceHistogram(4000, -8000, np.ones(4, dtype=np.int64), 1.0, 10, 10)
-        b = CoincidenceHistogram(4000, -8000, np.zeros(4, dtype=np.int64), 2.0, 10, 10)
-        assert a.bin_centers() is b.bin_centers()
-        assert list(a.bin_centers()) == [-6e-9, -2e-9, 2e-9, 6e-9]
-        with pytest.raises(ValueError):
-            a.bin_centers()[0] = 0.0
+    def test_singles_up_to_int64_max_normalize(self):
+        h = CoincidenceHistogram(4000, -8000, np.ones(4, dtype=np.int64), 1.0, 2**63 - 1, 2**63 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g2, sigma = normalize_g2(h)
+        assert np.all(g2 > 0.0) and np.all(np.isfinite(g2)) and np.array_equal(g2, sigma)
+
+    @pytest.mark.parametrize("counts", [[], [[1, 2], [3, 4]]])
+    def test_counts_must_be_a_non_empty_1d_array(self, counts):
+        with pytest.raises(ConfigError, match="counts must be a non-empty 1-d array"):
+            CoincidenceHistogram(4000, -8000, np.array(counts, dtype=np.int64), 1.0, 10, 10)
+
+    def test_bin_centers(self):
+        # A new array on each call: writing to one changes no other.
+        h = CoincidenceHistogram(4000, -8000, np.ones(4, dtype=np.int64), 1.0, 10, 10)
+        centers = h.bin_centers()
+        assert list(centers) == [-6e-9, -2e-9, 2e-9, 6e-9]
+        centers[0] = 0.0
+        assert h.bin_centers()[0] == -6e-9
 
 
 class TestGate:
@@ -442,7 +456,7 @@ class TestGate:
         mean_sigma = np.sqrt((sigma**2).sum()) / sigma.size
         assert abs(g2.mean() - 1.0) < 4.0 * mean_sigma
 
-    @pytest.mark.parametrize("period", [math.inf, math.nan, 1e20])
+    @pytest.mark.parametrize("period", [math.inf, math.nan, 1e20, 1e-13, 0.0])
     def test_bad_period_rejected(self, period):
         with pytest.raises(ConfigError, match="period"):
             apply_gate(stream("A", [0], 1.0), period, 0.5)

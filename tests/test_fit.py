@@ -11,6 +11,7 @@ import pytest
 from biphoton import (
     ConfigError,
     DataError,
+    NumericalError,
     ReconstructedTpwf,
     SimConfig,
     TpwfModel,
@@ -111,6 +112,13 @@ class TestDoubleExponentialFit:
         model = TpwfModel(amplitude=1.0, corr_time=30e-9)
         recon = noiseless_recon(model, n_bins=7)
         with pytest.raises(DataError):
+            fit_double_exponential(recon)
+
+    def test_no_positive_signal_rejected(self):
+        # psi = 0: every bin's debiased |psi|^2 is 0.
+        tau = np.linspace(-200e-9, 200e-9, 21)
+        recon = reconstruct_values(tau, *forward_triple(1.2, np.zeros(tau.size)))
+        with pytest.raises(NumericalError, match="no positive signal to fit"):
             fit_double_exponential(recon)
 
     def test_bad_fixed_corr_time_rejected(self):
@@ -646,7 +654,15 @@ class TestLevenbergBranches:
                         A = np.eye(k) * a
                         A[p, p - 1] = A[p - 1, p] = c * a
                         assert (fit_module._covariance(A.tolist()) is None) == singular
-        assert np.isnan(fit_module._covariance([[1.0, 0.0], [math.nan, 1.0]])).all()
+
+    @pytest.mark.parametrize("A", [
+        [[1.0, 0.0], [math.nan, 1.0]],
+        [[math.inf, 0.0], [0.0, 1.0]],  # factorized, it gave a sigma of 0
+        [[1.0, 0.0], [0.0, math.inf]],
+        [[1.0, 0.0], [math.inf, 1.0]],
+    ])
+    def test_non_finite_normal_matrix_has_nan_covariance(self, A):
+        assert np.isnan(fit_module._covariance(A)).all()
 
     def test_singular_damped_matrix_is_retried(self, monkeypatch):
         # The Cholesky solve reports the first two damped matrices not

@@ -439,6 +439,21 @@ class TestBlockReader:
         assert_readers_fail_at(path, 16 + 9 * 9)
 
     @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("kept", [6 * 9, 6 * 9 + 4, 9 * 9, 9 * 9 + 8])
+    def test_file_shrunk_after_open(self, tmp_path, monkeypatch, block, kept):
+        # Cut at a record boundary or inside a record, after the header
+        # and framing checks: at block 64 the 72-byte record buffer reads
+        # the ten records in two parts, and the cut falls in either.
+        monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
+        path = tmp_path / "tags.bttg"
+        write_records(path, [(0, t) for t in range(10)])
+        blocks = bio.TimeTagFile(path, "A", 1.0).blocks()
+        os.truncate(path, 16 + kept)
+        with pytest.raises(DataError, match="file shrank while being read") as err:
+            list(blocks)
+        assert err.value.byte_offset == 16 + kept // 9 * 9
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
     def test_round_trip_in_blocks(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(correlate, "_BLOCK_RECORDS", block)
         path = tmp_path / "tags.bttg"
@@ -834,6 +849,7 @@ class TestDocuments:
         ("singles_a", 99.9),
         ("counts", [1, 3.9, 0, 2]),
         ("counts", [1, True, 0, 2]),
+        ("counts", [1, 2**63, 0, 2]),
         ("counts", ["1", "0", "7", "1"]),
         ("acquisition_time_s", "1.0"),
     ])

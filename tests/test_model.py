@@ -111,6 +111,8 @@ class TestAnalyzerTransform:
         assert abs(s.phi - 0.3) < 1e-12
         assert s.theta == math.pi / 4
         assert math.copysign(1.0, BALANCED(-0.0).phi) == 1.0  # -0.0 wraps to +0.0
+        # -1e-17 wraps to pi - 1e-17, which rounds to pi: the guard gives 0.0.
+        assert math.copysign(1.0, BALANCED(-1e-17).phi) == 1.0 and BALANCED(-1e-17).phi == 0.0
 
     @pytest.mark.parametrize("phi", NON_FINITE)
     def test_balanced_refuses_non_finite_phi(self, phi):

@@ -704,6 +704,18 @@ class TestReconstructCurve:
         with pytest.raises(DataError):
             PhaseTriple(a, b, c)
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda h: dataclasses.replace(h, acquisition_time=2.0),
+                     "must share acquisition time", id="acquisition-time"),
+        pytest.param(lambda h: dataclasses.replace(h, setting=dataclasses.replace(h.setting, theta=0.5)),
+                     "theta = pi/4", id="theta"),
+    ])
+    def test_histogram_unlike_the_triple_rejected(self, edit, message):
+        hists = [phase_histogram(np.ones(10), 1.0, 1000, k) for k in range(3)]
+        hists[1] = edit(hists[1])
+        with pytest.raises(DataError, match=message):
+            PhaseTriple(*hists)
+
     @pytest.mark.parametrize("slot", range(3))
     def test_setting_less_histogram_rejected(self, slot):
         hists = [phase_histogram(np.ones(10), 1.0, 1000, k) for k in range(3)]
